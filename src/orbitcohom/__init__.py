@@ -19,7 +19,7 @@ from .fiber import FiberRing, load_fiber, make_type_ab, point_ring
 from .intervals import INFINITE, IntervalModule, free_module
 from .obstruction import IndexResult, cohomology_index, sphere_map_bound
 from .oracle import (OracleReport, brute_force_classify, cap_stable,
-                     compare_reports, truncate_e2)
+                     compare_reports, min_cap, truncate_e2)
 from .presentation import (ExtensionFlag, RingPresentation,
                            extract_presentation, monomial_basis,
                            presentation_str, same_presentation, tot_poincare)
@@ -36,7 +36,7 @@ __all__ = [
     "INFINITE", "IntervalModule", "free_module",
     "IndexResult", "cohomology_index", "sphere_map_bound",
     "OracleReport", "brute_force_classify", "cap_stable", "compare_reports",
-    "truncate_e2",
+    "min_cap", "truncate_e2",
     "ExtensionFlag", "RingPresentation", "extract_presentation",
     "monomial_basis", "presentation_str", "same_presentation", "tot_poincare",
 ]

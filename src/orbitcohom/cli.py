@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -111,19 +112,13 @@ def _load_inputs(args) -> tuple:
                   "a": "odd" if a else "even", "b": "odd" if b else "even"}
 
 
-def _min_cap(ring, group: engine.GroupChoice) -> int:
-    rounds = engine._round_schedule(ring, group)
-    margin = (max(rounds) if rounds else 0) + group.step
-    return ring.top_degree + margin
-
-
 def _cmd_classify(args) -> int:
     ring, inputs = _load_inputs(args)
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
     if args.self_check:
         orep = oracle.brute_force_classify(ring, group,
-                                           args.cap or _min_cap(ring, group))
+                                           args.cap or oracle.min_cap(ring, group))
         problems = oracle.compare_reports(report, orep)
         if problems:
             for p in problems:
@@ -197,7 +192,7 @@ def _cmd_oracle_check(args) -> int:
     ring, inputs = _load_inputs(args)
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
-    cap = args.cap or _min_cap(ring, group)
+    cap = args.cap or oracle.min_cap(ring, group)
     orep = oracle.brute_force_classify(ring, group, cap)
     problems = oracle.compare_reports(report, orep)
     doc = {
@@ -280,9 +275,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except OrbitCohomError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`). Point stdout at devnull
+        # so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

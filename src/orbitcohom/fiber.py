@@ -45,6 +45,16 @@ class FiberRing:
             raise InvalidInputError("duplicate basis names")
         if self.unit not in names:
             raise InvalidInputError("unit is not a basis element")
+        for name, deg in self.basis:
+            if deg < 0:
+                raise InvalidInputError(
+                    f"basis element {name} has negative degree {deg}")
+        known = set(names)
+        for (u, v), value in self.products:
+            unknown = sorted(({u, v} | value) - known)
+            if unknown:
+                raise InvalidInputError(
+                    f"product {u}*{v} names unknown basis elements {unknown}")
         object.__setattr__(self, "_tbl", dict(self.products))
         object.__setattr__(self, "_deg", dict(self.basis))
 

@@ -4,10 +4,10 @@ The oracle works on an explicit truncated cell model of the second page:
 one cell per (base degree, fiber class) with total degree under a cap.
 It enumerates every joint generator-level coefficient assignment across
 all rounds at once, checks the Leibniz rule cell by cell on actual basis
-products, turns pages bidegree by bidegree with small exact-linear-algebra
-matrices, and reports surviving dimensions per total degree. Nothing here
-shares interval or bitmask machinery with the engine, so agreement is
-meaningful evidence.
+products, turns pages cell by cell (a cell survives when it is neither hit
+nor hits; an assignment with d o d != 0 is rejected), and reports surviving
+dimensions per total degree. Nothing here shares interval or bitmask
+machinery with the engine, so agreement is meaningful evidence.
 
 Truncation is handled by a safety margin: cells within one round-length
 of the cap see truncated differentials, so only total degrees at most
@@ -20,10 +20,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from . import gf2
 from .engine import GroupChoice, _round_schedule
 from .errors import (InvalidInputError, OversizedInstanceError,
-                     PreconditionError, UnsupportedShapeError)
+                     UnsupportedShapeError)
 from .fiber import FiberRing, validate as validate_fiber
 
 MAX_CELLS = 600
@@ -60,6 +59,12 @@ class OracleReport:
     rejected_assignments: int
 
 
+def min_cap(fiber: FiberRing, group: GroupChoice) -> int:
+    """Smallest truncation degree the oracle accepts for this input."""
+    rounds = _round_schedule(fiber, group)
+    return fiber.top_degree + (max(rounds) if rounds else 0) + group.step
+
+
 def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComplex:
     """Finite cell model of the second page up to total degree cap."""
     problems = validate_fiber(fiber)
@@ -71,12 +76,10 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
             raise UnsupportedShapeError(
                 "oracle needs at most one basis element per degree")
         names[deg] = name
-    rounds = _round_schedule(fiber, group)
-    margin = (max(rounds) if rounds else 0) + group.step
-    if cap < fiber.top_degree + margin:
-        raise InvalidInputError(
-            f"cap {cap} too small; need at least "
-            f"{fiber.top_degree + margin}")
+    lowest = min_cap(fiber, group)
+    if cap < lowest:
+        raise InvalidInputError(f"cap {cap} too small; need at least {lowest}")
+    margin = lowest - fiber.top_degree
     step = group.step
     cells = tuple((k, l) for l in sorted(names)
                   for k in range(0, cap - l + 1, step))
@@ -147,22 +150,20 @@ def _leibniz_ok(tc: TruncatedComplex, live: Set[Cell], r: int,
 
 def _turn(tc: TruncatedComplex, live: Set[Cell], r: int,
           coeff: Dict[int, int]) -> Optional[Set[Cell]]:
-    """Homology of the round-r differential per bidegree; None when d o d != 0."""
+    """Cells surviving the round-r differential; None when d o d != 0.
+
+    Every cell carries one basis element, so a cell dies exactly when it is
+    hit or hits something, and a cell that does both is a nonzero composite.
+    """
     new_live: Set[Cell] = set()
     for cell in live:
         src = (cell[0] - r, cell[1] + r - 1)
-        tgt = (cell[0] + r, cell[1] - r + 1)
-        d_in = gf2.F2Matrix.from_lists(
-            [[1]] if (src in live and _differential(tc, live, r, coeff, src))
-            else [[0]])
-        d_out = gf2.F2Matrix.from_lists(
-            [[1]] if (tgt in live and _differential(tc, live, r, coeff, cell))
-            else [[0]])
-        try:
-            if gf2.homology_dim(d_in, d_out):
-                new_live.add(cell)
-        except PreconditionError:
+        hit = src in live and bool(_differential(tc, live, r, coeff, src))
+        hits = bool(_differential(tc, live, r, coeff, cell))
+        if hit and hits:
             return None
+        if not (hit or hits):
+            new_live.add(cell)
     return new_live
 
 

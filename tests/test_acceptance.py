@@ -11,10 +11,11 @@ import sys
 from contextlib import redirect_stdout
 
 from orbitcohom import cli
-from orbitcohom.engine import GroupChoice, _round_schedule, build_e2, classify
+from orbitcohom.engine import GroupChoice, build_e2, classify
 from orbitcohom.fiber import make_type_ab
 from orbitcohom.obstruction import IndexResult, sphere_map_bound
-from orbitcohom.oracle import brute_force_classify, cap_stable, compare_reports
+from orbitcohom.oracle import (brute_force_classify, cap_stable,
+                               compare_reports, min_cap)
 from orbitcohom.presentation import (make_presentation, monomial_basis,
                                      same_presentation, tot_poincare)
 
@@ -248,9 +249,7 @@ def test_criterion_6_oracle_equivalence():
                 for a in (0, 1):
                     for b in (0, 1):
                         fiber = make_type_ab(n, a, b)
-                        rounds = _round_schedule(fiber, group)
-                        cap = (fiber.top_degree
-                               + (max(rounds) if rounds else 0) + group.step)
+                        cap = min_cap(fiber, group)
                         engine_report = classify(fiber, group)
                         oracle_report = brute_force_classify(fiber, group, cap)
                         assert compare_reports(engine_report,

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import orbitcohom
 from orbitcohom import cli
 
 
@@ -132,6 +137,43 @@ def test_fiber_file_input(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["inputs"]["fiber_file"] == str(path)
     assert parsed["verdict"] == "free-action-possible"
+
+
+def test_fiber_file_bad_references_exit_one(tmp_path, capsys):
+    unknown_product = {
+        "basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 2}],
+        "unit": "1",
+        "products": [{"left": "u", "right": "u", "result": ["w"]}],
+        "top_degree": 4,
+    }
+    negative_degree = {
+        "basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": -2}],
+        "unit": "1",
+        "top_degree": 0,
+    }
+    for doc in (unknown_product, negative_degree):
+        path = tmp_path / "fiber.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "classify", "--fiber", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(orbitcohom.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitcohom.cli", "classify", "--n", "40",
+             "--a", "1", "--b", "1", "--show-rejected"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_one(capsys):

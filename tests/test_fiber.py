@@ -147,6 +147,20 @@ def test_load_fiber_round_trip(tmp_path):
     assert ring.mult("1", "u") == frozenset({"u"})
 
 
+@pytest.mark.parametrize("basis, products", [
+    ([["1", 0], ["u", 2]], [{"left": "u", "right": "u", "result": ["w"]}]),
+    ([["1", 0], ["u", 2]], [{"left": "u", "right": "w", "result": []}]),
+    ([["1", 0], ["u", -2]], []),
+], ids=["unknown-result", "unknown-factor", "negative-degree"])
+def test_load_fiber_rejects_bad_basis_references(tmp_path, basis, products):
+    doc = {"basis": [{"name": name, "degree": deg} for name, deg in basis],
+           "unit": "1", "products": products, "top_degree": 2}
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError):
+        load_fiber(str(path))
+
+
 def test_load_fiber_bad_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -5,14 +5,8 @@ import pytest
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError, OversizedInstanceError
 from orbitcohom.fiber import make_type_ab, point_ring
-from orbitcohom.oracle import (brute_force_classify, cap_stable,
-                               compare_reports, truncate_e2)
-
-
-def _min_cap(fiber, group):
-    from orbitcohom.engine import _round_schedule
-    rounds = _round_schedule(fiber, group)
-    return fiber.top_degree + (max(rounds) if rounds else 0) + group.step
+from orbitcohom.oracle import (_turn, brute_force_classify, cap_stable,
+                               compare_reports, min_cap, truncate_e2)
 
 
 def test_cell_counts():
@@ -30,13 +24,29 @@ def test_circle_cells_have_even_columns():
 def test_cap_too_small_rejected():
     fiber = make_type_ab(1, 0, 0)
     with pytest.raises(InvalidInputError):
-        truncate_e2(fiber, GroupChoice.Z2, _min_cap(fiber, GroupChoice.Z2) - 1)
+        truncate_e2(fiber, GroupChoice.Z2, min_cap(fiber, GroupChoice.Z2) - 1)
 
 
 def test_oversized_instance_rejected():
     fiber = make_type_ab(40, 0, 0)
     with pytest.raises(OversizedInstanceError):
-        truncate_e2(fiber, GroupChoice.Z2, _min_cap(fiber, GroupChoice.Z2))
+        truncate_e2(fiber, GroupChoice.Z2, min_cap(fiber, GroupChoice.Z2))
+
+
+def test_turn_rejects_nonzero_composite():
+    # Z/2, n = 1: on page 2 the rows 3 -> 2 -> 1 form the chain
+    # (0, 3) -> (2, 2) -> (4, 1); with both coefficients set d o d != 0.
+    tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.Z2, 8)
+    chain = {(0, 3), (2, 2), (4, 1)}
+    assert _turn(tc, chain, 2, {3: 1, 2: 1}) is None
+
+
+def test_turn_kills_hit_and_hitting_cells_only():
+    tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.Z2, 8)
+    live = {(0, 0), (0, 3), (2, 2)}
+    # (0, 3) hits (2, 2); (0, 0) is untouched
+    assert _turn(tc, live, 2, {3: 1}) == {(0, 0)}
+    assert _turn(tc, live, 2, {3: 0}) == live
 
 
 def test_oracle_dims_even_even_n1():
@@ -58,7 +68,7 @@ def test_compare_reports_agreement():
     fiber = make_type_ab(2, 0, 1)
     engine_report = classify(fiber, GroupChoice.Z2)
     oracle_report = brute_force_classify(fiber, GroupChoice.Z2,
-                                         _min_cap(fiber, GroupChoice.Z2))
+                                         min_cap(fiber, GroupChoice.Z2))
     assert compare_reports(engine_report, oracle_report) == []
 
 
@@ -84,7 +94,7 @@ def test_compare_reports_detects_planted_mismatch():
 def test_cap_stability():
     fiber = make_type_ab(1, 0, 1)
     assert cap_stable(fiber, GroupChoice.Z2,
-                      _min_cap(fiber, GroupChoice.Z2)) == []
+                      min_cap(fiber, GroupChoice.Z2)) == []
 
 
 def test_all_small_cases_agree():
@@ -95,6 +105,6 @@ def test_all_small_cases_agree():
                     fiber = make_type_ab(n, a, b)
                     engine_report = classify(fiber, group)
                     oracle_report = brute_force_classify(
-                        fiber, group, _min_cap(fiber, group))
+                        fiber, group, min_cap(fiber, group))
                     assert compare_reports(engine_report, oracle_report) == [], (
                         group, n, a, b)
