@@ -13,8 +13,9 @@ from .engine import (ClassificationReport, DifferentialPattern, GroupChoice,
                      Outcome, Page, RejectedBranch, admissible_rounds,
                      build_e2, check_pattern, classify, differential_slots,
                      enumerate_patterns, is_free_admissible, turn_page)
-from .errors import (InvalidInputError, OrbitCohomError, OversizedInstanceError,
-                     PreconditionError, UnsupportedShapeError, WrongGroupError)
+from .errors import (InvalidInputError, InvariantError, OrbitCohomError,
+                     OversizedInstanceError, PreconditionError,
+                     UnsupportedShapeError, WrongGroupError)
 from .fiber import FiberRing, load_fiber, make_type_ab, point_ring
 from .intervals import INFINITE, IntervalModule, free_module
 from .obstruction import IndexResult, cohomology_index, sphere_map_bound
@@ -30,7 +31,8 @@ __all__ = [
     "Page", "RejectedBranch", "admissible_rounds", "build_e2", "check_pattern",
     "classify", "differential_slots", "enumerate_patterns",
     "is_free_admissible", "turn_page",
-    "InvalidInputError", "OrbitCohomError", "OversizedInstanceError",
+    "InvalidInputError", "InvariantError", "OrbitCohomError",
+    "OversizedInstanceError",
     "PreconditionError", "UnsupportedShapeError", "WrongGroupError",
     "FiberRing", "load_fiber", "make_type_ab", "point_ring",
     "INFINITE", "IntervalModule", "free_module",

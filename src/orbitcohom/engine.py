@@ -8,9 +8,19 @@ action (finite, and supported in total degree at most the fiber dimension).
 
 Differentials are recorded only on row generators: every starting row is a
 free module over the base ring H*(B_G) = F2[t] and the differentials are
-module maps over it, so the generator values determine everything. The
-Leibniz and d o d checks are evaluated across all columns exactly, using
-bitmask arithmetic over the eventually-constant interval supports.
+module maps over it, so the generator values determine everything.
+
+The Leibniz and d o d checks hold across all columns exactly. Each row's
+support is a union of runs of columns that is constant beyond its last
+interval endpoint, so finitely many columns represent every regime. A page
+reads its rows as column masks once per round (``Page._scan``). A Leibniz
+test asks whether some pair of columns k, j with given term parities sums
+into a set of live target columns; the sumset of the runs [a, b) and
+[c, d) is the single run [a + c, b + d - 1), so each test costs O(runs^2)
+big-int operations, whatever n is. A page turn clears the columns that are
+hit or hit something and reads the surviving runs straight back as
+interval summands, the run that reaches the constant regime becoming
+infinite.
 """
 
 from __future__ import annotations
@@ -18,12 +28,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import obstruction, presentation
-from .errors import InvalidInputError, PreconditionError, UnsupportedShapeError
+from .errors import (InvalidInputError, InvariantError, PreconditionError,
+                     UnsupportedShapeError)
 from .fiber import FiberRing, validate as validate_fiber
-from .intervals import IntervalModule, free_module, from_columns
+from .intervals import IntervalModule, free_module, from_mask, runs
 
 
 class GroupChoice(enum.Enum):
@@ -55,6 +67,12 @@ class Page:
 
     def row(self, l: int) -> Optional[PageRow]:
         return self.rows.get(l)
+
+    @cached_property
+    def _scan(self) -> "_Scan":
+        """Column data for the current round, built once and shared by every
+        pattern checked or turned on this page."""
+        return _scan_page(self)
 
 
 @dataclass(frozen=True)
@@ -187,32 +205,45 @@ def differential_slots(page: Page, r: int) -> List[DifferentialSlot]:
     return slots
 
 
-def _scan_bits(page: Page, r: int) -> Tuple[int, int]:
-    """(enumeration bits, mask bits) covering every support regime.
+@dataclass(frozen=True)
+class _Scan:
+    """Column data of a page for its current round, shared by all its patterns."""
+    rep_bits: int                     # enumeration bits: representatives to scan
+    nbits: int                        # mask bits: room for sums of representatives
+    masks: Dict[int, int]             # row -> column mask
+    gens: Tuple[Tuple[int, str], ...]  # (row, generator) alive at column 0
+
+
+def _scan_page(page: Page) -> _Scan:
+    """Mask widths and row masks covering every support regime.
 
     Beyond the largest interval endpoint shifted by the differential every
     row's support is constant, so scanning representatives up to that bound
     is exact even though the modules are infinite.
     """
-    step = page.step
+    step, e, rows = page.step, page.round // page.step, page.rows
     endpoint = max((row.module.max_finite_endpoint()
-                    for row in page.rows.values()), default=0)
-    rep = endpoint // step + 2 * (r // step) + 4
-    return rep, 2 * rep + 2 * (r // step) + 4
+                    for row in rows.values()), default=0)
+    rep = endpoint // step + 2 * e + 4
+    nbits = 2 * rep + 2 * e + 4
+    return _Scan(
+        rep_bits=rep, nbits=nbits,
+        masks={l: row.module.column_mask(nbits) for l, row in rows.items()},
+        gens=tuple((l, rows[l].generator) for l in sorted(rows)
+                   if rows[l].generator is not None and rows[l].module.alive(0)))
 
 
-def _masks(page: Page, nbits: int) -> Dict[int, int]:
-    return {l: row.module.column_mask(nbits) for l, row in page.rows.items()}
+def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
+             sums: int) -> bool:
+    """True when some k in the runs left and j in the runs right have k + j in sums.
 
-
-def _sum_hit(left: int, right: int, sums: int) -> bool:
-    """True when some k in left and j in right have k + j in sums (bit indices)."""
-    while left:
-        low = left & -left
-        k = low.bit_length() - 1
-        if (sums >> k) & right:
-            return True
-        left ^= low
+    The sumset of the runs [a, b) and [c, d) is the single run
+    [a + c, b + d - 1), so the test costs one big-int operation per pair.
+    """
+    for a, b in left:
+        for c, d in right:
+            if (sums >> (a + c)) & ((1 << (b + d - 1 - a - c)) - 1):
+                return True
     return False
 
 
@@ -221,17 +252,13 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     r = pattern.round
     if page.round != r:
         raise PreconditionError("pattern round does not match page round")
-    step = page.step
-    e = r // step
+    e = r // page.step
     coeff = pattern.coefficient_map()
     rows = page.rows
-    rep_bits, nbits = _scan_bits(page, r)
-    masks = _masks(page, nbits)
-    full = (1 << nbits) - 1
-    rep_mask = (1 << rep_bits) - 1
-
-    gens = [(l, rows[l].generator) for l in sorted(rows)
-            if rows[l].generator is not None and rows[l].module.alive(0)]
+    scan = page._scan
+    masks = scan.masks
+    rep_mask = (1 << scan.rep_bits) - 1
+    gens = scan.gens
 
     # Leibniz closure, columnwise: for generators u, v and all columns k, j,
     #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
@@ -268,12 +295,10 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
 
             u_cols = masks[lu] & rep_mask
             v_cols = masks[lv] & rep_mask
-            u1 = u_cols & u_mask
-            u0 = u_cols & ~u_mask & full
-            v1 = v_cols & v_mask
-            v0 = v_cols & ~v_mask & full
-            odd_sum = sum_alive & w_mask       # term count is odd here ...
-            even_sum = sum_alive & ~w_mask & full  # ... and even here
+            u1, u0 = runs(u_cols & u_mask), runs(u_cols & ~u_mask)
+            v1, v0 = runs(v_cols & v_mask), runs(v_cols & ~v_mask)
+            odd_sum = sum_alive & w_mask    # term count is odd here ...
+            even_sum = sum_alive & ~w_mask  # ... and even here
             if (_sum_hit(u0, v0, odd_sum) or _sum_hit(u1, v1, odd_sum)
                     or _sum_hit(u0, v1, even_sum) or _sum_hit(u1, v0, even_sum)):
                 return (f"Leibniz violation at round {r} on the product "
@@ -297,15 +322,21 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     return None
 
 
-def enumerate_patterns(page: Page, r: int) -> List[DifferentialPattern]:
-    """All constraint-consistent coefficient assignments of round r, in binary order."""
+def _branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str]]]:
+    """Every coefficient assignment of the page's round, in binary order,
+    with its first violated constraint (None when consistent)."""
+    r = page.round
     slots = tuple(differential_slots(page, r))
-    out = []
     for coeffs in itertools.product((0, 1), repeat=len(slots)):
         pattern = DifferentialPattern(r, slots, coeffs)
-        if check_pattern(page, pattern) is None:
-            out.append(pattern)
-    return out
+        yield pattern, check_pattern(page, pattern)
+
+
+def enumerate_patterns(page: Page, r: int) -> List[DifferentialPattern]:
+    """All constraint-consistent coefficient assignments of round r, in binary order."""
+    if page.round != r:
+        raise PreconditionError("pattern round does not match page round")
+    return [pattern for pattern, reason in _branches(page) if reason is None]
 
 
 def turn_page(page: Page, pattern: DifferentialPattern) -> Page:
@@ -313,29 +344,30 @@ def turn_page(page: Page, pattern: DifferentialPattern) -> Page:
     reason = check_pattern(page, pattern)
     if reason is not None:
         raise PreconditionError(f"inconsistent pattern: {reason}")
+    return _turn(page, pattern)
+
+
+def _turn(page: Page, pattern: DifferentialPattern) -> Page:
+    """turn_page for a pattern already known to pass check_pattern."""
     r = pattern.round
     step = page.step
     e = r // step
     coeff = pattern.coefficient_map()
     rows = page.rows
-    _, nbits = _scan_bits(page, r)
-    masks = _masks(page, nbits)
-    threshold = nbits - 2 * e - 2  # supports are constant beyond this index
-    full = (1 << nbits) - 1
+    scan = page._scan
+    masks = scan.masks
+    threshold = scan.nbits - 2 * e - 2  # supports are constant from this bit on
 
     new_rows: Dict[int, PageRow] = {}
     for l in sorted(rows):
         mask = masks[l]
         if coeff.get(l, 0):
-            mask &= ~(masks.get(l - r + 1, 0) >> e) & full
+            mask &= ~(masks.get(l - r + 1, 0) >> e)
         inc = l + r - 1
         if coeff.get(inc, 0) == 1 and rows[inc].module.alive(0):
             # image of the incoming differential: source column k - r must live
-            mask &= ~(masks.get(inc, 0) << e) & full
-        columns = [i * step for i in range(threshold) if (mask >> i) & 1]
-        tail = bool((mask >> threshold) & 1)
-        module = from_columns(step, columns,
-                              tail_start=threshold * step if tail else None)
+            mask &= ~(masks.get(inc, 0) << e)
+        module = from_mask(step, mask, threshold)
         if module.is_zero():
             continue
         old = rows[l]
@@ -348,7 +380,8 @@ def turn_page(page: Page, pattern: DifferentialPattern) -> Page:
     new_page = Page(fiber=page.fiber, group=page.group, rounds=schedule,
                     round=new_round, rows=new_rows)
     unit = new_page.row(0)
-    assert unit is not None and unit.module.alive(0), "unit class must survive"
+    if unit is None or not unit.module.alive(0):
+        raise InvariantError(f"the unit class did not survive round {r}")
     return new_page
 
 
@@ -399,15 +432,12 @@ def classify(fiber: FiberRing, group: GroupChoice,
                     history, None,
                     "survival: classes persist to infinity or above the top degree"))
             return
-        slots = tuple(differential_slots(page, r))
-        for coeffs in itertools.product((0, 1), repeat=len(slots)):
-            pattern = DifferentialPattern(r, slots, coeffs)
-            reason = check_pattern(page, pattern)
+        for pattern, reason in _branches(page):
             branch = history + (pattern,)
             if reason is not None:
                 rejected.append(RejectedBranch(branch, r, reason))
             else:
-                dfs(turn_page(page, pattern), branch)
+                dfs(_turn(page, pattern), branch)
 
     dfs(page0, ())
     outcomes.sort(key=lambda o: o.history_key())

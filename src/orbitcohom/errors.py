@@ -24,3 +24,8 @@ class WrongGroupError(OrbitCohomError, ValueError):
 
 class OversizedInstanceError(OrbitCohomError, ValueError):
     """The brute-force oracle refuses instances beyond desk scale."""
+
+
+class InvariantError(OrbitCohomError, RuntimeError):
+    """A property every page turn must keep failed (for example, the unit
+    class did not survive); the input page or pattern was inconsistent."""

@@ -4,12 +4,18 @@ A summand (shift, length) contributes one F2 dimension in the degrees
 shift, shift + step, ..., shift + step*(length - 1); length None means the
 summand continues forever. Infinitude stays exactly decidable, which is
 what the freeness filter needs.
+
+The engine reads a module's support on the lattice of multiples of step as
+a bitmask (bit i for degree i*step). A summand is one run of set bits, and
+``runs`` / ``from_mask`` turn a mask back into summands, so every
+conversion costs a few big-int operations per run, whatever the degrees.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError
 
@@ -57,6 +63,17 @@ class IntervalModule:
     def has_infinite(self) -> bool:
         return any(length is INFINITE for _, length in self.summands)
 
+    def has_overlap(self) -> bool:
+        """True when two summands share a degree, i.e. some dimension exceeds 1."""
+        reach: Dict[int, float] = {}  # residue mod step -> end of support so far
+        for shift, length in self.summands:  # canonical order: by shift
+            res = shift % self.step
+            if shift < reach.get(res, -1):
+                return True
+            end = math.inf if length is INFINITE else shift + self.step * length
+            reach[res] = max(reach.get(res, -1), end)
+        return False
+
     def max_degree(self) -> Optional[int]:
         """Largest supported degree, or None when some summand is infinite."""
         if self.has_infinite():
@@ -76,11 +93,18 @@ class IntervalModule:
         return best
 
     def column_mask(self, nbits: int) -> int:
-        """Bitmask with bit i set when degree i*step is supported (i < nbits)."""
+        """Bitmask with bit i set when degree i*step is supported (i < nbits).
+
+        Each summand on the lattice sets one block of bits; a summand whose
+        shift is not a multiple of step never meets the lattice.
+        """
         mask = 0
-        for i in range(nbits):
-            if self.dimension_at(i * self.step):
-                mask |= 1 << i
+        for shift, length in self.summands:
+            start, off = divmod(shift, self.step)
+            if off or start >= nbits:
+                continue
+            end = nbits if length is INFINITE else min(start + length, nbits)
+            mask |= ((1 << (end - start)) - 1) << start
         return mask
 
 
@@ -88,41 +112,31 @@ def free_module(step: int, rank: int = 1) -> IntervalModule:
     return IntervalModule(step, ((0, INFINITE),) * rank)
 
 
-def from_columns(step: int, columns: Sequence[int],
-                 tail_start: Optional[int] = None) -> IntervalModule:
-    """Build the canonical module supported on the given degrees.
+def runs(mask: int) -> List[Tuple[int, int]]:
+    """Maximal runs of set bits of a nonnegative mask, as [start, end) pairs.
 
-    columns must be distinct multiples of step in increasing order;
-    tail_start, when given, adds support on tail_start + step*i for all i
-    and must sit beyond the last explicit column.
+    Adding the lowest set bit carries through the lowest run and lands on
+    the first clear bit above it, so each run costs a few big-int operations.
     """
-    summands: List[Summand] = []
-    run_start = run_len = 0
-    prev = None
-    for c in columns:
-        if c % step or (prev is not None and c <= prev):
-            raise InvalidInputError("columns must be increasing multiples of step")
-        if prev is not None and c == prev + step:
-            run_len += 1
-        else:
-            if run_len:
-                summands.append((run_start, run_len))
-            run_start, run_len = c, 1
-        prev = c
-    if tail_start is not None:
-        if tail_start % step or (prev is not None and tail_start <= prev):
-            raise InvalidInputError("tail_start must follow the explicit columns")
-        if run_len and prev == tail_start - step:
-            summands.append((run_start, INFINITE))
-        else:
-            if run_len:
-                summands.append((run_start, run_len))
-            summands.append((tail_start, INFINITE))
-    elif run_len:
-        summands.append((run_start, run_len))
-    return IntervalModule(step, tuple(summands))
+    out = []
+    while mask:
+        low = mask & -mask
+        top = mask + low
+        out.append((low.bit_length() - 1, (top & -top).bit_length() - 1))
+        mask &= top
+    return out
 
 
-def dimension_at(m: IntervalModule, k: int) -> int:
-    """Dimension of m in degree k."""
-    return m.dimension_at(k)
+def from_mask(step: int, mask: int, threshold: int) -> IntervalModule:
+    """Canonical module supported on degree i*step for each set bit i < threshold.
+
+    When bit threshold is set, the support also covers every degree from
+    threshold*step on, so the run reaching it becomes an infinite summand;
+    bits above threshold are ignored.
+    """
+    if mask < 0 or threshold < 0:
+        raise InvalidInputError("mask and threshold must be nonnegative")
+    mask &= (1 << (threshold + 1)) - 1
+    return IntervalModule(step, tuple(
+        (start * step, INFINITE if end > threshold else end - start)
+        for start, end in runs(mask)))

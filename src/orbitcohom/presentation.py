@@ -118,8 +118,7 @@ def extract_presentation(e_inf: "Page",
     if 0 not in rows:
         raise UnsupportedShapeError("unit row is missing from the page")
     for l, row in rows.items():
-        if any(row.module.dimension_at(k) > 1
-               for k in range(0, (row.module.max_finite_endpoint() or 0) + 1)):
+        if row.module.has_overlap():
             raise UnsupportedShapeError(f"row {l} has rank > 1")
 
     shift0, x_power = _single_interval(rows[0])
@@ -223,22 +222,23 @@ def monomial_basis_elements(pres: RingPresentation,
     enumerable this way; two-term relations would need rewriting machinery
     that is out of scope.
     """
-    zero_monomials: List[Monomial] = []
+    gens = pres.generators
+    # Each vanishing monomial as an exponent vector in generator order.
+    zero_vectors: List[Tuple[int, ...]] = []
     for rel in pres.relations:
         if len(rel) != 1:
             raise UnsupportedShapeError("basis enumeration needs monomial relations")
-        zero_monomials.append(rel[0])
+        zero = dict(rel[0])
+        zero_vectors.append(tuple(zero.get(name, 0) for name, _ in gens))
 
-    gens = pres.generators
     out: List[Tuple[int, Monomial]] = []
 
-    def divisible(exps: List[int], zero: Monomial) -> bool:
-        z = dict(zero)
-        return all(exps[i] >= z.get(name, 0) for i, (name, _) in enumerate(gens))
+    def divisible(exps: List[int], zero: Tuple[int, ...]) -> bool:
+        return all(e >= z for e, z in zip(exps, zero))
 
     def walk(i: int, exps: List[int], degree: int):
         if i == len(gens):
-            if not any(divisible(exps, z) for z in zero_monomials):
+            if not any(divisible(exps, z) for z in zero_vectors):
                 mono = tuple((name, e) for (name, _), e in zip(gens, exps) if e)
                 out.append((degree, mono))
             return

@@ -1,15 +1,18 @@
 """Tests for the page engine: second page, rounds, patterns, page turns."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcohom.engine import (GroupChoice, admissible_rounds, build_e2,
                                check_pattern, classify, differential_slots,
-                               DifferentialPattern, enumerate_patterns,
-                               is_free_admissible, turn_page)
-from orbitcohom.errors import (InvalidInputError, PreconditionError,
-                               UnsupportedShapeError)
+                               DifferentialPattern, DifferentialSlot,
+                               enumerate_patterns, is_free_admissible, Page,
+                               PageRow, turn_page, _sum_hit)
+from orbitcohom.errors import (InvalidInputError, InvariantError,
+                               PreconditionError, UnsupportedShapeError)
 from orbitcohom.fiber import FiberRing, make_type_ab, point_ring
-from orbitcohom.intervals import INFINITE
+from orbitcohom.intervals import INFINITE, IntervalModule, free_module, runs
 
 
 def test_build_e2_rows_z2():
@@ -121,6 +124,62 @@ def test_turn_page_rejects_inconsistent_pattern():
     bad = DifferentialPattern(3, slots, (0, 1, 1))  # d o d through row 4
     with pytest.raises(PreconditionError):
         turn_page(page, bad)
+
+
+def test_turn_page_raises_when_the_unit_dies():
+    # hand-built page whose unit row has lost column 0: a real error, not an
+    # assert, so the check also holds under python -O
+    fiber = make_type_ab(2, 0, 0)
+    rows = {0: PageRow(IntervalModule(1, ((1, INFINITE),)), None),
+            2: PageRow(free_module(1), "v1")}
+    page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), round=3,
+                rows=rows)
+    slot = DifferentialSlot(3, 2, 0, 3)
+    with pytest.raises(InvariantError, match="unit"):
+        turn_page(page, DifferentialPattern(3, (slot,), (0,)))
+
+
+def _sum_hit_per_bit(left: int, right: int, sums: int) -> bool:
+    """Reference: True when some k in left and j in right have k + j in sums."""
+    while left:
+        low = left & -left
+        k = low.bit_length() - 1
+        if (sums >> k) & right:
+            return True
+        left ^= low
+    return False
+
+
+def _run_masks(width):
+    """Masks made of a few runs, so both outcomes of the sumset test occur."""
+    def mask(rs):
+        out = 0
+        for start, length in rs:
+            out |= ((1 << length) - 1) << start
+        return out & ((1 << width) - 1)
+
+    run = st.tuples(st.integers(0, width - 1), st.integers(1, width // 4))
+    return st.lists(run, max_size=4).map(mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_masks(48), _run_masks(48), _run_masks(96))
+def test_run_sumset_matches_per_bit_scan(left, right, sums):
+    assert _sum_hit(runs(left), runs(right), sums) == _sum_hit_per_bit(
+        left, right, sums)
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_large_n_matches_small_n(a, b):
+    """At n = 3000 the branch counts and index / n are those of n = 2."""
+    small = classify(make_type_ab(2, a, b), GroupChoice.Z2)
+    large = classify(make_type_ab(3000, a, b), GroupChoice.Z2)
+    assert len(large.outcomes) == len(small.outcomes)
+    assert len(large.rejected) == len(small.rejected)
+    assert ([o.index / 3000 for o in large.outcomes]
+            == [o.index / 2 for o in small.outcomes])
+    circle = classify(make_type_ab(3000, a, b), GroupChoice.CIRCLE)
+    assert (len(circle.outcomes), len(circle.rejected)) == (0, 1)
 
 
 def test_dimensions_never_increase():
