@@ -117,9 +117,11 @@ def _cmd_classify(args) -> int:
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
     if args.self_check:
+        problems = [p for out in report.outcomes
+                    for p in presentation.basis_problems(out, report.top_degree)]
         orep = oracle.brute_force_classify(ring, group,
                                            args.cap or oracle.min_cap(ring, group))
-        problems = oracle.compare_reports(report, orep)
+        problems += oracle.compare_reports(report, orep)
         if problems:
             for p in problems:
                 print(f"self-check failed: {p}", file=sys.stderr)
@@ -244,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-rejected", action="store_true",
                    help="also list every rejected differential branch")
     p.add_argument("--self-check", action="store_true",
-                   help="cross-check against the brute-force oracle (exit 2 on "
-                        "disagreement)")
+                   help="cross-check each outcome against its monomial basis "
+                        "and the brute-force oracle (exit 2 on disagreement)")
     p.add_argument("--cap", type=int, default=None,
                    help="truncation degree for the self-check oracle")
     p.set_defaults(func=_cmd_classify)

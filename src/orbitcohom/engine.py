@@ -168,14 +168,15 @@ def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> List[int]:
 
 
 def _round_schedule(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
-    try:
-        return tuple(admissible_rounds(fiber, group))
-    except UnsupportedShapeError:
-        # General fibers: any gap between two nonzero rows yields a round.
-        degrees = sorted({d for _, d in fiber.basis})
-        rounds = sorted({hi - lo + 1 for hi in degrees for lo in degrees
-                         if hi > lo and (hi - lo + 1) % group.step == 0})
-        return tuple(r for r in rounds if r >= 2)
+    """Every round r >= 2 that can connect two nonzero rows: a gap between
+    two basis degrees plus one, kept when the group's step divides it.
+
+    For a type-(a,b) fiber this is the set ``admissible_rounds`` validates.
+    """
+    degrees = sorted({d for _, d in fiber.basis})
+    rounds = sorted({hi - lo + 1 for hi in degrees for lo in degrees
+                     if hi > lo and (hi - lo + 1) % group.step == 0})
+    return tuple(r for r in rounds if r >= 2)
 
 
 def differential_slots(page: Page, r: int) -> List[DifferentialSlot]:

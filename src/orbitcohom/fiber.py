@@ -175,6 +175,14 @@ def poincare(ring: FiberRing) -> Dict[int, int]:
     return dict(sorted(table.items()))
 
 
+def _json_int(value, key: str) -> int:
+    """value when it is a JSON integer; floats (2.5, Infinity) and booleans
+    are rejected rather than truncated by int()."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_fiber(path: str) -> FiberRing:
     """Read a fiber ring from its JSON description.
 
@@ -184,12 +192,15 @@ def load_fiber(path: str) -> FiberRing:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bytes that are not UTF-8;
+        # RecursionError, arrays nested too deep for the parser.
         raise InvalidInputError(f"cannot read fiber file {path}: {exc}") from exc
     try:
-        basis = tuple((str(b["name"]), int(b["degree"])) for b in doc["basis"])
+        basis = tuple((str(b["name"]), _json_int(b["degree"], "degree"))
+                      for b in doc["basis"])
         unit = str(doc["unit"])
-        top_degree = int(doc["top_degree"])
+        top_degree = _json_int(doc["top_degree"], "top_degree")
         products = {}
         for entry in doc.get("products", []):
             key = (str(entry["left"]), str(entry["right"]))

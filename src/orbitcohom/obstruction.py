@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import UnsupportedShapeError, WrongGroupError
-from .presentation import RingPresentation, monomial_basis_elements
+from .presentation import RingPresentation
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,10 @@ class IndexResult:
 def cohomology_index(pres: RingPresentation) -> int:
     """Largest m with x^m nonzero in the presented ring; 0 when x is elided.
 
-    Computed twice, from the relation exponent and from monomial-basis
-    enumeration, which must agree.
+    Computed twice, which must agree: from the first relation x^p = 0, and
+    from the basis side, where x^e is a basis monomial exactly when no
+    vanishing monomial made only of x (the empty monomial 1 counting as
+    x^0) divides it.
     """
     x = pres.base_generator
     if x is None:
@@ -43,11 +45,11 @@ def cohomology_index(pres: RingPresentation) -> int:
             break
     if power is None:
         raise UnsupportedShapeError("no vanishing power of the Euler class")
+    if any(len(rel) != 1 for rel in pres.relations):
+        raise UnsupportedShapeError("the index check needs monomial relations")
     from_relation = power - 1
-    pure_powers = [e for _, mono in monomial_basis_elements(pres, power)
-                   for (g, e) in (mono if len(mono) == 1 else ())
-                   if g == x]
-    from_basis = max(pure_powers, default=0)
+    from_basis = max(min(sum(e for _, e in rel[0]) for rel in pres.relations
+                         if all(g == x for g, _ in rel[0])) - 1, 0)
     if from_basis != from_relation:
         raise UnsupportedShapeError(
             f"index disagreement: relation gives {from_relation}, "

@@ -81,11 +81,13 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
         raise InvalidInputError(f"cap {cap} too small; need at least {lowest}")
     margin = lowest - fiber.top_degree
     step = group.step
+    # Count before building, so a huge cap is refused without allocating.
+    count = sum(len(range(0, cap - l + 1, step)) for l in names)
+    if count > MAX_CELLS:
+        raise OversizedInstanceError(
+            f"{count} cells exceeds the oracle limit of {MAX_CELLS}")
     cells = tuple((k, l) for l in sorted(names)
                   for k in range(0, cap - l + 1, step))
-    if len(cells) > MAX_CELLS:
-        raise OversizedInstanceError(
-            f"{len(cells)} cells exceeds the oracle limit of {MAX_CELLS}")
     return TruncatedComplex(fiber=fiber, group=group, cap=cap, margin=margin,
                             cells=cells, names=names)
 

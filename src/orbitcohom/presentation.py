@@ -11,13 +11,14 @@ reported as extension flags, never silently resolved.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import UnsupportedShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import GroupChoice, Page
+    from .engine import GroupChoice, Outcome, Page
 
 # A monomial is a tuple of (generator name, exponent) pairs in canonical
 # generator order; a relation is a tuple of monomials whose sum is zero.
@@ -82,17 +83,21 @@ def presentation_str(pres: RingPresentation) -> str:
 
 
 def tot_poincare(e_inf: "Page") -> Dict[int, int]:
-    """Dimension of the total graded ring per degree; requires a finite page."""
-    out: Dict[int, int] = {}
+    """Dimension of the total graded ring per degree; requires a finite page.
+
+    Each summand (shift, length) of row l adds one class in each total
+    degree shift + l + step*i, i < length; a summand off the lattice of
+    multiples of step holds no page class.
+    """
+    step = e_inf.step
+    counts: Counter = Counter()
     for l, row in e_inf.rows.items():
-        top = row.module.max_degree()
-        if top is None:
+        if row.module.has_infinite():
             raise UnsupportedShapeError("page has an infinite row; no finite Poincare data")
-        for k in range(0, top + 1, e_inf.step):
-            d = row.module.dimension_at(k)
-            if d:
-                out[k + l] = out.get(k + l, 0) + d
-    return dict(sorted(out.items()))
+        for shift, length in row.module.summands:
+            if shift % step == 0:
+                counts.update(range(shift + l, shift + l + step * length, step))
+    return dict(sorted(counts.items()))
 
 
 def _single_interval(row) -> Tuple[int, int]:
@@ -170,33 +175,20 @@ def extract_presentation(e_inf: "Page",
             relations.append((mono,))
 
     pres = make_presentation(generators, relations, base_generator=x_name)
-    flags = _extension_flags(e_inf, pres, z_names, x_name, x_power if x_name else 1)
+    flags = _extension_flags(e_inf, pres, z_names, x_name)
     return pres, flags
 
 
-def _surviving_monomials(e_inf: "Page", z_names, x_name) -> List[Tuple[int, int, str]]:
-    """(total degree, filtration column, monomial string) for all page classes."""
+def _extension_flags(e_inf, pres: RingPresentation, z_names,
+                     x_name) -> List[ExtensionFlag]:
+    """Vanishing products whose degree holds a surviving class of higher filtration.
+
+    A class of total degree D in row l sits at column k = D - l, so the
+    candidates for a product of filtration F are the rows whose column
+    D - l > F is alive, listed by rising column.
+    """
     step = e_inf.step
-    out = []
-    for l, row in e_inf.rows.items():
-        top = row.module.max_degree()
-        if top is None:
-            continue
-        for k in range(0, top + 1, step):
-            if not row.module.dimension_at(k):
-                continue
-            parts = []
-            if k and x_name:
-                parts.append(x_name if k == step else f"{x_name}^{k // step}")
-            if l:
-                parts.append(z_names[l])
-            out.append((k + l, k, "*".join(parts) if parts else "1"))
-    return out
-
-
-def _extension_flags(e_inf, pres: RingPresentation, z_names, x_name,
-                     x_power) -> List[ExtensionFlag]:
-    classes = _surviving_monomials(e_inf, z_names, x_name)
+    rows = e_inf.rows
     flags: List[ExtensionFlag] = []
     for rel in pres.relations:
         if len(rel) != 1:
@@ -206,10 +198,18 @@ def _extension_flags(e_inf, pres: RingPresentation, z_names, x_name,
             continue  # x-power vanishing is exact at the base edge
         degree = pres.monomial_degree(mono)
         filtration = sum(pres.degree_of(g) * e for g, e in mono if g == x_name)
-        candidates = tuple(name for d, k, name in sorted(classes)
-                           if d == degree and k > filtration)
+        candidates = []
+        for l in sorted(rows, reverse=True):
+            k = degree - l
+            if k > filtration and k % step == 0 and rows[l].module.alive(k):
+                parts = []
+                if x_name:
+                    parts.append(x_name if k == step else f"{x_name}^{k // step}")
+                if l:
+                    parts.append(z_names[l])
+                candidates.append("*".join(parts))
         if candidates:
-            flags.append(ExtensionFlag(monomial_str(mono), candidates))
+            flags.append(ExtensionFlag(monomial_str(mono), tuple(candidates)))
     flags.sort(key=lambda f: f.product)
     return flags
 
@@ -261,6 +261,33 @@ def monomial_basis(pres: RingPresentation, max_degree: int) -> Dict[int, int]:
     for degree, _ in monomial_basis_elements(pres, max_degree):
         counts[degree] = counts.get(degree, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def basis_problems(outcome: "Outcome", top_degree: int) -> List[str]:
+    """Disagreements between an outcome's ring data and its monomial basis.
+
+    Enumerates the monomial basis of the presentation up to top_degree and
+    compares its count per degree with the Poincare series read off the
+    page, and, for an outcome with an index (Z/2), its largest nonzero pure
+    power of x with that index. Empty means agreement.
+    """
+    pres = outcome.presentation
+    elements = monomial_basis_elements(pres, top_degree)
+    counts = Counter(degree for degree, _ in elements)
+    key = outcome.history_key()
+    problems = [
+        f"outcome {key}: degree {d} has {counts.get(d, 0)} basis monomials "
+        f"but Poincare dimension {outcome.poincare.get(d, 0)}"
+        for d in sorted(set(counts) | set(outcome.poincare))
+        if counts.get(d, 0) != outcome.poincare.get(d, 0)]
+    if outcome.index is not None:
+        x = pres.base_generator
+        walked = max((mono[0][1] for _, mono in elements
+                      if len(mono) == 1 and mono[0][0] == x), default=0)
+        if walked != outcome.index:
+            problems.append(f"outcome {key}: largest basis power of x is "
+                            f"{walked} but the index is {outcome.index}")
+    return problems
 
 
 def same_presentation(p1: RingPresentation, p2: RingPresentation) -> bool:

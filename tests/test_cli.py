@@ -1,19 +1,34 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import orbitcohom
-from orbitcohom import cli
+from orbitcohom import cli, obstruction
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_captured(argv):
+    """cli.main with its output captured, for tests that cannot use capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_classify_text_output(capsys):
@@ -116,6 +131,17 @@ def test_self_check_flag(capsys):
     assert "verdict:" in out
 
 
+def test_self_check_catches_an_index_mismatch(capsys, monkeypatch):
+    real = obstruction.cohomology_index
+    monkeypatch.setattr(obstruction, "cohomology_index",
+                        lambda pres: real(pres) + 1)
+    code, out, err = run_cli(capsys, "classify", "--n", "2", "--a", "even",
+                             "--b", "even", "--self-check")
+    assert code == 2
+    assert out == ""
+    assert "self-check failed:" in err and "index" in err
+
+
 def test_fiber_file_input(tmp_path, capsys):
     doc = {
         "basis": [{"name": "1", "degree": 0}, {"name": "v1", "degree": 1},
@@ -158,6 +184,131 @@ def test_fiber_file_bad_references_exit_one(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", "Infinity"), ("degree", "2.5"), ("degree", "true"),
+    ("top_degree", "NaN"), ("top_degree", "4.0"), ("top_degree", "false")])
+def test_fiber_file_non_integer_degree_exits_one(tmp_path, capsys, field, value):
+    fields = {"degree": "2", "top_degree": "2", field: value}
+    path = tmp_path / "fiber.json"
+    path.write_text('{"basis": [{"name": "1", "degree": 0}, '
+                    '{"name": "u", "degree": %(degree)s}], '
+                    '"unit": "1", "top_degree": %(top_degree)s}' % fields)
+    code, out, err = run_cli(capsys, "classify", "--fiber", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be an integer" in err
+
+
+def _assert_clean_exit(code, err):
+    """Exit 0, or exit 1 with an error line; an escaped exception fails the
+    test by itself."""
+    assert code in (0, 1), (code, err)
+    if code == 1:
+        assert any("error:" in line for line in err.splitlines()), err
+
+
+# Degrees and --n stay at or below 64 so each example is cheap; the oracle
+# commands take n <= 4, because the brute force grows quickly with n. One
+# example in four is broken: it may draw junk values, names and flags.
+_junk = st.one_of(st.floats(allow_nan=True), st.booleans(), st.none(),
+                  st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2))
+_names = st.sampled_from(["1", "u", "v", "w", "x"])
+
+
+@st.composite
+def _fiber_docs(draw):
+    """JSON fiber descriptions, well formed unless the example is broken."""
+    broken = draw(st.integers(0, 3)) == 0
+
+    def pick(valid, junk):
+        return draw(st.one_of(valid, junk) if broken else valid)
+
+    names = _names if broken else st.sampled_from(["u", "v", "w", "x"])
+    degrees = draw(st.lists(st.integers(1, 64), max_size=4))
+    basis = [{"name": name, "degree": pick(st.just(degree), _junk)}
+             for name, degree in zip(draw(st.lists(
+                 names, min_size=len(degrees), max_size=len(degrees),
+                 unique=not broken)), degrees)]
+    # Outside broken examples every listed product is zero and leaves out the
+    # unit (load_fiber fills in its products), so the ring is valid.
+    known = st.sampled_from([b["name"] for b in basis]
+                            + (["1"] if broken or not basis else []))
+    top = max(degrees, default=0) + draw(st.integers(0, 3))
+    doc = {
+        "basis": [{"name": "1", "degree": 0}] + basis,
+        "unit": pick(st.just("1"), _names),
+        "products": draw(st.lists(st.fixed_dictionaries({
+            "left": known, "right": known,
+            "result": st.lists(known, max_size=2 if broken else 0)}),
+            max_size=3)),
+        "top_degree": pick(st.just(top), _junk),
+    }
+    if broken and draw(st.booleans()):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fiber_docs(), st.sampled_from(["classify", "index"]),
+       st.sampled_from(["z2", "s1"]), st.sampled_from(["text", "json"]))
+def test_fuzz_fiber_files_never_traceback(doc, command, group, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fiber.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, _, err = run_cli_captured(
+            [command, "--fiber", path, "--group", group, "--format", fmt])
+    _assert_clean_exit(code, err)
+
+
+# flag -> (valid values, junk values); flags with no valid value are drawn
+# only in broken examples.
+_FLAG_VALUES = {
+    "--group": (st.sampled_from(["z2", "s1"]), st.sampled_from(["z3", ""])),
+    "--n": (st.integers(1, 64).map(str),
+            st.one_of(st.integers(-3, 0).map(str),
+                      st.sampled_from(["x", "2.5", ""]))),
+    "--a": (st.sampled_from(["even", "odd", "0", "1", "-7"]),
+            st.sampled_from(["sometimes", "1e3", ""])),
+    "--b": (st.sampled_from(["even", "odd", "0", "1", "12"]),
+            st.sampled_from(["sometimes", "1e3", ""])),
+    "--format": (st.sampled_from(["text", "json"]), st.just("xml")),
+    "--cap": (st.nothing(), st.integers(-5, 10 ** 12).map(str)),
+    "--fiber": (st.nothing(), st.just("/nonexistent/fiber.json")),
+}
+_VALID_FLAGS = ["--group", "--a", "--b", "--format", "--show-rejected"]
+_ALL_FLAGS = sorted(_FLAG_VALUES) + ["--show-rejected", "--self-check",
+                                     "--version", "--bogus"]
+
+
+@st.composite
+def _argvs(draw):
+    """CLI argument lists, valid unless the example is broken."""
+    broken = draw(st.integers(0, 3)) == 0
+    commands = ["classify", "table", "index", "oracle-check"]
+    argv = [draw(st.sampled_from(commands + ["nonsense"] if broken else commands))]
+    flags = _ALL_FLAGS if broken else (
+        ["--format"] if argv[0] == "table" else _VALID_FLAGS)
+    for flag in ["--n"] + draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv.append(flag)
+        if flag in _FLAG_VALUES:
+            valid, junk = _FLAG_VALUES[flag]
+            argv.append(draw(st.one_of(valid, junk) if broken else valid))
+    # Keep the oracle cheap: the self-check and oracle-check run it.
+    if "--self-check" in argv or argv[0] == "oracle-check":
+        argv += ["--n", str(draw(st.integers(1, 4)))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def test_fuzz_argv_never_traceback(argv):
+    code, _, err = run_cli_captured(argv)
+    _assert_clean_exit(code, err)
 
 
 def test_closed_stdout_pipe_exits_without_traceback():

@@ -8,7 +8,7 @@ from orbitcohom.engine import (GroupChoice, admissible_rounds, build_e2,
                                check_pattern, classify, differential_slots,
                                DifferentialPattern, DifferentialSlot,
                                enumerate_patterns, is_free_admissible, Page,
-                               PageRow, turn_page, _sum_hit)
+                               PageRow, turn_page, _round_schedule, _sum_hit)
 from orbitcohom.errors import (InvalidInputError, InvariantError,
                                PreconditionError, UnsupportedShapeError)
 from orbitcohom.fiber import FiberRing, make_type_ab, point_ring
@@ -50,6 +50,15 @@ def test_admissible_rounds():
     assert admissible_rounds(make_type_ab(2, 0, 0), GroupChoice.Z2) == [3, 5, 7]
     assert admissible_rounds(make_type_ab(3, 0, 0), GroupChoice.CIRCLE) == [4, 10]
     assert admissible_rounds(make_type_ab(2, 0, 0), GroupChoice.CIRCLE) == []
+
+
+def test_round_schedule_is_admissible_rounds_for_type_ab():
+    for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
+        for n in range(1, 25):
+            fiber = make_type_ab(n, 0, 1)
+            assert _round_schedule(fiber, group) == tuple(
+                admissible_rounds(fiber, group)), (group, n)
+    assert _round_schedule(point_ring(), GroupChoice.Z2) == ()
 
 
 def test_admissible_rounds_rejects_other_shapes():

@@ -161,9 +161,35 @@ def test_load_fiber_rejects_bad_basis_references(tmp_path, basis, products):
         load_fiber(str(path))
 
 
+# Python's json module reads Infinity and NaN; int() would overflow on the
+# first and truncate 2.5 or true without a word.
+NON_INTEGER_DEGREES = ["2.5", "2.0", "true", "Infinity", "-Infinity", "NaN",
+                       '"2"', "null", "[2]"]
+
+
+def _fiber_text(degree="2", top_degree="2"):
+    return ('{"basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": %s}],'
+            ' "unit": "1", "top_degree": %s}' % (degree, top_degree))
+
+
+@pytest.mark.parametrize("field", ["degree", "top_degree"])
+@pytest.mark.parametrize("value", NON_INTEGER_DEGREES)
+def test_load_fiber_rejects_non_integer_degrees(tmp_path, field, value):
+    path = tmp_path / "fiber.json"
+    path.write_text(_fiber_text(**{field: value}))
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        load_fiber(str(path))
+
+
 def test_load_fiber_bad_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(InvalidInputError):
+        load_fiber(str(path))
+    path.write_bytes(b"\xff\xfe{")  # not UTF-8
+    with pytest.raises(InvalidInputError):
+        load_fiber(str(path))
+    path.write_text("[" * 100000 + "]" * 100000)  # nested past the parser's limit
     with pytest.raises(InvalidInputError):
         load_fiber(str(path))
     with pytest.raises(InvalidInputError):

@@ -3,11 +3,11 @@
 import pytest
 
 from orbitcohom.engine import GroupChoice, classify
-from orbitcohom.errors import WrongGroupError
+from orbitcohom.errors import UnsupportedShapeError, WrongGroupError
 from orbitcohom.fiber import make_type_ab
 from orbitcohom.obstruction import (IndexResult, cohomology_index,
                                     sphere_map_bound)
-from orbitcohom.presentation import make_presentation
+from orbitcohom.presentation import RingPresentation, make_presentation
 
 
 def test_even_even_index_is_3n():
@@ -31,6 +31,43 @@ def test_index_zero_when_x_elided():
 def test_x_power_one_gives_zero():
     pres = make_presentation([("x", 1)], [((("x", 1),),)], base_generator="x")
     assert cohomology_index(pres) == 0
+
+
+def test_relation_killing_a_lower_x_power_raises():
+    # Relations out of canonical order: the first x power relation says x^5,
+    # but x^3 = 0 as well, so the basis side finds 2, not 4.
+    pres = RingPresentation((("x", 1), ("z", 2)),
+                            (((("x", 5),),), ((("z", 2),),), ((("x", 3),),)),
+                            base_generator="x")
+    with pytest.raises(UnsupportedShapeError, match="disagreement"):
+        cohomology_index(pres)
+
+
+def test_relation_one_kills_every_x_power():
+    pres = make_presentation([("x", 1)], [((),), ((("x", 1),),)],
+                             base_generator="x")
+    assert pres.relations[0] == ((),)
+    assert cohomology_index(pres) == 0
+    pres = make_presentation([("x", 1)], [((),), ((("x", 3),),)],
+                             base_generator="x")
+    with pytest.raises(UnsupportedShapeError, match="basis gives 0"):
+        cohomology_index(pres)
+
+
+def test_mixed_relations_do_not_bound_the_index():
+    # x^2*z = 0 does not divide any pure x power.
+    pres = make_presentation([("x", 1), ("z", 2)],
+                             [((("x", 2), ("z", 1)),), ((("x", 6),),)],
+                             base_generator="x")
+    assert cohomology_index(pres) == 5
+
+
+def test_two_term_relations_rejected():
+    pres = make_presentation([("x", 1), ("z", 2)],
+                             [((("x", 4),),), ((("z", 2),), (("x", 4),))],
+                             base_generator="x")
+    with pytest.raises(UnsupportedShapeError, match="monomial relations"):
+        cohomology_index(pres)
 
 
 def test_wrong_group_rejected():

@@ -1,12 +1,19 @@
 """Tests for ring presentations extracted from limit pages."""
 
-import pytest
+import dataclasses
 
-from orbitcohom.engine import GroupChoice, classify
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitcohom.engine import GroupChoice, Page, PageRow, classify
 from orbitcohom.errors import UnsupportedShapeError
-from orbitcohom.fiber import make_type_ab
-from orbitcohom.presentation import (make_presentation,
-                                     monomial_basis, presentation_str,
+from orbitcohom.fiber import make_type_ab, point_ring
+from orbitcohom.intervals import IntervalModule
+from orbitcohom.presentation import (ExtensionFlag, _extension_flags,
+                                     basis_problems, make_presentation,
+                                     monomial_basis, monomial_str,
+                                     presentation_str,
                                      relation_str, same_presentation,
                                      tot_poincare)
 
@@ -84,16 +91,141 @@ def test_different_degrees_not_same():
 
 
 def test_tot_poincare_matches_monomial_basis():
+    """The monomial walk agrees with the page's Poincare series and index on
+    every outcome."""
     for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
-        for n in (1, 2, 3):
+        for n in range(1, 9):
             for a in (0, 1):
                 for b in (0, 1):
                     report = classify(make_type_ab(n, a, b), group)
                     for out in report.outcomes:
-                        top = report.top_degree
-                        basis = monomial_basis(out.presentation, top)
-                        page_dims = tot_poincare(out.e_inf)
-                        assert basis == page_dims, (group, n, a, b)
+                        assert basis_problems(out, report.top_degree) == [], (
+                            group, n, a, b)
+
+
+def test_basis_problems_reports_injected_mismatches():
+    report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
+    out = report.outcomes[0]
+    top = report.top_degree
+    wrong_index = dataclasses.replace(out, index=out.index + 1)
+    assert [p for p in basis_problems(wrong_index, top) if "index" in p]
+    poincare = dict(out.poincare)
+    poincare[3] += 1
+    wrong_series = dataclasses.replace(out, poincare=poincare)
+    (problem,) = basis_problems(wrong_series, top)
+    assert "degree 3" in problem
+
+
+# Per-degree reference versions of tot_poincare and _extension_flags, as they
+# were before both read the summands directly.
+def _tot_poincare_per_degree(e_inf):
+    out = {}
+    for l, row in e_inf.rows.items():
+        top = row.module.max_degree()
+        if top is None:
+            raise UnsupportedShapeError("page has an infinite row")
+        for k in range(0, top + 1, e_inf.step):
+            d = row.module.dimension_at(k)
+            if d:
+                out[k + l] = out.get(k + l, 0) + d
+    return dict(sorted(out.items()))
+
+
+def _surviving_monomials(e_inf, z_names, x_name):
+    step = e_inf.step
+    out = []
+    for l, row in e_inf.rows.items():
+        top = row.module.max_degree()
+        if top is None:
+            continue
+        for k in range(0, top + 1, step):
+            if not row.module.dimension_at(k):
+                continue
+            parts = []
+            if k and x_name:
+                parts.append(x_name if k == step else f"{x_name}^{k // step}")
+            if l:
+                parts.append(z_names[l])
+            out.append((k + l, k, "*".join(parts) if parts else "1"))
+    return out
+
+
+def _extension_flags_sorted(e_inf, pres, z_names, x_name):
+    classes = _surviving_monomials(e_inf, z_names, x_name)
+    flags = []
+    for rel in pres.relations:
+        if len(rel) != 1:
+            continue
+        (mono,) = rel
+        if len(mono) == 1 and mono[0][0] == x_name:
+            continue
+        degree = pres.monomial_degree(mono)
+        filtration = sum(pres.degree_of(g) * e for g, e in mono if g == x_name)
+        candidates = tuple(name for d, k, name in sorted(classes)
+                           if d == degree and k > filtration)
+        if candidates:
+            flags.append(ExtensionFlag(monomial_str(mono), candidates))
+    flags.sort(key=lambda f: f.product)
+    return flags
+
+
+def _z_names(pres):
+    return {deg: name for name, deg in pres.generators
+            if name != pres.base_generator}
+
+
+def test_outcome_data_matches_per_degree_reference():
+    for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
+        for n in range(1, 25):
+            for a in (0, 1):
+                for b in (0, 1):
+                    report = classify(make_type_ab(n, a, b), group)
+                    for out in report.outcomes:
+                        pres, page = out.presentation, out.e_inf
+                        assert out.poincare == _tot_poincare_per_degree(page)
+                        assert list(out.extension_flags) == _extension_flags_sorted(
+                            page, pres, _z_names(pres), pres.base_generator), (
+                                group, n, a, b)
+
+
+_finite_summand = st.tuples(st.integers(0, 12), st.integers(1, 6))
+
+
+@st.composite
+def _finite_pages(draw):
+    """Finite pages with several summands per row, gaps between them and
+    shifts off the lattice, plus a presentation with a few vanishing
+    monomials in x and the row generators."""
+    step = draw(st.integers(1, 2))
+    ls = draw(st.sets(st.integers(1, 9), max_size=3))
+    rows = {l: PageRow(IntervalModule(step, tuple(
+                draw(st.lists(_finite_summand, min_size=1, max_size=4)))), None)
+            for l in {0} | ls}
+    page = Page(fiber=point_ring(), group=GroupChoice(("z2", "s1")[step - 1]),
+                rounds=(), round=None, rows=rows)
+    z_names = {l: f"z{l}" for l in ls}
+    gens = [("x", step)] + [(name, l) for l, name in z_names.items()]
+    monos = st.lists(st.tuples(st.sampled_from([g for g, _ in gens]),
+                               st.integers(1, 3)),
+                     min_size=1, max_size=3, unique_by=lambda p: p[0])
+    relations = [(tuple(m),) for m in draw(st.lists(monos, max_size=4))]
+    return page, make_presentation(gens, relations, base_generator="x"), z_names
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_pages())
+def test_outcome_data_matches_reference_on_hand_built_pages(built):
+    page, pres, z_names = built
+    assert tot_poincare(page) == _tot_poincare_per_degree(page)
+    assert (_extension_flags(page, pres, z_names, "x")
+            == _extension_flags_sorted(page, pres, z_names, "x"))
+
+
+def test_tot_poincare_rejects_infinite_rows():
+    page = Page(fiber=point_ring(), group=GroupChoice.Z2, rounds=(), round=None,
+                rows={0: PageRow(IntervalModule(1, ((0, 2), (4, None))), None)})
+    with pytest.raises(UnsupportedShapeError):
+        tot_poincare(page)
 
 
 def test_extension_flags_even_even():
