@@ -22,8 +22,8 @@ from .obstruction import IndexResult, cohomology_index, sphere_map_bound
 from .oracle import (OracleReport, brute_force_classify, cap_stable,
                      compare_reports, min_cap, truncate_e2)
 from .presentation import (ExtensionFlag, RingPresentation,
-                           extract_presentation, monomial_basis,
-                           presentation_str, same_presentation, tot_poincare)
+                           extract_presentation, presentation_str,
+                           same_presentation, tot_poincare)
 
 __all__ = [
     "__version__",
@@ -40,5 +40,5 @@ __all__ = [
     "OracleReport", "brute_force_classify", "cap_stable", "compare_reports",
     "min_cap", "truncate_e2",
     "ExtensionFlag", "RingPresentation", "extract_presentation",
-    "monomial_basis", "presentation_str", "same_presentation", "tot_poincare",
+    "presentation_str", "same_presentation", "tot_poincare",
 ]

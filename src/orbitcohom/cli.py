@@ -35,6 +35,11 @@ def _dense(poincare: Dict[int, int], top: int) -> List[int]:
     return [poincare.get(i, 0) for i in range(top + 1)]
 
 
+def _history_doc(history) -> List[dict]:
+    return [{"round": p.round, "nonzero_sources": list(p.sources)}
+            for p in history]
+
+
 def _outcome_doc(out: engine.Outcome, top: int) -> dict:
     return {
         "ring": presentation.presentation_str(out.presentation),
@@ -46,8 +51,7 @@ def _outcome_doc(out: engine.Outcome, top: int) -> dict:
         "extension_flags": [
             {"product": f.product, "candidates": list(f.candidates)}
             for f in out.extension_flags],
-        "history": [{"round": r, "nonzero_sources": list(src)}
-                    for r, src in out.history_key()],
+        "history": _history_doc(out.history),
     }
 
 
@@ -63,9 +67,7 @@ def _report_doc(report: engine.ClassificationReport, inputs: dict,
     if show_rejected:
         doc["rejected"] = [
             {"round": rb.round, "reason": rb.reason,
-             "history": [{"round": p.round,
-                          "nonzero_sources": list(p.nonzero_sources())}
-                         for p in rb.history]}
+             "history": _history_doc(rb.history)}
             for rb in report.rejected]
     return doc
 

@@ -1,14 +1,17 @@
 """Spectral-sequence engine for the Borel fibration of a free action.
 
 Starting from the tensor-product second page, the engine enumerates every
-assignment of F2 coefficients to the differential slots of each round,
-prunes assignments that break the Leibniz rule or d o d = 0, turns pages,
-and keeps exactly the branches whose limit page is compatible with a free
-action (finite, and supported in total degree at most the fiber dimension).
+choice of nonzero differentials among the slots of each round, prunes the
+choices that break the Leibniz rule or d o d = 0, turns pages, and keeps
+exactly the branches whose limit page is compatible with a free action
+(finite, and supported in total degree at most the fiber dimension).
 
 Differentials are recorded only on row generators: every starting row is a
 free module over the base ring H*(B_G) = F2[t] and the differentials are
-module maps over it, so the generator values determine everything.
+module maps over it, so the generator values determine everything. A
+round's assignment is therefore the pattern (round, sources): the rows
+whose generator maps nonzero, the same pair that keys a branch's history.
+A page carries only its remaining rounds, the current one first.
 
 The Leibniz and d o d checks hold across all columns exactly. Each row's
 support is a union of runs of columns that is constant beyond its last
@@ -57,16 +60,17 @@ class PageRow:
 class Page:
     fiber: FiberRing
     group: GroupChoice
-    rounds: Tuple[int, ...]           # remaining schedule of differential rounds
-    round: Optional[int]              # current round; None once past the last
+    rounds: Tuple[int, ...]           # remaining rounds, current first
     rows: Dict[int, PageRow]
 
     @property
     def step(self) -> int:
         return self.group.step
 
-    def row(self, l: int) -> Optional[PageRow]:
-        return self.rows.get(l)
+    @property
+    def round(self) -> Optional[int]:
+        """Current round; None once past the last."""
+        return self.rounds[0] if self.rounds else None
 
     @cached_property
     def _scan(self) -> "_Scan":
@@ -76,25 +80,12 @@ class Page:
 
 
 @dataclass(frozen=True)
-class DifferentialSlot:
-    round: int
-    source_row: int
-    target_row: int
-    t_exponent: int
-
-
-@dataclass(frozen=True)
 class DifferentialPattern:
     round: int
-    slots: Tuple[DifferentialSlot, ...]
-    coefficients: Tuple[int, ...]
+    sources: Tuple[int, ...]  # ascending rows whose generator maps nonzero
 
     def coefficient_map(self) -> Dict[int, int]:
-        return {s.source_row: c for s, c in zip(self.slots, self.coefficients)}
-
-    def nonzero_sources(self) -> Tuple[int, ...]:
-        return tuple(sorted(s.source_row for s, c in
-                            zip(self.slots, self.coefficients) if c))
+        return dict.fromkeys(self.sources, 1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +98,7 @@ class Outcome:
     index: Optional[int]
 
     def history_key(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        return tuple((p.round, p.nonzero_sources()) for p in self.history)
+        return tuple((p.round, p.sources) for p in self.history)
 
 
 @dataclass(frozen=True)
@@ -145,9 +136,8 @@ def build_e2(fiber: FiberRing, group: GroupChoice) -> Page:
         names = by_degree[deg]
         generator = names[0] if len(names) == 1 else None
         rows[deg] = PageRow(free_module(step, rank=len(names)), generator)
-    rounds = _round_schedule(fiber, group)
-    return Page(fiber=fiber, group=group, rounds=rounds,
-                round=rounds[0] if rounds else None, rows=rows)
+    return Page(fiber=fiber, group=group,
+                rounds=_round_schedule(fiber, group), rows=rows)
 
 
 def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> List[int]:
@@ -179,31 +169,14 @@ def _round_schedule(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
     return tuple(r for r in rounds if r >= 2)
 
 
-def differential_slots(page: Page, r: int) -> List[DifferentialSlot]:
-    """Admissible generator-level slots of round r on this page.
+def differential_slots(page: Page) -> Tuple[int, ...]:
+    """Source rows that can carry a differential in the page's round.
 
-    A slot needs a surviving source generator, a surviving target generator,
-    and a live target class t^e (x) v at column r; anything else forces the
-    coefficient to zero and carries no choice.
+    A slot needs a surviving source generator, a surviving target generator
+    in row l - r + 1, and a live target class t^e (x) v at column r;
+    anything else forces a zero differential and carries no choice.
     """
-    if r % page.step:
-        return []
-    rows = page.rows
-    slots = []
-    for l in sorted(rows):
-        src = rows[l]
-        if src.generator is None or not src.module.alive(0):
-            continue
-        lt = l - r + 1
-        if lt < 0 or lt not in rows:
-            continue
-        tgt = rows[lt]
-        if tgt.generator is None or not tgt.module.alive(0):
-            continue
-        if not tgt.module.alive(r):
-            continue
-        slots.append(DifferentialSlot(r, l, lt, r // page.step))
-    return slots
+    return page._scan.slots
 
 
 @dataclass(frozen=True)
@@ -213,6 +186,7 @@ class _Scan:
     nbits: int                        # mask bits: room for sums of representatives
     masks: Dict[int, int]             # row -> column mask
     gens: Tuple[Tuple[int, str], ...]  # (row, generator) alive at column 0
+    slots: Tuple[int, ...]            # source rows of the round's slots
 
 
 def _scan_page(page: Page) -> _Scan:
@@ -222,16 +196,21 @@ def _scan_page(page: Page) -> _Scan:
     row's support is constant, so scanning representatives up to that bound
     is exact even though the modules are infinite.
     """
-    step, e, rows = page.step, page.round // page.step, page.rows
+    r, step, rows = page.round, page.step, page.rows
+    if r is None:
+        raise PreconditionError("the page has no differential rounds left")
+    e = r // step
     endpoint = max((row.module.max_finite_endpoint()
                     for row in rows.values()), default=0)
     rep = endpoint // step + 2 * e + 4
     nbits = 2 * rep + 2 * e + 4
-    return _Scan(
-        rep_bits=rep, nbits=nbits,
-        masks={l: row.module.column_mask(nbits) for l, row in rows.items()},
-        gens=tuple((l, rows[l].generator) for l in sorted(rows)
-                   if rows[l].generator is not None and rows[l].module.alive(0)))
+    masks = {l: row.module.column_mask(nbits) for l, row in rows.items()}
+    gens = tuple((l, rows[l].generator) for l in sorted(rows)
+                 if rows[l].generator is not None and masks[l] & 1)
+    live = {l for l, _ in gens}
+    slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
+                  and masks[l - r + 1] >> e & 1)
+    return _Scan(rep_bits=rep, nbits=nbits, masks=masks, gens=gens, slots=slots)
 
 
 def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
@@ -253,10 +232,14 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     r = pattern.round
     if page.round != r:
         raise PreconditionError("pattern round does not match page round")
-    e = r // page.step
-    coeff = pattern.coefficient_map()
-    rows = page.rows
     scan = page._scan
+    sources = set(pattern.sources)
+    stray = sources.difference(scan.slots)
+    if stray:
+        raise PreconditionError(
+            f"rows {sorted(stray)} are not differential slots of round {r}")
+    e = r // page.step
+    rows = page.rows
     masks = scan.masks
     rep_mask = (1 << scan.rep_bits) - 1
     gens = scan.gens
@@ -273,20 +256,17 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
             sum_alive = masks.get(target, 0) >> e  # s -> class t^(s+e) in row target
             if not sum_alive:
                 continue
-            cw = coeff.get(lw, 0)
             phi_w = bool(page.fiber.mult(gu, gv))
-            w_mask = masks.get(lw, 0) if (cw and phi_w) else 0
+            w_mask = masks.get(lw, 0) if (lw in sources and phi_w) else 0
 
-            cu = coeff.get(lu, 0)
             u_mask = 0
-            if cu:
+            if lu in sources:
                 lu2 = lu - r + 1
                 gu2 = rows[lu2].generator
                 if page.fiber.mult(gu2, gv):
                     u_mask = masks.get(lu2, 0) >> e
-            cv = coeff.get(lv, 0)
             v_mask = 0
-            if cv:
+            if lv in sources:
                 lv2 = lv - r + 1
                 gv2 = rows[lv2].generator
                 if page.fiber.mult(gu, gv2):
@@ -306,12 +286,9 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
                         f"{gu}*{gv}")
 
     # d o d = 0 along row chains l -> l-r+1 -> l-2r+2.
-    for l, c1 in sorted(coeff.items()):
-        if not c1:
-            continue
+    for l in sorted(sources):
         mid = l - r + 1
-        c2 = coeff.get(mid, 0)
-        if not c2:
+        if mid not in sources:
             continue
         last = mid - r + 1
         if last < 0 or last not in rows:
@@ -324,19 +301,17 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
 
 
 def _branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str]]]:
-    """Every coefficient assignment of the page's round, in binary order,
+    """Every pattern of the page's round, in binary order over its slots,
     with its first violated constraint (None when consistent)."""
-    r = page.round
-    slots = tuple(differential_slots(page, r))
+    slots = differential_slots(page)
     for coeffs in itertools.product((0, 1), repeat=len(slots)):
-        pattern = DifferentialPattern(r, slots, coeffs)
+        pattern = DifferentialPattern(page.round,
+                                      tuple(itertools.compress(slots, coeffs)))
         yield pattern, check_pattern(page, pattern)
 
 
-def enumerate_patterns(page: Page, r: int) -> List[DifferentialPattern]:
-    """All constraint-consistent coefficient assignments of round r, in binary order."""
-    if page.round != r:
-        raise PreconditionError("pattern round does not match page round")
+def enumerate_patterns(page: Page) -> List[DifferentialPattern]:
+    """All constraint-consistent patterns of the page's round, in binary order."""
     return [pattern for pattern, reason in _branches(page) if reason is None]
 
 
@@ -353,37 +328,26 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
     r = pattern.round
     step = page.step
     e = r // step
-    coeff = pattern.coefficient_map()
-    rows = page.rows
+    sources = set(pattern.sources)
     scan = page._scan
     masks = scan.masks
     threshold = scan.nbits - 2 * e - 2  # supports are constant from this bit on
 
     new_rows: Dict[int, PageRow] = {}
-    for l in sorted(rows):
+    for l, old in sorted(page.rows.items()):
         mask = masks[l]
-        if coeff.get(l, 0):
-            mask &= ~(masks.get(l - r + 1, 0) >> e)
-        inc = l + r - 1
-        if coeff.get(inc, 0) == 1 and rows[inc].module.alive(0):
+        if l in sources:
+            mask &= ~(masks[l - r + 1] >> e)
+        if l + r - 1 in sources:
             # image of the incoming differential: source column k - r must live
-            mask &= ~(masks.get(inc, 0) << e)
+            mask &= ~(masks[l + r - 1] << e)
         module = from_mask(step, mask, threshold)
-        if module.is_zero():
-            continue
-        old = rows[l]
-        generator = old.generator if module.alive(0) else None
-        new_rows[l] = PageRow(module, generator)
-
-    schedule = page.rounds
-    later = [x for x in schedule if x > r]
-    new_round = later[0] if later else None
-    new_page = Page(fiber=page.fiber, group=page.group, rounds=schedule,
-                    round=new_round, rows=new_rows)
-    unit = new_page.row(0)
-    if unit is None or not unit.module.alive(0):
+        if not module.is_zero():
+            new_rows[l] = PageRow(module, old.generator if mask & 1 else None)
+    if 0 not in new_rows or not new_rows[0].module.alive(0):
         raise InvariantError(f"the unit class did not survive round {r}")
-    return new_page
+    return Page(fiber=page.fiber, group=page.group, rounds=page.rounds[1:],
+                rows=new_rows)
 
 
 def is_free_admissible(page: Page, top_degree: int) -> bool:
@@ -397,8 +361,7 @@ def is_free_admissible(page: Page, top_degree: int) -> bool:
     return True
 
 
-def classify(fiber: FiberRing, group: GroupChoice,
-             top_degree: Optional[int] = None) -> ClassificationReport:
+def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
     """Depth-first enumeration of all differential branches.
 
     Outcomes are the admissible limit pages with their extracted ring data;
@@ -407,8 +370,7 @@ def classify(fiber: FiberRing, group: GroupChoice,
     page0 = build_e2(fiber, group)
     if any(row.generator is None for row in page0.rows.values()):
         raise UnsupportedShapeError("rows of rank > 1 are not classifiable")
-    if top_degree is None:
-        top_degree = fiber.top_degree
+    top_degree = fiber.top_degree
 
     outcomes: List[Outcome] = []
     rejected: List[RejectedBranch] = []

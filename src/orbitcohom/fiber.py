@@ -15,6 +15,12 @@ from .errors import InvalidInputError
 
 Parity = Union[int, str]
 
+# Largest top degree or basis degree accepted. Every page mask is a few
+# times as wide as the degrees, so cost grows about linearly with them:
+# Z/2 at n = 100000 (top degree 300000) takes up to 1.3 s and 150 MB on
+# a 2-core Xeon.
+MAX_DEGREE = 300_000
+
 
 def normalize_parity(value: Parity) -> int:
     """Reduce an integer (or the words even/odd) to a residue mod 2."""
@@ -49,6 +55,10 @@ class FiberRing:
             if deg < 0:
                 raise InvalidInputError(
                     f"basis element {name} has negative degree {deg}")
+        top = max([self.top_degree] + [deg for _, deg in self.basis])
+        if top > MAX_DEGREE:
+            raise InvalidInputError(
+                f"degree {top} is above the supported maximum {MAX_DEGREE}")
         known = set(names)
         for (u, v), value in self.products:
             unknown = sorted(({u, v} | value) - known)
@@ -61,9 +71,6 @@ class FiberRing:
     @property
     def degrees(self) -> Dict[str, int]:
         return self._deg  # type: ignore[attr-defined]
-
-    def degree(self, name: str) -> int:
-        return self.degrees[name]
 
     def _table(self) -> Dict[Tuple[str, str], FrozenSet[str]]:
         return self._tbl  # type: ignore[attr-defined]
@@ -167,14 +174,6 @@ def validate(ring: FiberRing) -> List[str]:
     return violations
 
 
-def poincare(ring: FiberRing) -> Dict[int, int]:
-    """Basis count per degree."""
-    table: Dict[int, int] = {}
-    for _, deg in ring.basis:
-        table[deg] = table.get(deg, 0) + 1
-    return dict(sorted(table.items()))
-
-
 def _json_int(value, key: str) -> int:
     """value when it is a JSON integer; floats (2.5, Infinity) and booleans
     are rejected rather than truncated by int()."""
@@ -204,7 +203,12 @@ def load_fiber(path: str) -> FiberRing:
         products = {}
         for entry in doc.get("products", []):
             key = (str(entry["left"]), str(entry["right"]))
-            products[key] = frozenset(str(x) for x in entry["result"])
+            result = entry["result"]
+            if not (isinstance(result, list)
+                    and all(isinstance(x, str) for x in result)):
+                raise InvalidInputError(f"product {key[0]}*{key[1]}: result "
+                                        f"must be a list of names, got {result!r}")
+            products[key] = frozenset(result)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed fiber file {path}: {exc}") from exc
     names = {name for name, _ in basis}

@@ -113,7 +113,7 @@ def _differential(tc: TruncatedComplex, live: Set[Cell], r: int,
 
 def _effective(tc: TruncatedComplex, live: Set[Cell], r: int,
                coeff: Dict[int, int]) -> Dict[int, int]:
-    """Zero out coefficients whose generator or generator target is dead.
+    """Zero the differentials whose generator or generator target is dead.
 
     The slot convention matches the engine: a differential needs its source
     generator, the target row generator, and the target class all alive.
@@ -173,7 +173,7 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
                          cap: int) -> OracleReport:
     """Joint exhaustive enumeration of all differential assignments.
 
-    Every combination of generator coefficients for every round is
+    Every choice of nonzero generator differentials for every round is
     simulated from scratch; outcomes are deduplicated by their effective
     assignment, matching the branch bookkeeping of the engine.
     """
@@ -257,16 +257,15 @@ def compare_reports(engine_report, oracle_report: OracleReport) -> List[str]:
     return problems
 
 
-def cap_stable(fiber: FiberRing, group: GroupChoice, cap: int,
-               bump: int = 2) -> List[str]:
-    """Discrepancies between oracle runs at cap and cap + bump."""
+def cap_stable(fiber: FiberRing, group: GroupChoice, cap: int) -> List[str]:
+    """Discrepancies between oracle runs at cap and cap + 2."""
     lo = brute_force_classify(fiber, group, cap)
-    hi = brute_force_classify(fiber, group, cap + bump)
+    hi = brute_force_classify(fiber, group, cap + 2)
     problems: List[str] = []
     lo_keys = {o.key: o for o in lo.outcomes}
     hi_keys = {o.key: o for o in hi.outcomes}
     if set(lo_keys) != set(hi_keys):
-        problems.append(f"outcome keys differ between caps {cap} and {cap + bump}")
+        problems.append(f"outcome keys differ between caps {cap} and {cap + 2}")
         return problems
     reliable = lo.complex.reliable_degree
     for key, out in lo_keys.items():

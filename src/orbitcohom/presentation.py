@@ -255,14 +255,6 @@ def monomial_basis_elements(pres: RingPresentation,
     return out
 
 
-def monomial_basis(pres: RingPresentation, max_degree: int) -> Dict[int, int]:
-    """Degreewise dimension of the presented ring, by direct enumeration."""
-    counts: Dict[int, int] = {}
-    for degree, _ in monomial_basis_elements(pres, max_degree):
-        counts[degree] = counts.get(degree, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def basis_problems(outcome: "Outcome", top_degree: int) -> List[str]:
     """Disagreements between an outcome's ring data and its monomial basis.
 

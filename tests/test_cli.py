@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import orbitcohom
 from orbitcohom import cli, obstruction
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +202,61 @@ def test_fiber_file_non_integer_degree_exits_one(tmp_path, capsys, field, value)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "must be an integer" in err
+
+
+def test_fiber_file_string_result_exits_one(tmp_path, capsys):
+    # a string is not read as the set of its characters
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps({
+        "basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 1},
+                  {"name": "v", "degree": 2}],
+        "unit": "1", "top_degree": 2,
+        "products": [{"left": "u", "right": "u", "result": "v"}]}))
+    code, out, err = run_cli(capsys, "classify", "--fiber", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "list of names" in err
+
+
+def _exits_one_without_allocating(capsys, *argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "supported maximum" in err
+    assert peak < 2**20, peak
+
+
+def test_huge_n_exits_one_without_allocating(capsys):
+    _exits_one_without_allocating(capsys, "classify", "--n", "100000000")
+
+
+def test_huge_fiber_degree_exits_one_without_allocating(tmp_path, capsys):
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps({
+        "basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 10**18}],
+        "unit": "1", "top_degree": 10**18}))
+    _exits_one_without_allocating(capsys, "classify", "--fiber", str(path))
+
+
+def test_output_matches_golden_file():
+    """classify --show-rejected and table JSON for n <= 3, byte for byte.
+
+    golden_cli.json maps each command line to the stdout of ``cli.main``;
+    rewrite it only together with an intended change of the output.
+    """
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 27
+    for command, expected in golden.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(command.split()) == 0, command
+        assert out.getvalue() == expected, command
 
 
 def _assert_clean_exit(code, err):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from orbitcohom.engine import (GroupChoice, admissible_rounds, build_e2,
                                check_pattern, classify, differential_slots,
-                               DifferentialPattern, DifferentialSlot,
-                               enumerate_patterns, is_free_admissible, Page,
+                               DifferentialPattern, enumerate_patterns,
+                               is_free_admissible, Page,
                                PageRow, turn_page, _round_schedule, _sum_hit)
 from orbitcohom.errors import (InvalidInputError, InvariantError,
                                PreconditionError, UnsupportedShapeError)
@@ -68,22 +68,37 @@ def test_admissible_rounds_rejects_other_shapes():
 
 def test_slots_on_e2():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    slots = differential_slots(page, 3)
-    assert [(s.source_row, s.target_row) for s in slots] == [
-        (2, 0), (4, 2), (6, 4)]
-    assert all(s.t_exponent == 3 for s in slots)
-    assert differential_slots(page, 2) == [(s) for s in differential_slots(page, 2)]
+    assert page.round == 3
+    # rows 2, 4, 6 map to rows 0, 2, 4
+    assert differential_slots(page) == (2, 4, 6)
     # no slots for a round with no matching target rows
-    assert differential_slots(page, 4) == []
+    fiber = make_type_ab(2, 0, 0)
+    page4 = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(4,), rows=page.rows)
+    assert differential_slots(page4) == ()
+
+
+def test_slots_need_a_live_target_class():
+    # row 0 dies at column 3 and beyond, so d3 on row 2 has no target
+    fiber = make_type_ab(2, 0, 0)
+    rows = {0: PageRow(IntervalModule(1, ((0, 3),)), "1"),
+            2: PageRow(free_module(1), "v1")}
+    page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
+    assert differential_slots(page) == ()
+
+
+def test_finished_page_has_no_round():
+    report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
+    page = report.outcomes[0].e_inf
+    assert page.rounds == () and page.round is None
+    with pytest.raises(PreconditionError):
+        enumerate_patterns(page)
 
 
 def test_leibniz_forces_vanishing_on_v1():
     # with v1*v2 = 0, a nonzero differential on v1 alone contradicts
     # 0 = d(v1 * v2) = d(v1) * v2
     page = build_e2(make_type_ab(2, 1, 0), GroupChoice.Z2)
-    slots = tuple(differential_slots(page, 3))
-    coeffs = tuple(1 if s.source_row == 2 else 0 for s in slots)
-    reason = check_pattern(page, DifferentialPattern(3, slots, coeffs))
+    reason = check_pattern(page, DifferentialPattern(3, (2,)))
     assert reason is not None and "Leibniz" in reason
 
 
@@ -91,37 +106,33 @@ def test_enumerate_patterns_even_even_round3():
     # the v1 slot is forced to zero and v2, v3 cannot both be hit
     # (d o d through the middle row), leaving 3 of 8 assignments
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    patterns = enumerate_patterns(page, 3)
-    sources = sorted(p.nonzero_sources() for p in patterns)
-    assert sources == [(), (4,), (6,)]
+    patterns = enumerate_patterns(page)
+    assert [p.round for p in patterns] == [3, 3, 3]
+    assert [p.sources for p in patterns] == [(), (6,), (4,)]  # binary order
 
 
 def test_turn_page_known_intervals():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    slots = tuple(differential_slots(page, 3))
-    coeffs = tuple(1 if s.source_row == 4 else 0 for s in slots)
-    nxt = turn_page(page, DifferentialPattern(3, slots, coeffs))
+    nxt = turn_page(page, DifferentialPattern(3, (4,)))
     assert nxt.rows[0].module.summands == ((0, INFINITE),)
     assert nxt.rows[2].module.summands == ((0, 3),)
     assert 4 not in nxt.rows
     assert nxt.rows[6].module.summands == ((0, INFINITE),)
-    assert nxt.round == 5
+    assert nxt.rounds == (5, 7) and nxt.round == 5
 
     # round 5 has no slots left; round 7 kills rows 0 and 6 against each other
-    mid = turn_page(nxt, DifferentialPattern(5, tuple(differential_slots(nxt, 5)),
-                                             ()))
-    slots7 = tuple(differential_slots(mid, 7))
-    assert [(s.source_row, s.target_row) for s in slots7] == [(6, 0)]
-    final = turn_page(mid, DifferentialPattern(7, slots7, (1,)))
+    assert differential_slots(nxt) == ()
+    mid = turn_page(nxt, DifferentialPattern(5, ()))
+    assert differential_slots(mid) == (6,)
+    final = turn_page(mid, DifferentialPattern(7, (6,)))
     assert final.rows[0].module.summands == ((0, 7),)
     assert 6 not in final.rows
-    assert final.round is None
+    assert final.rounds == () and final.round is None
 
 
 def test_turn_page_all_zero_keeps_modules():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    slots = tuple(differential_slots(page, 3))
-    nxt = turn_page(page, DifferentialPattern(3, slots, (0,) * len(slots)))
+    nxt = turn_page(page, DifferentialPattern(3, ()))
     assert {l: r.module for l, r in nxt.rows.items()} == {
         l: r.module for l, r in page.rows.items()}
     assert nxt.round == 5
@@ -129,10 +140,26 @@ def test_turn_page_all_zero_keeps_modules():
 
 def test_turn_page_rejects_inconsistent_pattern():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    slots = tuple(differential_slots(page, 3))
-    bad = DifferentialPattern(3, slots, (0, 1, 1))  # d o d through row 4
+    bad = DifferentialPattern(3, (4, 6))  # d o d through row 4
     with pytest.raises(PreconditionError):
         turn_page(page, bad)
+
+
+@pytest.mark.parametrize("source", [0, 99])
+def test_pattern_naming_a_non_slot_source_is_refused(source):
+    # row 0 has no target at round 3; row 99 is not a row at all
+    page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
+    pattern = DifferentialPattern(3, (source,))
+    with pytest.raises(PreconditionError, match="not differential slots"):
+        check_pattern(page, pattern)
+    with pytest.raises(PreconditionError, match="not differential slots"):
+        turn_page(page, pattern)
+
+
+def test_pattern_round_must_match_page_round():
+    page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
+    with pytest.raises(PreconditionError, match="round"):
+        check_pattern(page, DifferentialPattern(5, ()))
 
 
 def test_turn_page_raises_when_the_unit_dies():
@@ -141,11 +168,9 @@ def test_turn_page_raises_when_the_unit_dies():
     fiber = make_type_ab(2, 0, 0)
     rows = {0: PageRow(IntervalModule(1, ((1, INFINITE),)), None),
             2: PageRow(free_module(1), "v1")}
-    page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), round=3,
-                rows=rows)
-    slot = DifferentialSlot(3, 2, 0, 3)
+    page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
     with pytest.raises(InvariantError, match="unit"):
-        turn_page(page, DifferentialPattern(3, (slot,), (0,)))
+        turn_page(page, DifferentialPattern(3, ()))
 
 
 def _sum_hit_per_bit(left: int, right: int, sums: int) -> bool:
@@ -193,7 +218,7 @@ def test_large_n_matches_small_n(a, b):
 
 def test_dimensions_never_increase():
     page = build_e2(make_type_ab(2, 0, 1), GroupChoice.Z2)
-    for pattern in enumerate_patterns(page, 3):
+    for pattern in enumerate_patterns(page):
         nxt = turn_page(page, pattern)
         for l, row in nxt.rows.items():
             old = page.rows[l].module
@@ -237,7 +262,7 @@ def test_classify_circle_n3_even_odd_two_outcomes():
 def test_every_branch_accounted_once():
     report = classify(make_type_ab(2, 0, 1), GroupChoice.Z2)
     histories = ([o.history_key() for o in report.outcomes]
-                 + [tuple((p.round, p.nonzero_sources()) for p in rb.history)
+                 + [tuple((p.round, p.sources) for p in rb.history)
                     for rb in report.rejected])
     assert len(histories) == len(set(histories))
 

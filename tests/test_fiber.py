@@ -6,7 +6,8 @@ import pytest
 
 from orbitcohom.errors import InvalidInputError
 from orbitcohom.fiber import (FiberRing, load_fiber, make_type_ab,
-                              normalize_parity, point_ring, poincare, validate)
+                              MAX_DEGREE, normalize_parity, point_ring,
+                              validate)
 
 
 def test_normalize_parity():
@@ -64,12 +65,6 @@ def test_constructor_output_always_valid():
                 ring = make_type_ab(n, a, b)
                 assert validate(ring) == []
                 assert len(ring.basis) == 4
-
-
-def test_poincare():
-    assert poincare(make_type_ab(2, 0, 0)) == {0: 1, 2: 1, 4: 1, 6: 1}
-    assert poincare(make_type_ab(1, 1, 1)) == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert poincare(point_ring()) == {0: 1}
 
 
 def _ring_with(products, n=2, top=None):
@@ -179,6 +174,40 @@ def test_load_fiber_rejects_non_integer_degrees(tmp_path, field, value):
     path.write_text(_fiber_text(**{field: value}))
     with pytest.raises(InvalidInputError, match="must be an integer"):
         load_fiber(str(path))
+
+
+@pytest.mark.parametrize("result", [
+    '"v"', '"vv"', '"1"', "null", "7", '{"v": 1}', '["v", 2]', '[["v"]]',
+], ids=["string", "long-string", "unit-string", "null", "number", "object",
+        "number-in-list", "nested-list"])
+def test_load_fiber_rejects_result_that_is_not_a_list_of_names(tmp_path, result):
+    path = tmp_path / "fiber.json"
+    path.write_text('{"basis": [{"name": "1", "degree": 0}, '
+                    '{"name": "u", "degree": 1}, {"name": "v", "degree": 2}], '
+                    '"unit": "1", "top_degree": 2, "products": '
+                    '[{"left": "u", "right": "u", "result": %s}]}' % result)
+    with pytest.raises(InvalidInputError, match="list of names"):
+        load_fiber(str(path))
+
+
+def test_degree_bound():
+    assert make_type_ab(MAX_DEGREE // 3, 0, 0).top_degree == MAX_DEGREE
+    with pytest.raises(InvalidInputError, match="supported maximum"):
+        make_type_ab(MAX_DEGREE // 3 + 1, 0, 0)
+    with pytest.raises(InvalidInputError, match="supported maximum"):
+        FiberRing(basis=(("1", 0), ("u", MAX_DEGREE + 1)), unit="1",
+                  products=(), top_degree=2)
+    with pytest.raises(InvalidInputError, match="supported maximum"):
+        FiberRing(basis=(("1", 0),), unit="1", products=(),
+                  top_degree=MAX_DEGREE + 1)
+
+
+def test_load_fiber_rejects_degrees_above_the_bound(tmp_path):
+    for fields in ({"degree": str(10**18)}, {"top_degree": str(10**18)}):
+        path = tmp_path / "fiber.json"
+        path.write_text(_fiber_text(**fields))
+        with pytest.raises(InvalidInputError, match="supported maximum"):
+            load_fiber(str(path))
 
 
 def test_load_fiber_bad_file(tmp_path):

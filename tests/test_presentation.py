@@ -12,7 +12,7 @@ from orbitcohom.fiber import make_type_ab, point_ring
 from orbitcohom.intervals import IntervalModule
 from orbitcohom.presentation import (ExtensionFlag, _extension_flags,
                                      basis_problems, make_presentation,
-                                     monomial_basis, monomial_str,
+                                     monomial_basis_elements, monomial_str,
                                      presentation_str,
                                      relation_str, same_presentation,
                                      tot_poincare)
@@ -202,7 +202,7 @@ def _finite_pages(draw):
                 draw(st.lists(_finite_summand, min_size=1, max_size=4)))), None)
             for l in {0} | ls}
     page = Page(fiber=point_ring(), group=GroupChoice(("z2", "s1")[step - 1]),
-                rounds=(), round=None, rows=rows)
+                rounds=(), rows=rows)
     z_names = {l: f"z{l}" for l in ls}
     gens = [("x", step)] + [(name, l) for l, name in z_names.items()]
     monos = st.lists(st.tuples(st.sampled_from([g for g, _ in gens]),
@@ -222,7 +222,7 @@ def test_outcome_data_matches_reference_on_hand_built_pages(built):
 
 
 def test_tot_poincare_rejects_infinite_rows():
-    page = Page(fiber=point_ring(), group=GroupChoice.Z2, rounds=(), round=None,
+    page = Page(fiber=point_ring(), group=GroupChoice.Z2, rounds=(),
                 rows={0: PageRow(IntervalModule(1, ((0, 2), (4, None))), None)})
     with pytest.raises(UnsupportedShapeError):
         tot_poincare(page)
@@ -251,7 +251,7 @@ def test_monomial_basis_rejects_two_term_relations():
         [("u", 1), ("v", 2)],
         [((("u", 2),), (("v", 1),))])
     with pytest.raises(UnsupportedShapeError):
-        monomial_basis(pres, 4)
+        monomial_basis_elements(pres, 4)
 
 
 def test_presentation_str_and_relation_str():
