@@ -15,10 +15,9 @@ from .engine import (ClassificationReport, DifferentialPattern, GroupChoice,
                      enumerate_patterns, is_free_admissible, turn_page)
 from .errors import (InvalidInputError, InvariantError, OrbitCohomError,
                      OversizedInstanceError, PreconditionError,
-                     UnsupportedShapeError, WrongGroupError)
+                     UnsupportedShapeError)
 from .fiber import FiberRing, load_fiber, make_type_ab, point_ring
 from .intervals import INFINITE, IntervalModule, free_module
-from .obstruction import IndexResult, cohomology_index, sphere_map_bound
 from .oracle import (OracleReport, brute_force_classify, cap_stable,
                      compare_reports, min_cap, truncate_e2)
 from .presentation import (ExtensionFlag, RingPresentation,
@@ -33,10 +32,9 @@ __all__ = [
     "is_free_admissible", "turn_page",
     "InvalidInputError", "InvariantError", "OrbitCohomError",
     "OversizedInstanceError",
-    "PreconditionError", "UnsupportedShapeError", "WrongGroupError",
+    "PreconditionError", "UnsupportedShapeError",
     "FiberRing", "load_fiber", "make_type_ab", "point_ring",
     "INFINITE", "IntervalModule", "free_module",
-    "IndexResult", "cohomology_index", "sphere_map_bound",
     "OracleReport", "brute_force_classify", "cap_stable", "compare_reports",
     "min_cap", "truncate_e2",
     "ExtensionFlag", "RingPresentation", "extract_presentation",

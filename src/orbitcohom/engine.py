@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from . import obstruction, presentation
+from . import presentation
 from .errors import (InvalidInputError, InvariantError, PreconditionError,
                      UnsupportedShapeError)
 from .fiber import FiberRing, validate as validate_fiber
@@ -154,14 +154,14 @@ def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> List[int]:
         raise UnsupportedShapeError(
             "fiber rows are not at n, 2n, 3n; general fibers use slot "
             "enumeration directly")
-    return [r for r in (n + 1, 2 * n + 1, 3 * n + 1) if r % group.step == 0]
+    return list(_round_schedule(fiber, group))
 
 
 def _round_schedule(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
     """Every round r >= 2 that can connect two nonzero rows: a gap between
     two basis degrees plus one, kept when the group's step divides it.
 
-    For a type-(a,b) fiber this is the set ``admissible_rounds`` validates.
+    ``admissible_rounds`` returns it for a fiber of type (a,b).
     """
     degrees = sorted({d for _, d in fiber.basis})
     rounds = sorted({hi - lo + 1 for hi in degrees for lo in degrees
@@ -380,7 +380,9 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
         if r is None:
             if is_free_admissible(page, top_degree):
                 pres, flags = presentation.extract_presentation(page, group)
-                index = (obstruction.cohomology_index(pres)
+                # x^m != 0 exactly when t^m survives on the base row (the
+                # edge map), so the index is the row's last live column.
+                index = (page.rows[0].module.max_degree()
                          if group is GroupChoice.Z2 else None)
                 outcomes.append(Outcome(
                     history=history,

@@ -18,10 +18,6 @@ class UnsupportedShapeError(OrbitCohomError, ValueError):
     (rows of rank > 1, fragmented base row, non-monomial relations, ...)."""
 
 
-class WrongGroupError(OrbitCohomError, ValueError):
-    """An operation specific to the Z/2 theory was asked about a circle result."""
-
-
 class OversizedInstanceError(OrbitCohomError, ValueError):
     """The brute-force oracle refuses instances beyond desk scale."""
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import orbitcohom
-from orbitcohom import cli, obstruction
+from orbitcohom import cli, engine
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -135,9 +136,14 @@ def test_self_check_flag(capsys):
 
 
 def test_self_check_catches_an_index_mismatch(capsys, monkeypatch):
-    real = obstruction.cohomology_index
-    monkeypatch.setattr(obstruction, "cohomology_index",
-                        lambda pres: real(pres) + 1)
+    real = engine.classify
+
+    def off_by_one(fiber, group):
+        report = real(fiber, group)
+        return dataclasses.replace(report, outcomes=tuple(
+            dataclasses.replace(o, index=o.index + 1) for o in report.outcomes))
+
+    monkeypatch.setattr(engine, "classify", off_by_one)
     code, out, err = run_cli(capsys, "classify", "--n", "2", "--a", "even",
                              "--b", "even", "--self-check")
     assert code == 2

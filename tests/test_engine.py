@@ -233,6 +233,19 @@ def test_is_free_admissible():
     assert all(is_free_admissible(o.e_inf, 6) for o in report.outcomes)
 
 
+def test_is_free_admissible_checks_the_top_degree():
+    fiber = make_type_ab(1, 0, 0)  # top degree 3
+
+    def page(base, top_row):
+        rows = {0: PageRow(IntervalModule(1, (base,)), "1"),
+                3: PageRow(IntervalModule(1, (top_row,)), "v3")}
+        return Page(fiber=fiber, group=GroupChoice.Z2, rounds=(), rows=rows)
+
+    assert not is_free_admissible(page((0, 2), (0, 2)), 3)
+    assert is_free_admissible(page((0, 4), (0, 1)), 3)
+    assert not is_free_admissible(page((0, 5), (0, 1)), 3)
+
+
 def test_classify_even_even_single_branch():
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
     assert len(report.outcomes) == 1
@@ -286,3 +299,20 @@ def test_classify_rejects_rank_two_rows():
                      top_degree=2)
     with pytest.raises(UnsupportedShapeError):
         classify(ring, GroupChoice.Z2)
+
+
+def test_even_even_index_is_3n():
+    for n in (1, 2, 3, 5):
+        report = classify(make_type_ab(n, 0, 0), GroupChoice.Z2)
+        assert [o.index for o in report.outcomes] == [3 * n]
+
+
+def test_odd_odd_index_is_n():
+    for n in (2, 4):
+        report = classify(make_type_ab(n, 1, 1), GroupChoice.Z2)
+        assert [o.index for o in report.outcomes] == [n]
+
+
+def test_circle_outcomes_have_no_index():
+    report = classify(make_type_ab(3, 0, 0), GroupChoice.CIRCLE)
+    assert all(o.index is None for o in report.outcomes)
