@@ -18,8 +18,6 @@ from .errors import (InvalidInputError, InvariantError, OrbitCohomError,
                      UnsupportedShapeError)
 from .fiber import FiberRing, load_fiber, make_type_ab, point_ring
 from .intervals import INFINITE, IntervalModule, free_module
-from .oracle import (OracleReport, brute_force_classify, cap_stable,
-                     compare_reports, min_cap, truncate_e2)
 from .presentation import (ExtensionFlag, RingPresentation,
                            extract_presentation, presentation_str,
                            same_presentation, tot_poincare)
@@ -40,3 +38,16 @@ __all__ = [
     "ExtensionFlag", "RingPresentation", "extract_presentation",
     "presentation_str", "same_presentation", "tot_poincare",
 ]
+
+# The oracle is imported on first use: only oracle-check and --self-check
+# need it, and every other command would pay for its import.
+_ORACLE_NAMES = frozenset({"OracleReport", "brute_force_classify",
+                           "cap_stable", "compare_reports", "min_cap",
+                           "truncate_e2"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from . import __version__, engine, oracle, presentation
+from . import __version__, engine, presentation
 from .errors import OrbitCohomError
 from .fiber import load_fiber, make_type_ab, normalize_parity
 
@@ -121,6 +121,7 @@ def _cmd_classify(args) -> int:
     if args.self_check:
         problems = [p for out in report.outcomes
                     for p in presentation.basis_problems(out, report.top_degree)]
+        from . import oracle
         orep = oracle.brute_force_classify(ring, group,
                                            args.cap or oracle.min_cap(ring, group))
         problems += oracle.compare_reports(report, orep)
@@ -193,6 +194,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import oracle
     ring, inputs = _load_inputs(args)
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)

@@ -2,12 +2,22 @@
 
 The oracle works on an explicit truncated cell model of the second page:
 one cell per (base degree, fiber class) with total degree under a cap.
-It enumerates every joint generator-level coefficient assignment across
-all rounds at once, checks the Leibniz rule cell by cell on actual basis
-products, turns pages cell by cell (a cell survives when it is neither hit
-nor hits; an assignment with d o d != 0 is rejected), and reports surviving
-dimensions per total degree. Nothing here shares interval or bitmask
-machinery with the engine, so agreement is meaningful evidence.
+It enumerates and counts every joint generator-level coefficient
+assignment across all rounds, checks the Leibniz rule cell by cell on
+actual basis products, turns pages cell by cell (a cell survives when it
+is neither hit nor hits; an assignment with d o d != 0 is rejected), and
+reports surviving dimensions per total degree. Nothing here shares
+interval or bitmask machinery with the engine, so agreement is meaningful
+evidence.
+
+Two things keep the enumeration cheap without changing what it checks.
+Each state (round, live cells, effective sources) is checked and turned
+once per call and its result kept, because the Leibniz check and the page
+turn read nothing else; joint assignments share their prefixes, and many
+choices reduce to the same effective sources. And the Leibniz check skips
+a pair of rows when neither row nor any row of their fiber product has a
+nonzero differential: d vanishes on every cell involved, so both sides of
+the rule are empty for each of its cell pairs.
 
 Truncation is handled by a safety margin: cells within one round-length
 of the cap see truncated differentials, so only total degrees at most
@@ -18,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .engine import GroupChoice, _round_schedule
 from .errors import (InvalidInputError, OversizedInstanceError,
@@ -39,6 +49,9 @@ class TruncatedComplex:
     margin: int
     cells: Tuple[Cell, ...]
     names: Dict[int, str]  # fiber degree -> basis element name
+    # (l1, l2) -> fiber degrees of the basis elements in the product of the
+    # elements on rows l1 and l2
+    products: Dict[Tuple[int, int], FrozenSet[int]]
 
     @property
     def reliable_degree(self) -> int:
@@ -88,30 +101,24 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
             f"{count} cells exceeds the oracle limit of {MAX_CELLS}")
     cells = tuple((k, l) for l in sorted(names)
                   for k in range(0, cap - l + 1, step))
+    products = {(l1, l2): frozenset(fiber.degrees[name]
+                                    for name in fiber.mult(u1, u2))
+                for l1, u1 in names.items() for l2, u2 in names.items()}
     return TruncatedComplex(fiber=fiber, group=group, cap=cap, margin=margin,
-                            cells=cells, names=names)
+                            cells=cells, names=names, products=products)
 
 
-def _cell_product(tc: TruncatedComplex, c1: Cell, c2: Cell) -> FrozenSet[Cell]:
-    """Product of two cells in the truncated model (empty set = zero)."""
-    (k1, l1), (k2, l2) = c1, c2
-    hits = tc.fiber.mult(tc.names[l1], tc.names[l2])
-    degs = tc.fiber.degrees
-    out = {(k1 + k2, degs[name]) for name in hits}
-    return frozenset(c for c in out if c[0] + c[1] <= tc.cap)
-
-
-def _differential(tc: TruncatedComplex, live: Set[Cell], r: int,
-                  coeff: Dict[int, int], cell: Cell) -> FrozenSet[Cell]:
-    """Value of the round-r differential on a live cell, as a set of live cells."""
+def _differential(live: AbstractSet[Cell], r: int, coeff: Dict[int, int],
+                  cell: Cell) -> Optional[Cell]:
+    """The live cell a live cell's round-r differential hits, or None."""
     k, l = cell
     target = (k + r, l - r + 1)
     if coeff.get(l, 0) and target in live:
-        return frozenset({target})
-    return frozenset()
+        return target
+    return None
 
 
-def _effective(tc: TruncatedComplex, live: Set[Cell], r: int,
+def _effective(live: AbstractSet[Cell], r: int,
                coeff: Dict[int, int]) -> Dict[int, int]:
     """Zero the differentials whose generator or generator target is dead.
 
@@ -126,32 +133,63 @@ def _effective(tc: TruncatedComplex, live: Set[Cell], r: int,
     return out
 
 
-def _leibniz_ok(tc: TruncatedComplex, live: Set[Cell], r: int,
+def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell], r: int,
                 coeff: Dict[int, int]) -> bool:
-    """Cell-level Leibniz rule over all pairs of live cells, degrees permitting."""
-    if not any(coeff.values()):
+    """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
+    of live cells, degrees permitting.
+
+    Cells are walked row pair by row pair. A pair of rows (l1, l2) is
+    skipped when neither row nor any row of the fiber product l1*l2 has a
+    nonzero coefficient: d vanishes on every cell involved, so both sides
+    are empty for each of its cell pairs. For the same reason the left side
+    sums d only over the product's rows that have one.
+    """
+    nonzero = {l for l, c in coeff.items() if c}
+    if not nonzero:
         return True
-    cells = sorted(live)
-    for i, c1 in enumerate(cells):
-        for c2 in cells[i:]:
-            if c1[0] + c1[1] + c2[0] + c2[1] + 1 > tc.cap:
+    columns: Dict[int, List[int]] = {}
+    for k, l in sorted(live):
+        columns.setdefault(l, []).append(k)
+    rows = sorted(columns)
+    products, cap = tc.products, tc.cap
+
+    def times(c1: Cell, c2: Cell) -> Set[Cell]:
+        """Product of two cells, as its set of live cells."""
+        k = c1[0] + c2[0]
+        return {(k, l) for l in products[c1[1], c2[1]] if (k, l) in live}
+
+    for i, l1 in enumerate(rows):
+        for l2 in rows[i:]:
+            hot = nonzero.intersection(products[l1, l2])
+            if not hot and l1 not in nonzero and l2 not in nonzero:
                 continue
-            product = frozenset(c for c in _cell_product(tc, c1, c2) if c in live)
-            lhs: FrozenSet[Cell] = frozenset()
-            for c in product:
-                lhs ^= _differential(tc, live, r, coeff, c)
-            rhs: FrozenSet[Cell] = frozenset()
-            for d1 in _differential(tc, live, r, coeff, c1):
-                rhs ^= frozenset(c for c in _cell_product(tc, d1, c2) if c in live)
-            for d2 in _differential(tc, live, r, coeff, c2):
-                rhs ^= frozenset(c for c in _cell_product(tc, c1, d2) if c in live)
-            if lhs != rhs:
-                return False
+            for k1 in columns[l1]:
+                for k2 in columns[l2]:
+                    if l1 == l2 and k2 < k1:
+                        continue
+                    if k1 + l1 + k2 + l2 + 1 > cap:
+                        break
+                    c1, c2 = (k1, l1), (k2, l2)
+                    lhs: Set[Cell] = set()
+                    for l in hot:
+                        if (k1 + k2, l) in live:
+                            d = _differential(live, r, coeff, (k1 + k2, l))
+                            if d is not None:
+                                lhs ^= {d}
+                    rhs: Set[Cell] = set()
+                    d1 = _differential(live, r, coeff, c1)
+                    if d1 is not None:
+                        rhs ^= times(d1, c2)
+                    d2 = _differential(live, r, coeff, c2)
+                    if d2 is not None:
+                        rhs ^= times(c1, d2)
+                    if lhs != rhs:
+                        return False
     return True
 
 
-def _turn(tc: TruncatedComplex, live: Set[Cell], r: int,
-          coeff: Dict[int, int]) -> Optional[Set[Cell]]:
+def _turn(live: AbstractSet[Cell], r: int,
+          coeff: Dict[int, int]) -> Optional[FrozenSet[Cell]]:
     """Cells surviving the round-r differential; None when d o d != 0.
 
     Every cell carries one basis element, so a cell dies exactly when it is
@@ -160,13 +198,13 @@ def _turn(tc: TruncatedComplex, live: Set[Cell], r: int,
     new_live: Set[Cell] = set()
     for cell in live:
         src = (cell[0] - r, cell[1] + r - 1)
-        hit = src in live and bool(_differential(tc, live, r, coeff, src))
-        hits = bool(_differential(tc, live, r, coeff, cell))
+        hit = src in live and _differential(live, r, coeff, src) is not None
+        hits = _differential(live, r, coeff, cell) is not None
         if hit and hits:
             return None
         if not (hit or hits):
             new_live.add(cell)
-    return new_live
+    return frozenset(new_live)
 
 
 def brute_force_classify(fiber: FiberRing, group: GroupChoice,
@@ -174,8 +212,15 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     """Joint exhaustive enumeration of all differential assignments.
 
     Every choice of nonzero generator differentials for every round is
-    simulated from scratch; outcomes are deduplicated by their effective
-    assignment, matching the branch bookkeeping of the engine.
+    enumerated and counted. Round by round, a choice is reduced to its
+    effective sources (the generators whose differential is alive), and
+    the state (round, live cells, effective sources) is checked and turned
+    once per call: the Leibniz check and the page turn read nothing else,
+    so the memo returns what a fresh simulation would. Joint assignments
+    share their prefixes and many choices reduce to the same effective
+    sources, so most steps are a lookup. Outcomes are deduplicated by
+    their effective assignment, matching the branch bookkeeping of the
+    engine.
     """
     tc = truncate_e2(fiber, group, cap)
     rounds = _round_schedule(fiber, group)
@@ -186,27 +231,30 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
                    and l - r + 1 < l]
         slots_per_round.append(sources)
 
-    start_live = set(tc.cells)
+    start_live: FrozenSet[Cell] = frozenset(tc.cells)
+    # (round, live cells, effective sources) -> live cells after the round,
+    # or None when the round's differential is rejected.
+    turned: Dict[Tuple[int, FrozenSet[Cell], Tuple[int, ...]],
+                 Optional[FrozenSet[Cell]]] = {}
     outcomes: Dict[HistoryKey, Dict[int, int]] = {}
     rejected = 0
     choice_space = [itertools.product((0, 1), repeat=len(s))
                     for s in slots_per_round]
     for joint in itertools.product(*choice_space):
-        live = set(start_live)
+        live: Optional[FrozenSet[Cell]] = start_live
         key_parts: List[Tuple[int, Tuple[int, ...]]] = []
-        ok = True
         for r, sources, coeffs in zip(rounds, slots_per_round, joint):
-            coeff = _effective(tc, live, r, dict(zip(sources, coeffs)))
-            key_parts.append((r, tuple(sorted(l for l, c in coeff.items() if c))))
-            if not _leibniz_ok(tc, live, r, coeff):
-                ok = False
+            coeff = _effective(live, r, dict(zip(sources, coeffs)))
+            effective = tuple(sorted(l for l, c in coeff.items() if c))
+            key_parts.append((r, effective))
+            state = (r, live, effective)
+            if state not in turned:
+                turned[state] = (_turn(live, r, coeff)
+                                 if _leibniz_ok(tc, live, r, coeff) else None)
+            live = turned[state]
+            if live is None:
                 break
-            turned = _turn(tc, live, r, coeff)
-            if turned is None:
-                ok = False
-                break
-            live = turned
-        if not ok:
+        if live is None:
             rejected += 1
             continue
         key = tuple(key_parts)

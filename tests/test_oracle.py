@@ -36,17 +36,15 @@ def test_oversized_instance_rejected():
 def test_turn_rejects_nonzero_composite():
     # Z/2, n = 1: on page 2 the rows 3 -> 2 -> 1 form the chain
     # (0, 3) -> (2, 2) -> (4, 1); with both coefficients set d o d != 0.
-    tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.Z2, 8)
     chain = {(0, 3), (2, 2), (4, 1)}
-    assert _turn(tc, chain, 2, {3: 1, 2: 1}) is None
+    assert _turn(chain, 2, {3: 1, 2: 1}) is None
 
 
 def test_turn_kills_hit_and_hitting_cells_only():
-    tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.Z2, 8)
     live = {(0, 0), (0, 3), (2, 2)}
     # (0, 3) hits (2, 2); (0, 0) is untouched
-    assert _turn(tc, live, 2, {3: 1}) == {(0, 0)}
-    assert _turn(tc, live, 2, {3: 0}) == live
+    assert _turn(live, 2, {3: 1}) == {(0, 0)}
+    assert _turn(live, 2, {3: 0}) == live
 
 
 def test_oracle_dims_even_even_n1():

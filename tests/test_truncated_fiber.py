@@ -45,9 +45,10 @@ def test_circle_outcome_is_cp2():
         "F2[z1(2),z2(4)]/(z1^2 + z2, z1*z2, z2^2)"]
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
 @pytest.mark.parametrize("group", list(GroupChoice), ids=lambda g: g.value)
-def test_oracle_agrees(group):
-    ring = load_fiber(str(FIXTURE))
+def test_oracle_agrees(tmp_path, group, degree):
+    ring = _scaled_fixture(tmp_path, degree)
     report = classify(ring, group)
     oracle_report = brute_force_classify(ring, group, min_cap(ring, group))
     assert compare_reports(report, oracle_report) == []
