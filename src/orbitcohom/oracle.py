@@ -2,22 +2,23 @@
 
 The oracle works on an explicit truncated cell model of the second page:
 one cell per (base degree, fiber class) with total degree under a cap.
-It enumerates and counts every joint generator-level coefficient
-assignment across all rounds, checks the Leibniz rule cell by cell on
-actual basis products, turns pages cell by cell (a cell survives when it
-is neither hit nor hits; an assignment with d o d != 0 is rejected), and
-reports surviving dimensions per total degree. Nothing here shares
-interval or bitmask machinery with the engine, so agreement is meaningful
-evidence.
+It counts every joint generator-level coefficient assignment across all
+rounds, checks the Leibniz rule cell by cell on actual basis products,
+turns pages cell by cell (a cell survives when it is neither hit nor hits;
+an assignment with d o d != 0 is rejected), and reports surviving
+dimensions per total degree. Nothing here shares interval or bitmask
+machinery with the engine, so agreement is meaningful evidence.
 
-Two things keep the enumeration cheap without changing what it checks.
-Each state (round, live cells, effective sources) is checked and turned
-once per call and its result kept, because the Leibniz check and the page
-turn read nothing else; joint assignments share their prefixes, and many
-choices reduce to the same effective sources. And the Leibniz check skips
-a pair of rows when neither row nor any row of their fiber product has a
-nonzero differential: d vanishes on every cell involved, so both sides of
-the rule are empty for each of its cell pairs.
+The assignments are walked round by round. In each round only the slots
+whose source generator, target generator and target class are all live
+can carry a differential. Each subset of those usable slots is checked,
+turned and recursed into once, and stands for every joint assignment that
+agrees with it there: two for each dead slot of this and earlier rounds,
+times every choice of the later rounds when the subset is rejected. Each
+outcome's key (its nonzero sources per round) is therefore reached once.
+The Leibniz check skips a pair of rows when neither row nor any row of
+their fiber product has a nonzero differential: d vanishes on every cell
+involved, so both sides of the rule are empty for each of its cell pairs.
 
 Truncation is handled by a safety margin: cells within one round-length
 of the cap see truncated differentials, so only total degrees at most
@@ -118,21 +119,6 @@ def _differential(live: AbstractSet[Cell], r: int, coeff: Dict[int, int],
     return None
 
 
-def _effective(live: AbstractSet[Cell], r: int,
-               coeff: Dict[int, int]) -> Dict[int, int]:
-    """Zero the differentials whose generator or generator target is dead.
-
-    The slot convention matches the engine: a differential needs its source
-    generator, the target row generator, and the target class all alive.
-    """
-    out = {}
-    for l, c in coeff.items():
-        lt = l - r + 1
-        out[l] = c if (c and (0, l) in live and (0, lt) in live
-                       and (r, lt) in live) else 0
-    return out
-
-
 def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell], r: int,
                 coeff: Dict[int, int]) -> bool:
     """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
@@ -209,74 +195,60 @@ def _turn(live: AbstractSet[Cell], r: int,
 
 def brute_force_classify(fiber: FiberRing, group: GroupChoice,
                          cap: int) -> OracleReport:
-    """Joint exhaustive enumeration of all differential assignments.
+    """Exhaustive count of all joint differential assignments.
 
     Every choice of nonzero generator differentials for every round is
-    enumerated and counted. Round by round, a choice is reduced to its
-    effective sources (the generators whose differential is alive), and
-    the state (round, live cells, effective sources) is checked and turned
-    once per call: the Leibniz check and the page turn read nothing else,
-    so the memo returns what a fresh simulation would. Joint assignments
-    share their prefixes and many choices reduce to the same effective
-    sources, so most steps are a lookup. Outcomes are deduplicated by
-    their effective assignment, matching the branch bookkeeping of the
-    engine.
+    counted, walked round by round: a round's choices are the subsets of
+    its usable slots, those whose source generator, target generator and
+    target class are live (the engine's slot convention). A subset stands
+    for 2^(dead slots) choices of its round, so each subset is checked
+    and turned once. A rejected subset counts its weight times every
+    choice of the later rounds as rejected assignments. An outcome is keyed
+    by its nonzero sources per round, matching the branch bookkeeping of
+    the engine, and each key is reached by exactly one walk.
     """
     tc = truncate_e2(fiber, group, cap)
     rounds = _round_schedule(fiber, group)
-    row_degrees = sorted(tc.names)
-    slots_per_round = []
-    for r in rounds:
-        sources = [l for l in row_degrees if l - r + 1 in tc.names and l - r + 1 >= 0
-                   and l - r + 1 < l]
-        slots_per_round.append(sources)
-
-    start_live: FrozenSet[Cell] = frozenset(tc.cells)
-    # (round, live cells, effective sources) -> live cells after the round,
-    # or None when the round's differential is rejected.
-    turned: Dict[Tuple[int, FrozenSet[Cell], Tuple[int, ...]],
-                 Optional[FrozenSet[Cell]]] = {}
-    outcomes: Dict[HistoryKey, Dict[int, int]] = {}
+    slots = [[l for l in sorted(tc.names) if 0 <= l - r + 1 < l
+              and l - r + 1 in tc.names] for r in rounds]
+    # Joint choices of the rounds after round i.
+    later = [2 ** sum(map(len, slots[i + 1:])) for i in range(len(rounds))]
+    # Survival is faithful below cap - (number of rounds): truncation
+    # errors start at the cap edge and descend one degree per round.
+    survival_top = cap - len(rounds)
+    outcomes: List[OracleOutcome] = []
     rejected = 0
-    choice_space = [itertools.product((0, 1), repeat=len(s))
-                    for s in slots_per_round]
-    for joint in itertools.product(*choice_space):
-        live: Optional[FrozenSet[Cell]] = start_live
-        key_parts: List[Tuple[int, Tuple[int, ...]]] = []
-        for r, sources, coeffs in zip(rounds, slots_per_round, joint):
-            coeff = _effective(live, r, dict(zip(sources, coeffs)))
-            effective = tuple(sorted(l for l, c in coeff.items() if c))
-            key_parts.append((r, effective))
-            state = (r, live, effective)
-            if state not in turned:
-                turned[state] = (_turn(live, r, coeff)
-                                 if _leibniz_ok(tc, live, r, coeff) else None)
-            live = turned[state]
-            if live is None:
-                break
-        if live is None:
-            rejected += 1
-            continue
-        key = tuple(key_parts)
-        if key in outcomes:
-            continue
-        # Survival is faithful below cap - (number of rounds): truncation
-        # errors start at the cap edge and descend one degree per round.
-        survival_top = cap - len(rounds)
-        bad = any(fiber.top_degree < k + l <= survival_top
-                  for k, l in live)
-        if bad:
-            rejected += 1
-            continue
-        dims: Dict[int, int] = {}
-        for k, l in live:
-            if k + l <= tc.reliable_degree:
-                dims[k + l] = dims.get(k + l, 0) + 1
-        outcomes[key] = dict(sorted(dims.items()))
 
-    ordered = tuple(OracleOutcome(key, dims)
-                    for key, dims in sorted(outcomes.items()))
-    return OracleReport(complex=tc, rounds=rounds, outcomes=ordered,
+    def walk(i: int, live: FrozenSet[Cell], weight: int,
+             key: HistoryKey) -> None:
+        nonlocal rejected
+        if i == len(rounds):
+            if any(fiber.top_degree < k + l <= survival_top for k, l in live):
+                rejected += weight
+                return
+            dims: Dict[int, int] = {}
+            for k, l in live:
+                if k + l <= tc.reliable_degree:
+                    dims[k + l] = dims.get(k + l, 0) + 1
+            outcomes.append(OracleOutcome(key, dict(sorted(dims.items()))))
+            return
+        r = rounds[i]
+        usable = [l for l in slots[i] if (0, l) in live
+                  and (0, l - r + 1) in live and (r, l - r + 1) in live]
+        weight <<= len(slots[i]) - len(usable)
+        for choice in itertools.product((0, 1), repeat=len(usable)):
+            coeff = dict(zip(usable, choice))
+            turned = (_turn(live, r, coeff)
+                      if _leibniz_ok(tc, live, r, coeff) else None)
+            if turned is None:
+                rejected += weight * later[i]
+                continue
+            sources = tuple(l for l in usable if coeff[l])
+            walk(i + 1, turned, weight, key + ((r, sources),))
+
+    walk(0, frozenset(tc.cells), 1, ())
+    return OracleReport(complex=tc, rounds=rounds,
+                        outcomes=tuple(sorted(outcomes, key=lambda o: o.key)),
                         rejected_assignments=rejected)
 
 

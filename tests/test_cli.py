@@ -135,6 +135,15 @@ def test_self_check_flag(capsys):
     assert "verdict:" in out
 
 
+@pytest.mark.parametrize("command", ["oracle-check", "classify"])
+def test_cap_zero_is_refused_not_replaced(capsys, command):
+    extra = ["--self-check"] if command == "classify" else []
+    code, out, err = run_cli(capsys, command, "--n", "1", "--cap", "0", *extra)
+    assert code == 1
+    assert out == ""
+    assert "error: cap 0 too small; need at least 8" in err.splitlines()
+
+
 def test_self_check_catches_an_index_mismatch(capsys, monkeypatch):
     real = engine.classify
 

@@ -2,10 +2,12 @@
 
 golden_oracle.json maps each case name to the oracle's rounds, its outcome
 keys with their dimensions, and its count of rejected assignments. It was
-recorded from the oracle that simulated every joint assignment from
-scratch, before the per-call state memo and the vacuous-pair skip went in,
-so it checks that neither changes a single count. Rewrite it only together
-with an intended change of the oracle's output.
+recorded from the oracle that simulated every joint assignment one at a
+time, from scratch, before the round-by-round walk and the vacuous-pair
+skip went in, so it checks that neither changes a single count: the walk's
+weights for dead slots and for the later rounds of a rejected subset both
+show in the rejected counts. Rewrite it only together with an intended
+change of the oracle's output.
 
 The Leibniz check is also compared, on random live cells and coefficients,
 with a copy of the all-pairs check it replaced.

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitcohom import cli
+from orbitcohom import cli, oracle
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.fiber import load_fiber
 from orbitcohom.oracle import brute_force_classify, compare_reports, min_cap
@@ -60,6 +60,30 @@ def test_cli_exits_zero(capsys, command):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert json.loads(captured.out)["verdict"] == "free-action-possible"
+
+
+@pytest.mark.parametrize("group", ["z2", "s1"])
+def test_self_check_skips_the_basis_walk_and_runs_the_oracle(capsys, group):
+    code = cli.main(["classify", "--self-check", "--fiber", str(FIXTURE),
+                     "--group", group])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    (note,) = captured.err.splitlines()
+    assert note.startswith("note: monomial-basis check skipped for F2[")
+    assert note.endswith(": two-term relation z1^2 + z2")
+
+
+@pytest.mark.parametrize("group", ["z2", "s1"])
+def test_self_check_still_fails_on_an_oracle_problem(capsys, monkeypatch,
+                                                     group):
+    monkeypatch.setattr(oracle, "compare_reports",
+                        lambda engine_report, oracle_report: ["planted"])
+    code = cli.main(["classify", "--self-check", "--fiber", str(FIXTURE),
+                     "--group", group])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "self-check failed: planted" in captured.err.splitlines()
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4])
