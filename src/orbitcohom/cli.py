@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import __version__, engine, presentation
 from .errors import OrbitCohomError
@@ -31,10 +31,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _dense(poincare: Dict[int, int], top: int) -> List[int]:
-    return [poincare.get(i, 0) for i in range(top + 1)]
-
-
 def _history_doc(history) -> List[dict]:
     return [{"round": p.round, "nonzero_sources": list(p.sources)}
             for p in history]
@@ -46,7 +42,7 @@ def _outcome_doc(out: engine.Outcome, top: int) -> dict:
         "generators": [[name, deg] for name, deg in out.presentation.generators],
         "relations": [presentation.relation_str(r)
                       for r in out.presentation.relations],
-        "poincare": _dense(out.poincare, top),
+        "poincare": out.poincare.dense(top),
         "index": out.index,
         "extension_flags": [
             {"product": f.product, "candidates": list(f.candidates)}
@@ -84,7 +80,7 @@ def _emit_report_text(report: engine.ClassificationReport,
     print(f"outcomes: {len(report.outcomes)}")
     for i, out in enumerate(report.outcomes, 1):
         print(f"[{i}] {presentation.presentation_str(out.presentation)}")
-        print(f"    poincare: {_dense(out.poincare, report.top_degree)}")
+        print(f"    poincare: {out.poincare.dense(report.top_degree)}")
         if out.index is not None:
             print(f"    index: {out.index} (no equivariant sphere map above "
                   f"dimension {out.index})")
@@ -115,6 +111,8 @@ def _load_inputs(args) -> tuple:
 
 
 def _cmd_classify(args) -> int:
+    if args.cap is not None and not args.self_check:
+        raise OrbitCohomError("--cap needs --self-check")
     ring, inputs = _load_inputs(args)
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
@@ -264,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check each outcome against its monomial basis "
                         "and the brute-force oracle (exit 2 on disagreement)")
     p.add_argument("--cap", type=int, default=None,
-                   help="truncation degree for the self-check oracle")
+                   help="truncation degree for the self-check oracle "
+                        "(needs --self-check)")
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("table", help="summary over all parity pairs")

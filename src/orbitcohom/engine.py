@@ -92,7 +92,9 @@ class DifferentialPattern:
 class Outcome:
     history: Tuple[DifferentialPattern, ...]
     e_inf: Page
-    poincare: Dict[int, int]
+    # Dimension per total degree, held as one progression per row summand
+    # (presentation.PoincareSeries), so its size does not grow with n.
+    poincare: presentation.PoincareSeries
     presentation: presentation.RingPresentation
     extension_flags: Tuple[presentation.ExtensionFlag, ...]
     index: Optional[int]

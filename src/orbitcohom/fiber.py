@@ -17,8 +17,8 @@ Parity = Union[int, str]
 
 # Largest top degree or basis degree accepted. Every page mask is a few
 # times as wide as the degrees, so cost grows about linearly with them:
-# Z/2 at n = 100000 (top degree 300000) takes up to 1.3 s and 150 MB on
-# a 2-core Xeon.
+# Z/2 at n = 100000 (top degree 300000) takes up to 1.1 s and 99 MB in
+# the CLI on a 2-core Xeon, most of it printing the dense Poincare lists.
 MAX_DEGREE = 300_000
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from .errors import UnsupportedShapeError
 
@@ -82,22 +83,84 @@ def presentation_str(pres: RingPresentation) -> str:
     return f"F2[{gens}]/({rels})" if rels else f"F2[{gens}]"
 
 
-def tot_poincare(e_inf: "Page") -> Dict[int, int]:
-    """Dimension of the total graded ring per degree; requires a finite page.
+class PoincareSeries(Mapping):
+    """Poincare series of a finite limit page, kept as its progressions.
+
+    ``terms`` holds one (first degree, step, count) per row summand on the
+    lattice, sorted: the rational form sum t^first (1 - t^(step*count)) /
+    (1 - t^step). As a read-only mapping it is the dimension per degree,
+    with only the supported degrees as keys, so ``get``, ``items`` and
+    ``==`` against a plain dict read as before. A lookup scans the few
+    terms; iteration, ``items`` and ``dense`` expand the series in one
+    pass over them, and only when asked.
+    """
+
+    # A plain class: as a dataclass it would add about 0.6 ms to the
+    # import, which every CLI run pays.
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[Tuple[int, int, int], ...]):
+        self.terms = terms
+
+    def __repr__(self) -> str:
+        return f"PoincareSeries({self.terms!r})"
+
+    def __getitem__(self, degree: int) -> int:
+        dim = sum(1 for first, step, count in self.terms
+                  if first <= degree < first + step * count
+                  and (degree - first) % step == 0)
+        if not dim:
+            raise KeyError(degree)
+        return dim
+
+    def __iter__(self) -> Iterator[int]:
+        return itertools.compress(itertools.count(), self.dense(self._top()))
+
+    def __len__(self) -> int:
+        dims = self.dense(self._top())
+        return len(dims) - dims.count(0)
+
+    def items(self) -> ItemsView:
+        return _SeriesItems(self)
+
+    def dense(self, top: int) -> List[int]:
+        """Dimensions in degrees 0..top as a list."""
+        out = [0] * (top + 1)
+        for first, step, count in self.terms:
+            span = slice(first, min(first + step * count, top + 1), step)
+            out[span] = [dim + 1 for dim in out[span]]
+        return out
+
+    def _top(self) -> int:
+        """Highest supported degree, -1 for the empty series."""
+        return max((first + step * (count - 1) for first, step, count in self.terms),
+                   default=-1)
+
+
+class _SeriesItems(ItemsView):
+    """``items()`` of a PoincareSeries, read in one pass, not key by key."""
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        dims = self._mapping.dense(self._mapping._top())
+        return zip(itertools.compress(itertools.count(), dims), filter(None, dims))
+
+
+def tot_poincare(e_inf: "Page") -> PoincareSeries:
+    """Poincare series of the total graded ring; requires a finite page.
 
     Each summand (shift, length) of row l adds one class in each total
-    degree shift + l + step*i, i < length; a summand off the lattice of
-    multiples of step holds no page class.
+    degree shift + l + step*i, i < length: the progression
+    (shift + l, step, length). A summand off the lattice of multiples of
+    step holds no page class.
     """
     step = e_inf.step
-    counts: Counter = Counter()
+    terms = []
     for l, row in e_inf.rows.items():
         if row.module.has_infinite():
             raise UnsupportedShapeError("page has an infinite row; no finite Poincare data")
-        for shift, length in row.module.summands:
-            if shift % step == 0:
-                counts.update(range(shift + l, shift + l + step * length, step))
-    return dict(sorted(counts.items()))
+        terms += [(shift + l, step, length) for shift, length in row.module.summands
+                  if shift % step == 0]
+    return PoincareSeries(tuple(sorted(terms)))
 
 
 def _single_interval(row) -> Tuple[int, int]:

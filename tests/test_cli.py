@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import orbitcohom
 from orbitcohom import cli, engine
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_LARGE = Path(__file__).with_name("golden_cli_large.json")
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +135,13 @@ def test_self_check_flag(capsys):
                            "--b", "0", "--self-check")
     assert code == 0
     assert "verdict:" in out
+
+
+def test_cap_without_self_check_is_refused(capsys):
+    code, out, err = run_cli(capsys, "classify", "--n", "2", "--cap", "5")
+    assert code == 1
+    assert out == ""
+    assert "error: --cap needs --self-check" in err.splitlines()
 
 
 @pytest.mark.parametrize("command", ["oracle-check", "classify"])
@@ -272,6 +281,22 @@ def test_output_matches_golden_file():
         with contextlib.redirect_stdout(out):
             assert cli.main(command.split()) == 0, command
         assert out.getvalue() == expected, command
+
+
+def test_large_n_output_matches_golden_digests(capsys):
+    """classify output at n = 3000 (3001 for the circle, which has no
+    outcome at even n) and at n = 100000, as sha256 of ``cli.main``'s stdout.
+
+    Long dense Poincare lists make these outputs megabytes long, so
+    golden_cli_large.json keeps only their digests.
+    """
+    with open(GOLDEN_LARGE, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 25
+    for command, digest in golden.items():
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
 
 
 def _assert_clean_exit(code, err):

@@ -1,5 +1,7 @@
 """Tests for the page engine: second page, rounds, patterns, page turns."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,6 +216,20 @@ def test_large_n_matches_small_n(a, b):
             == [o.index / 2 for o in small.outcomes])
     circle = classify(make_type_ab(3000, a, b), GroupChoice.CIRCLE)
     assert (len(circle.outcomes), len(circle.rejected)) == (0, 1)
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_large_n_memory_stays_bounded(a, b):
+    """At n = 100000 classify allocates no per-degree data: the Poincare
+    series is a few progressions, and the traced peak stays under 10 MB."""
+    fiber = make_type_ab(100000, a, b)
+    tracemalloc.start()
+    try:
+        classify(fiber, GroupChoice.Z2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_dimensions_never_increase():

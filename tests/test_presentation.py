@@ -216,7 +216,16 @@ def _finite_pages(draw):
 @given(_finite_pages())
 def test_outcome_data_matches_reference_on_hand_built_pages(built):
     page, pres, z_names = built
-    assert tot_poincare(page) == _tot_poincare_per_degree(page)
+    series, reference = tot_poincare(page), _tot_poincare_per_degree(page)
+    assert series == reference
+    top = max(reference, default=0)
+    assert ([series.get(d, 0) for d in range(-2, top + 4)]
+            == [reference.get(d, 0) for d in range(-2, top + 4)])
+    assert sorted(series.items()) == sorted(reference.items())
+    assert len(series) == len(reference)
+    assert list(series) == sorted(reference)
+    assert series.dense(top + 3) == [reference.get(d, 0) for d in range(top + 4)]
+    assert series.dense(top // 2) == [reference.get(d, 0) for d in range(top // 2 + 1)]
     assert (_extension_flags(page, pres, z_names, "x")
             == _extension_flags_sorted(page, pres, z_names, "x"))
 
