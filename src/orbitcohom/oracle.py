@@ -28,8 +28,8 @@ cap - margin are reported or compared.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .engine import GroupChoice, _round_schedule
 from .errors import (InvalidInputError, OversizedInstanceError,
@@ -42,8 +42,7 @@ Cell = Tuple[int, int]  # (base degree k, fiber degree l)
 HistoryKey = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class TruncatedComplex:
+class TruncatedComplex(NamedTuple):
     fiber: FiberRing
     group: GroupChoice
     cap: int
@@ -59,14 +58,12 @@ class TruncatedComplex:
         return self.cap - self.margin
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
+class OracleOutcome(NamedTuple):
     key: HistoryKey
     dims: Dict[int, int]
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     complex: TruncatedComplex
     rounds: Tuple[int, ...]
     outcomes: Tuple[OracleOutcome, ...]

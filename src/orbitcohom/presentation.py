@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 from .errors import UnsupportedShapeError
 
@@ -27,8 +27,7 @@ Monomial = Tuple[Tuple[str, int], ...]
 Relation = Tuple[Monomial, ...]
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(NamedTuple):
     generators: Tuple[Tuple[str, int], ...]
     relations: Tuple[Relation, ...]
     base_generator: Optional[str] = None  # image of t; not part of ring identity
@@ -41,8 +40,7 @@ class RingPresentation:
         return sum(degs[g] * e for g, e in monomial)
 
 
-@dataclass(frozen=True)
-class ExtensionFlag:
+class ExtensionFlag(NamedTuple):
     product: str
     candidates: Tuple[str, ...]
 
@@ -95,8 +93,8 @@ class PoincareSeries(Mapping):
     pass over them, and only when asked.
     """
 
-    # A plain class: as a dataclass it would add about 0.6 ms to the
-    # import, which every CLI run pays.
+    # A plain class, as no module of the package imports dataclasses
+    # (see record.py).
     __slots__ = ("terms",)
 
     def __init__(self, terms: Tuple[Tuple[int, int, int], ...]):

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -158,8 +157,8 @@ def test_self_check_catches_an_index_mismatch(capsys, monkeypatch):
 
     def off_by_one(fiber, group):
         report = real(fiber, group)
-        return dataclasses.replace(report, outcomes=tuple(
-            dataclasses.replace(o, index=o.index + 1) for o in report.outcomes))
+        return report._replace(outcomes=tuple(
+            o._replace(index=o.index + 1) for o in report.outcomes))
 
     monkeypatch.setattr(engine, "classify", off_by_one)
     code, out, err = run_cli(capsys, "classify", "--n", "2", "--a", "even",
@@ -409,20 +408,73 @@ def test_fuzz_argv_never_traceback(argv):
     _assert_clean_exit(code, err)
 
 
+def _child_env():
+    """Environment for a fresh interpreter that imports this package, in the
+    mode of the benchmark host (no bytecode written)."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=str(Path(orbitcohom.__file__).resolve().parents[1]))
+
+
 def test_closed_stdout_pipe_exits_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(orbitcohom.__file__).resolve().parents[1]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "orbitcohom.cli", "classify", "--n", "40",
              "--a", "1", "--b", "1", "--show-rejected"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(),
+            timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident size from /proc")
+def test_large_n_json_output_peak_rss_stays_bounded():
+    """Peak resident size of the longest JSON output, measured by the child.
+
+    ``classify --group z2 --n 100000 --a even --b odd --format json`` prints
+    three dense Poincare lists of 300001 entries. Written in blocks, the run
+    peaks at about 28 MB (Python 3.11, Linux); building the indented text in
+    memory first took it to 99 MB. The child reads VmHWM, the peak of its
+    own address space: ru_maxrss would also count the pages of the forked
+    test process before exec.
+    """
+    script = ("import sys\n"
+              "from orbitcohom import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "sys.stdout.flush()\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    peak = [ln.split()[1] for ln in fh if ln.startswith('VmHWM:')]\n"
+              "print(code, *peak, file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "classify", "--group", "z2", "--n",
+         "100000", "--a", "even", "--b", "odd", "--format", "json"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_child_env(),
+        text=True, timeout=120)
+    code, peak_kb = proc.stderr.split()[-2:]
+    assert code == "0", proc.stderr
+    assert int(peak_kb) < 60 * 1024, f"peak {int(peak_kb) / 1024:.1f} MB"
+
+
+def test_cli_import_leaves_out_dataclasses_and_the_oracle():
+    """``import orbitcohom.cli`` loads neither ``dataclasses`` and its
+    ``inspect`` chain nor the oracle, which the package imports on first use
+    of one of its names."""
+    script = ("import json, sys\n"
+              "import orbitcohom, orbitcohom.cli\n"
+              "loaded = sorted({'dataclasses', 'inspect', 'orbitcohom.oracle'}\n"
+              "                & set(sys.modules))\n"
+              "lazy = orbitcohom.brute_force_classify\n"
+              "oracle = sys.modules.get('orbitcohom.oracle')\n"
+              "print(json.dumps([loaded, oracle is not None\n"
+              "                  and lazy is oracle.brute_force_classify]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True]
 
 
 def test_usage_errors_exit_one(capsys):

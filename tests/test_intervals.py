@@ -41,6 +41,11 @@ def test_canonical_summand_order():
     a = IntervalModule(1, ((3, 2), (0, 1)))
     b = IntervalModule(1, ((0, 1), (3, 2)))
     assert a == b
+    c = IntervalModule(1, [(3, 2), (0, INFINITE), (0, 1)])
+    assert c.summands == ((0, 1), (0, INFINITE), (3, 2))
+    d = IntervalModule(1, ((0, INFINITE), (3, 2), (0, 1)))
+    assert c == d and hash(c) == hash(d)
+    assert c != IntervalModule(2, d.summands)
 
 
 def test_invalid_summands():

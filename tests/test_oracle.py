@@ -76,15 +76,13 @@ def test_compare_reports_detects_planted_mismatch():
     oracle_report = brute_force_classify(fiber, GroupChoice.Z2, 8)
 
     # plant a corrupted dimension table in the oracle result
-    from dataclasses import replace
-    broken_outcome = replace(oracle_report.outcomes[0],
-                             dims={0: 1, 1: 5})
-    broken = replace(oracle_report, outcomes=(broken_outcome,))
+    broken_outcome = oracle_report.outcomes[0]._replace(dims={0: 1, 1: 5})
+    broken = oracle_report._replace(outcomes=(broken_outcome,))
     problems = compare_reports(engine_report, broken)
     assert any("dimension mismatch" in p for p in problems)
 
     # plant a missing outcome
-    empty = replace(oracle_report, outcomes=())
+    empty = oracle_report._replace(outcomes=())
     problems = compare_reports(engine_report, empty)
     assert any("engine-only outcome" in p for p in problems)
 

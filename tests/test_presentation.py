@@ -1,7 +1,5 @@
 """Tests for ring presentations extracted from limit pages."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,11 +105,11 @@ def test_basis_problems_reports_injected_mismatches():
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
     out = report.outcomes[0]
     top = report.top_degree
-    wrong_index = dataclasses.replace(out, index=out.index + 1)
+    wrong_index = out._replace(index=out.index + 1)
     assert [p for p in basis_problems(wrong_index, top) if "index" in p]
     poincare = dict(out.poincare)
     poincare[3] += 1
-    wrong_series = dataclasses.replace(out, poincare=poincare)
+    wrong_series = out._replace(poincare=poincare)
     (problem,) = basis_problems(wrong_series, top)
     assert "degree 3" in problem
 
