@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .engine import (ClassificationReport, DifferentialPattern, GroupChoice,
                      Outcome, Page, RejectedBranch, admissible_rounds,
-                     build_e2, check_pattern, classify, differential_slots,
-                     enumerate_patterns, is_free_admissible, turn_page)
+                     branches, build_e2, check_pattern, classify,
+                     differential_slots, is_free_admissible)
 from .errors import (InvalidInputError, InvariantError, OrbitCohomError,
                      OversizedInstanceError, PreconditionError,
                      UnsupportedShapeError)
@@ -20,14 +20,13 @@ from .fiber import FiberRing, load_fiber, make_type_ab, point_ring
 from .intervals import INFINITE, IntervalModule, free_module
 from .presentation import (ExtensionFlag, RingPresentation,
                            extract_presentation, presentation_str,
-                           same_presentation, tot_poincare)
+                           tot_poincare)
 
 __all__ = [
     "__version__",
     "ClassificationReport", "DifferentialPattern", "GroupChoice", "Outcome",
-    "Page", "RejectedBranch", "admissible_rounds", "build_e2", "check_pattern",
-    "classify", "differential_slots", "enumerate_patterns",
-    "is_free_admissible", "turn_page",
+    "Page", "RejectedBranch", "admissible_rounds", "branches", "build_e2",
+    "check_pattern", "classify", "differential_slots", "is_free_admissible",
     "InvalidInputError", "InvariantError", "OrbitCohomError",
     "OversizedInstanceError",
     "PreconditionError", "UnsupportedShapeError",
@@ -36,18 +35,19 @@ __all__ = [
     "OracleReport", "brute_force_classify", "cap_stable", "compare_reports",
     "min_cap", "truncate_e2",
     "ExtensionFlag", "RingPresentation", "extract_presentation",
-    "presentation_str", "same_presentation", "tot_poincare",
+    "presentation_str", "tot_poincare",
+    "basis_problems", "same_presentation",
 ]
 
-# The oracle is imported on first use: only oracle-check and --self-check
-# need it, and every other command would pay for its import.
-_ORACLE_NAMES = frozenset({"OracleReport", "brute_force_classify",
-                           "cap_stable", "compare_reports", "min_cap",
-                           "truncate_e2"})
+# Name -> module, imported on first use: only oracle-check and --self-check
+# need these, and every other command would pay for their import.
+_LAZY = {**dict.fromkeys(("OracleReport", "brute_force_classify", "cap_stable",
+                          "compare_reports", "min_cap", "truncate_e2"), "oracle"),
+         "basis_problems": "selfcheck", "same_presentation": "selfcheck"}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -105,13 +105,18 @@ def _emit_report_text(report: engine.ClassificationReport,
 
 def _load_inputs(args) -> tuple:
     """(fiber ring, input description) from either --fiber or n/a/b flags."""
-    if getattr(args, "fiber", None):
+    if args.fiber:
+        # --a and --b default to None, read as even below, so that an
+        # explicit flag is told apart from none
+        if (args.n, args.a, args.b) != (None, None, None):
+            raise OrbitCohomError(
+                "--fiber cannot be combined with --n, --a or --b")
         ring = load_fiber(args.fiber)
         return ring, {"fiber_file": args.fiber, "group": args.group}
     if args.n is None:
         raise OrbitCohomError("either --fiber or --n is required")
-    a = normalize_parity(args.a)
-    b = normalize_parity(args.b)
+    a = normalize_parity(0 if args.a is None else args.a)
+    b = normalize_parity(0 if args.b is None else args.b)
     ring = make_type_ab(args.n, a, b)
     return ring, {"group": args.group, "n": args.n,
                   "a": "odd" if a else "even", "b": "odd" if b else "even"}
@@ -124,23 +129,8 @@ def _cmd_classify(args) -> int:
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
     if args.self_check:
-        problems = []
-        for out in report.outcomes:
-            # The monomial basis walk cannot enumerate a two-term relation;
-            # the oracle comparison below still checks such an outcome.
-            binomial = [presentation.relation_str(r)
-                        for r in out.presentation.relations if len(r) != 1]
-            if binomial:
-                print(f"note: monomial-basis check skipped for "
-                      f"{presentation.presentation_str(out.presentation)}: "
-                      f"two-term relation {', '.join(binomial)}",
-                      file=sys.stderr)
-            else:
-                problems += presentation.basis_problems(out, report.top_degree)
-        from . import oracle
-        cap = oracle.min_cap(ring, group) if args.cap is None else args.cap
-        orep = oracle.brute_force_classify(ring, group, cap)
-        problems += oracle.compare_reports(report, orep)
+        from . import selfcheck
+        problems = selfcheck.self_check(report, args.cap)
         if problems:
             for p in problems:
                 print(f"self-check failed: {p}", file=sys.stderr)
@@ -238,18 +228,17 @@ def _cmd_oracle_check(args) -> int:
     return 2 if problems else 0
 
 
-def _add_common(sub, with_parities=True):
+def _add_common(sub):
     sub.add_argument("--group", choices=("z2", "s1"), default="z2",
                      help="transformation group: z2 (order two) or s1 (circle)")
-    if with_parities:
-        sub.add_argument("--n", type=int, default=None,
-                         help="degree of the first positive class")
-        sub.add_argument("--a", default="0",
-                         help="parity of a (even/odd or an integer)")
-        sub.add_argument("--b", default="0",
-                         help="parity of b (even/odd or an integer)")
-        sub.add_argument("--fiber", default=None,
-                         help="JSON file describing an arbitrary fiber ring")
+    sub.add_argument("--n", type=int, default=None,
+                     help="degree of the first positive class")
+    sub.add_argument("--a", default=None,
+                     help="parity of a (even/odd or an integer)")
+    sub.add_argument("--b", default=None,
+                     help="parity of b (even/odd or an integer)")
+    sub.add_argument("--fiber", default=None,
+                     help="JSON file describing an arbitrary fiber ring")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 

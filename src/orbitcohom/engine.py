@@ -1,10 +1,11 @@
 """Spectral-sequence engine for the Borel fibration of a free action.
 
-Starting from the tensor-product second page, the engine enumerates every
-choice of nonzero differentials among the slots of each round, prunes the
-choices that break the Leibniz rule or d o d = 0, turns pages, and keeps
-exactly the branches whose limit page is compatible with a free action
-(finite, and supported in total degree at most the fiber dimension).
+Starting from the tensor-product second page, the engine takes one step
+per round, ``branches``: it enumerates every choice of nonzero
+differentials among the round's slots, rejects the choices that break the
+Leibniz rule or d o d = 0, and takes homology under the others. ``classify``
+keeps exactly the branches whose limit page is compatible with a free
+action (finite, and supported in total degree at most the fiber dimension).
 
 Differentials are recorded only on row generators: every starting row is a
 free module over the base ring H*(B_G) = F2[t] and the differentials are
@@ -95,9 +96,6 @@ class DifferentialPattern(Record):
         # ascending rows whose generator maps nonzero
         object.__setattr__(self, "sources", sources)
 
-    def coefficient_map(self) -> Dict[int, int]:
-        return dict.fromkeys(self.sources, 1)
-
 
 class Outcome(NamedTuple):
     history: Tuple[DifferentialPattern, ...]
@@ -147,32 +145,13 @@ def build_e2(fiber: FiberRing, group: GroupChoice) -> Page:
         generator = names[0] if len(names) == 1 else None
         rows[deg] = PageRow(free_module(step, rank=len(names)), generator)
     return Page(fiber=fiber, group=group,
-                rounds=_round_schedule(fiber, group), rows=rows)
+                rounds=admissible_rounds(fiber, group), rows=rows)
 
 
-def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> List[int]:
-    """Rounds that can carry a nonzero differential for a type-(a,b) fiber.
-
-    Only r in {n+1, 2n+1, 3n+1} connect two nonzero rows, and for the
-    circle only the even ones exist at all.
-    """
-    degrees = sorted(d for _, d in fiber.basis if d > 0)
-    if not degrees:
-        raise UnsupportedShapeError("fiber has no positive-degree rows")
-    n = degrees[0]
-    if degrees != [n, 2 * n, 3 * n]:
-        raise UnsupportedShapeError(
-            "fiber rows are not at n, 2n, 3n; general fibers use slot "
-            "enumeration directly")
-    return list(_round_schedule(fiber, group))
-
-
-def _round_schedule(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
+def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
     """Every round r >= 2 that can connect two nonzero rows: a gap between
-    two basis degrees plus one, kept when the group's step divides it.
-
-    ``admissible_rounds`` returns it for a fiber of type (a,b).
-    """
+    two basis degrees plus one, kept when the group's step divides it (of
+    n+1, 2n+1 and 3n+1 for a fiber of type (a,b))."""
     degrees = sorted({d for _, d in fiber.basis})
     rounds = sorted({hi - lo + 1 for hi in degrees for lo in degrees
                      if hi > lo and (hi - lo + 1) % group.step == 0})
@@ -313,31 +292,22 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     return None
 
 
-def _branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str]]]:
-    """Every pattern of the page's round, in binary order over its slots,
-    with its first violated constraint (None when consistent)."""
+def branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str],
+                                           Optional[Page]]]:
+    """One step: each pattern of the page's round, in binary order over its
+    slots, with its first violated constraint (None when consistent) and
+    the homology of the page under it (None when inconsistent)."""
     slots = differential_slots(page)
     for coeffs in itertools.product((0, 1), repeat=len(slots)):
         pattern = DifferentialPattern(page.round,
                                       tuple(itertools.compress(slots, coeffs)))
-        yield pattern, check_pattern(page, pattern)
-
-
-def enumerate_patterns(page: Page) -> List[DifferentialPattern]:
-    """All constraint-consistent patterns of the page's round, in binary order."""
-    return [pattern for pattern, reason in _branches(page) if reason is None]
-
-
-def turn_page(page: Page, pattern: DifferentialPattern) -> Page:
-    """Homology of the page under the pattern, rows back in canonical form."""
-    reason = check_pattern(page, pattern)
-    if reason is not None:
-        raise PreconditionError(f"inconsistent pattern: {reason}")
-    return _turn(page, pattern)
+        reason = check_pattern(page, pattern)
+        yield pattern, reason, _turn(page, pattern) if reason is None else None
 
 
 def _turn(page: Page, pattern: DifferentialPattern) -> Page:
-    """turn_page for a pattern already known to pass check_pattern."""
+    """Homology of the page under a pattern that passed check_pattern, rows
+    back in canonical form."""
     r = pattern.round
     step = page.step
     e = r // step
@@ -410,12 +380,12 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
                     history, None,
                     "survival: classes persist to infinity or above the top degree"))
             return
-        for pattern, reason in _branches(page):
+        for pattern, reason, next_page in branches(page):
             branch = history + (pattern,)
             if reason is not None:
                 rejected.append(RejectedBranch(branch, r, reason))
             else:
-                dfs(_turn(page, pattern), branch)
+                dfs(next_page, branch)
 
     dfs(page0, ())
     outcomes.sort(key=lambda o: o.history_key())

@@ -3,9 +3,10 @@
 The oracle works on an explicit truncated cell model of the second page:
 one cell per (base degree, fiber class) with total degree under a cap.
 It counts every joint generator-level coefficient assignment across all
-rounds, checks the Leibniz rule cell by cell on actual basis products,
-turns pages cell by cell (a cell survives when it is neither hit nor hits;
-an assignment with d o d != 0 is rejected), and reports surviving
+rounds (``engine.admissible_rounds``), checks the Leibniz rule cell by
+cell on actual basis products, takes homology cell by cell (a cell
+survives when it is neither hit nor hits; an assignment with d o d != 0
+is rejected), and reports surviving
 dimensions per total degree. Nothing here shares interval or bitmask
 machinery with the engine, so agreement is meaningful evidence.
 
@@ -31,7 +32,7 @@ import itertools
 from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
                     Set, Tuple)
 
-from .engine import GroupChoice, _round_schedule
+from .engine import GroupChoice, admissible_rounds
 from .errors import (InvalidInputError, OversizedInstanceError,
                      UnsupportedShapeError)
 from .fiber import FiberRing, validate as validate_fiber
@@ -72,7 +73,7 @@ class OracleReport(NamedTuple):
 
 def min_cap(fiber: FiberRing, group: GroupChoice) -> int:
     """Smallest truncation degree the oracle accepts for this input."""
-    rounds = _round_schedule(fiber, group)
+    rounds = admissible_rounds(fiber, group)
     return fiber.top_degree + (max(rounds) if rounds else 0) + group.step
 
 
@@ -197,7 +198,7 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     Every choice of nonzero generator differentials for every round is
     counted, walked round by round: a round's choices are the subsets of
     its usable slots, those whose source generator, target generator and
-    target class are live (the engine's slot convention). A subset stands
+    target class are live (as in ``engine.differential_slots``). A subset stands
     for 2^(dead slots) choices of its round, so each subset is checked
     and turned once. A rejected subset counts its weight times every
     choice of the later rounds as rejected assignments. An outcome is keyed
@@ -205,7 +206,7 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     the engine, and each key is reached by exactly one walk.
     """
     tc = truncate_e2(fiber, group, cap)
-    rounds = _round_schedule(fiber, group)
+    rounds = admissible_rounds(fiber, group)
     slots = [[l for l in sorted(tc.names) if 0 <= l - r + 1 < l
               and l - r + 1 in tc.names] for r in rounds]
     # Joint choices of the rounds after round i.

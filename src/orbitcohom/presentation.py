@@ -11,7 +11,6 @@ reported as extension flags, never silently resolved.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import ItemsView, Mapping
 from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple)
@@ -19,7 +18,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
 from .errors import UnsupportedShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import GroupChoice, Outcome, Page
+    from .engine import GroupChoice, Page
 
 # A monomial is a tuple of (generator name, exponent) pairs in canonical
 # generator order; a relation is a tuple of monomials whose sum is zero.
@@ -273,100 +272,3 @@ def _extension_flags(e_inf, pres: RingPresentation, z_names,
             flags.append(ExtensionFlag(monomial_str(mono), tuple(candidates)))
     flags.sort(key=lambda f: f.product)
     return flags
-
-
-def monomial_basis_elements(pres: RingPresentation,
-                            max_degree: int) -> List[Tuple[int, Monomial]]:
-    """All (degree, monomial) basis elements of the presented ring up to max_degree.
-
-    Only presentations whose relations each kill a single monomial are
-    enumerable this way; two-term relations would need rewriting machinery
-    that is out of scope.
-    """
-    gens = pres.generators
-    # Each vanishing monomial as an exponent vector in generator order.
-    zero_vectors: List[Tuple[int, ...]] = []
-    for rel in pres.relations:
-        if len(rel) != 1:
-            raise UnsupportedShapeError("basis enumeration needs monomial relations")
-        zero = dict(rel[0])
-        zero_vectors.append(tuple(zero.get(name, 0) for name, _ in gens))
-
-    out: List[Tuple[int, Monomial]] = []
-
-    def divisible(exps: List[int], zero: Tuple[int, ...]) -> bool:
-        return all(e >= z for e, z in zip(exps, zero))
-
-    def walk(i: int, exps: List[int], degree: int):
-        if i == len(gens):
-            if not any(divisible(exps, z) for z in zero_vectors):
-                mono = tuple((name, e) for (name, _), e in zip(gens, exps) if e)
-                out.append((degree, mono))
-            return
-        name, d = gens[i]
-        e = 0
-        while degree + d * e <= max_degree:
-            exps.append(e)
-            walk(i + 1, exps, degree + d * e)
-            exps.pop()
-            e += 1
-
-    walk(0, [], 0)
-    out.sort()
-    return out
-
-
-def basis_problems(outcome: "Outcome", top_degree: int) -> List[str]:
-    """Disagreements between an outcome's ring data and its monomial basis.
-
-    Enumerates the monomial basis of the presentation up to top_degree and
-    compares its count per degree with the Poincare series read off the
-    page, and, for an outcome with an index (Z/2), its largest nonzero pure
-    power of x with that index. Empty means agreement.
-    """
-    pres = outcome.presentation
-    elements = monomial_basis_elements(pres, top_degree)
-    counts = Counter(degree for degree, _ in elements)
-    key = outcome.history_key()
-    problems = [
-        f"outcome {key}: degree {d} has {counts.get(d, 0)} basis monomials "
-        f"but Poincare dimension {outcome.poincare.get(d, 0)}"
-        for d in sorted(set(counts) | set(outcome.poincare))
-        if counts.get(d, 0) != outcome.poincare.get(d, 0)]
-    if outcome.index is not None:
-        x = pres.base_generator
-        walked = max((mono[0][1] for _, mono in elements
-                      if len(mono) == 1 and mono[0][0] == x), default=0)
-        if walked != outcome.index:
-            problems.append(f"outcome {key}: largest basis power of x is "
-                            f"{walked} but the index is {outcome.index}")
-    return problems
-
-
-def same_presentation(p1: RingPresentation, p2: RingPresentation) -> bool:
-    """Equality after canonicalization, allowing renames within equal degree."""
-
-    def forms(p: RingPresentation):
-        gens = sorted(p.generators, key=lambda g: (g[1], g[0]))
-        degrees = tuple(d for _, d in gens)
-        # permute names within each degree class
-        by_degree: Dict[int, List[str]] = {}
-        for name, d in gens:
-            by_degree.setdefault(d, []).append(name)
-        degree_classes = [by_degree[d] for d in sorted(by_degree)]
-        for perm_parts in itertools.product(
-                *[itertools.permutations(c) for c in degree_classes]):
-            rename = {}
-            slot = 0
-            for part in perm_parts:
-                for name in part:
-                    rename[name] = slot
-                    slot += 1
-            rels = frozenset(
-                tuple(sorted(tuple(sorted((rename[g], e) for g, e in mono))
-                             for mono in rel))
-                for rel in p.relations)
-            yield degrees, rels
-
-    targets = set(forms(p2))
-    return any(f in targets for f in forms(p1))

@@ -20,6 +20,7 @@ from orbitcohom import cli, engine
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_LARGE = Path(__file__).with_name("golden_cli_large.json")
+FIBER_U6 = str(Path(__file__).with_name("fiber_truncated_u6.json"))
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +190,17 @@ def test_fiber_file_input(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["inputs"]["fiber_file"] == str(path)
     assert parsed["verdict"] == "free-action-possible"
+
+
+@pytest.mark.parametrize("command", ["classify", "index", "oracle-check"])
+@pytest.mark.parametrize("flag", [("--n", "2"), ("--a", "0"), ("--b", "odd")])
+def test_fiber_with_a_type_ab_flag_exits_one(capsys, command, flag):
+    # an explicit --a 0 is refused too, not read as the default
+    code, out, err = run_cli(capsys, command, "--fiber", FIBER_U6, *flag)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: --fiber cannot be combined with --n, --a or --b"]
 
 
 def test_fiber_file_bad_references_exit_one(tmp_path, capsys):
@@ -461,12 +473,12 @@ def test_large_n_json_output_peak_rss_stays_bounded():
 
 def test_cli_import_leaves_out_dataclasses_and_the_oracle():
     """``import orbitcohom.cli`` loads neither ``dataclasses`` and its
-    ``inspect`` chain nor the oracle, which the package imports on first use
-    of one of its names."""
+    ``inspect`` chain nor the oracle or the self-check, which the package
+    imports on first use of one of their names."""
     script = ("import json, sys\n"
               "import orbitcohom, orbitcohom.cli\n"
-              "loaded = sorted({'dataclasses', 'inspect', 'orbitcohom.oracle'}\n"
-              "                & set(sys.modules))\n"
+              "loaded = sorted({'dataclasses', 'inspect', 'orbitcohom.oracle',\n"
+              "                 'orbitcohom.selfcheck'} & set(sys.modules))\n"
               "lazy = orbitcohom.brute_force_classify\n"
               "oracle = sys.modules.get('orbitcohom.oracle')\n"
               "print(json.dumps([loaded, oracle is not None\n"

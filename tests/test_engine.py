@@ -1,19 +1,19 @@
 """Tests for the page engine: second page, rounds, patterns, page turns."""
 
+import os
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcohom.engine import (GroupChoice, admissible_rounds, build_e2,
-                               check_pattern, classify, differential_slots,
-                               DifferentialPattern, enumerate_patterns,
-                               is_free_admissible, Page,
-                               PageRow, turn_page, _round_schedule, _sum_hit)
+from orbitcohom.engine import (GroupChoice, admissible_rounds, branches,
+                               build_e2, check_pattern, classify,
+                               differential_slots, DifferentialPattern,
+                               is_free_admissible, Page, PageRow, _sum_hit)
 from orbitcohom.errors import (InvalidInputError, InvariantError,
                                PreconditionError, UnsupportedShapeError)
-from orbitcohom.fiber import FiberRing, make_type_ab, point_ring
+from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab, point_ring
 from orbitcohom.intervals import INFINITE, IntervalModule, free_module, runs
 
 
@@ -49,23 +49,29 @@ def test_build_e2_rejects_invalid_fiber():
 
 
 def test_admissible_rounds():
-    assert admissible_rounds(make_type_ab(2, 0, 0), GroupChoice.Z2) == [3, 5, 7]
-    assert admissible_rounds(make_type_ab(3, 0, 0), GroupChoice.CIRCLE) == [4, 10]
-    assert admissible_rounds(make_type_ab(2, 0, 0), GroupChoice.CIRCLE) == []
+    assert admissible_rounds(make_type_ab(2, 0, 0), GroupChoice.Z2) == (3, 5, 7)
+    assert admissible_rounds(make_type_ab(3, 0, 0), GroupChoice.CIRCLE) == (4, 10)
+    assert admissible_rounds(make_type_ab(2, 0, 0), GroupChoice.CIRCLE) == ()
 
 
-def test_round_schedule_is_admissible_rounds_for_type_ab():
+def test_admissible_rounds_closed_form_for_type_ab():
+    # rows 0, n, 2n, 3n are joined by the rounds n+1, 2n+1 and 3n+1; the
+    # circle keeps only the even ones
     for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
         for n in range(1, 25):
-            fiber = make_type_ab(n, 0, 1)
-            assert _round_schedule(fiber, group) == tuple(
-                admissible_rounds(fiber, group)), (group, n)
-    assert _round_schedule(point_ring(), GroupChoice.Z2) == ()
+            expected = tuple(r for r in (n + 1, 2 * n + 1, 3 * n + 1)
+                             if r % group.step == 0)
+            assert admissible_rounds(make_type_ab(n, 0, 1), group) == expected, (
+                group, n)
 
 
-def test_admissible_rounds_rejects_other_shapes():
-    with pytest.raises(UnsupportedShapeError):
-        admissible_rounds(point_ring(), GroupChoice.Z2)
+def test_admissible_rounds_of_other_shapes():
+    assert admissible_rounds(point_ring(), GroupChoice.Z2) == ()
+    # F2[u]/(u^6), |u| = 1: every gap 1..5 plus one
+    u6 = load_fiber(os.path.join(os.path.dirname(__file__),
+                                 "fiber_truncated_u6.json"))
+    assert admissible_rounds(u6, GroupChoice.Z2) == (2, 3, 4, 5, 6)
+    assert admissible_rounds(u6, GroupChoice.CIRCLE) == (2, 4, 6)
 
 
 def test_slots_on_e2():
@@ -93,7 +99,7 @@ def test_finished_page_has_no_round():
     page = report.outcomes[0].e_inf
     assert page.rounds == () and page.round is None
     with pytest.raises(PreconditionError):
-        enumerate_patterns(page)
+        list(branches(page))
 
 
 def test_leibniz_forces_vanishing_on_v1():
@@ -108,14 +114,20 @@ def test_enumerate_patterns_even_even_round3():
     # the v1 slot is forced to zero and v2, v3 cannot both be hit
     # (d o d through the middle row), leaving 3 of 8 assignments
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    patterns = enumerate_patterns(page)
+    patterns = [p for p, reason, _ in branches(page) if reason is None]
     assert [p.round for p in patterns] == [3, 3, 3]
     assert [p.sources for p in patterns] == [(), (6,), (4,)]  # binary order
 
 
+def _next_page(page, pattern):
+    """The next page branches(page) gives for pattern; None when rejected."""
+    (next_page,) = [nxt for p, _, nxt in branches(page) if p == pattern]
+    return next_page
+
+
 def test_turn_page_known_intervals():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    nxt = turn_page(page, DifferentialPattern(3, (4,)))
+    nxt = _next_page(page, DifferentialPattern(3, (4,)))
     assert nxt.rows[0].module.summands == ((0, INFINITE),)
     assert nxt.rows[2].module.summands == ((0, 3),)
     assert 4 not in nxt.rows
@@ -124,9 +136,9 @@ def test_turn_page_known_intervals():
 
     # round 5 has no slots left; round 7 kills rows 0 and 6 against each other
     assert differential_slots(nxt) == ()
-    mid = turn_page(nxt, DifferentialPattern(5, ()))
+    mid = _next_page(nxt, DifferentialPattern(5, ()))
     assert differential_slots(mid) == (6,)
-    final = turn_page(mid, DifferentialPattern(7, (6,)))
+    final = _next_page(mid, DifferentialPattern(7, (6,)))
     assert final.rows[0].module.summands == ((0, 7),)
     assert 6 not in final.rows
     assert final.rounds == () and final.round is None
@@ -134,7 +146,7 @@ def test_turn_page_known_intervals():
 
 def test_turn_page_all_zero_keeps_modules():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    nxt = turn_page(page, DifferentialPattern(3, ()))
+    nxt = _next_page(page, DifferentialPattern(3, ()))
     assert {l: r.module for l, r in nxt.rows.items()} == {
         l: r.module for l, r in page.rows.items()}
     assert nxt.round == 5
@@ -143,8 +155,10 @@ def test_turn_page_all_zero_keeps_modules():
 def test_turn_page_rejects_inconsistent_pattern():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
     bad = DifferentialPattern(3, (4, 6))  # d o d through row 4
-    with pytest.raises(PreconditionError):
-        turn_page(page, bad)
+    ((reason, next_page),) = [(reason, nxt) for p, reason, nxt
+                              in branches(page) if p == bad]
+    assert "d o d" in reason
+    assert next_page is None
 
 
 @pytest.mark.parametrize("source", [0, 99])
@@ -154,8 +168,6 @@ def test_pattern_naming_a_non_slot_source_is_refused(source):
     pattern = DifferentialPattern(3, (source,))
     with pytest.raises(PreconditionError, match="not differential slots"):
         check_pattern(page, pattern)
-    with pytest.raises(PreconditionError, match="not differential slots"):
-        turn_page(page, pattern)
 
 
 def test_pattern_round_must_match_page_round():
@@ -172,7 +184,7 @@ def test_turn_page_raises_when_the_unit_dies():
             2: PageRow(free_module(1), "v1")}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
     with pytest.raises(InvariantError, match="unit"):
-        turn_page(page, DifferentialPattern(3, ()))
+        list(branches(page))
 
 
 def _sum_hit_per_bit(left: int, right: int, sums: int) -> bool:
@@ -234,8 +246,9 @@ def test_large_n_memory_stays_bounded(a, b):
 
 def test_dimensions_never_increase():
     page = build_e2(make_type_ab(2, 0, 1), GroupChoice.Z2)
-    for pattern in enumerate_patterns(page):
-        nxt = turn_page(page, pattern)
+    for _, reason, nxt in branches(page):
+        if reason is not None:
+            continue
         for l, row in nxt.rows.items():
             old = page.rows[l].module
             for k in range(0, 25):

@@ -9,11 +9,11 @@ from orbitcohom.errors import UnsupportedShapeError
 from orbitcohom.fiber import make_type_ab, point_ring
 from orbitcohom.intervals import IntervalModule
 from orbitcohom.presentation import (ExtensionFlag, _extension_flags,
-                                     basis_problems, make_presentation,
-                                     monomial_basis_elements, monomial_str,
-                                     presentation_str,
-                                     relation_str, same_presentation,
+                                     make_presentation, monomial_str,
+                                     presentation_str, relation_str,
                                      tot_poincare)
+from orbitcohom.selfcheck import (basis_problems, monomial_basis_elements,
+                                  same_presentation)
 
 
 def _z2_ring(n, power, z_deg, z_len=None):

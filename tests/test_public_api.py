@@ -1,0 +1,54 @@
+"""The package's public surface: its exported names and the README's
+library examples."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import orbitcohom
+import orbitcohom.engine
+import orbitcohom.selfcheck
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    # eager names and the ones the package imports on first use
+    missing = [name for name in orbitcohom.__all__
+               if not hasattr(orbitcohom, name)]
+    assert missing == []
+
+
+def test_second_ways_to_step_a_page_are_gone():
+    for name in ("enumerate_patterns", "turn_page", "_round_schedule"):
+        assert not hasattr(orbitcohom, name), name
+        assert not hasattr(orbitcohom.engine, name), name
+
+
+def test_lazy_names_are_the_selfcheck_module_functions():
+    assert orbitcohom.same_presentation is orbitcohom.selfcheck.same_presentation
+    assert orbitcohom.basis_problems is orbitcohom.selfcheck.basis_problems
+
+
+def _library_blocks():
+    """(code, documented output) of each python block of the README's
+    Library section; the output is the block's trailing ``# `` lines."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    for code in re.findall(r"```python\n(.*?)```", section, re.S):
+        lines = code.rstrip("\n").split("\n")
+        expected = []
+        while lines[-1].startswith("# "):
+            expected.insert(0, lines.pop()[2:])
+        yield code, expected
+
+
+def test_readme_library_examples_print_what_they_document():
+    blocks = list(_library_blocks())
+    assert len(blocks) == 2
+    for code, expected in blocks:
+        assert expected == ["F2[x(1),z(2)]/(z^2, x^3*z, x^7) 6"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, str(README), "exec"), {})
+        assert out.getvalue().splitlines() == expected
