@@ -174,9 +174,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_index(args) -> int:
     if args.group != "z2":
-        print("error: the mod-2 cohomology index is defined for --group z2 only",
-              file=sys.stderr)
-        return 1
+        raise OrbitCohomError(
+            "the mod-2 cohomology index is defined for --group z2 only")
     ring, inputs = _load_inputs(args)
     report = engine.classify(ring, engine.GroupChoice.Z2)
     per_outcome = tuple(o.index for o in report.outcomes)
@@ -204,9 +203,8 @@ def _cmd_oracle_check(args) -> int:
     ring, inputs = _load_inputs(args)
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
-    cap = oracle.min_cap(ring, group) if args.cap is None else args.cap
-    orep = oracle.brute_force_classify(ring, group, cap)
-    problems = oracle.compare_reports(report, orep)
+    orep, problems = oracle.check(report, args.cap)
+    cap = orep.complex.cap
     doc = {
         "inputs": inputs,
         "cap": cap,

@@ -7,6 +7,9 @@ Leibniz rule or d o d = 0, and takes homology under the others. ``classify``
 keeps exactly the branches whose limit page is compatible with a free
 action (finite, and supported in total degree at most the fiber dimension).
 
+Row l of a page is the F2[t]-module of the fiber's degree l. Its generator
+is the fiber's one basis element of that degree, and it survives while
+column 0 does; a fiber with two basis elements in one degree is refused.
 Differentials are recorded only on row generators: every starting row is a
 free module over the base ring H*(B_G) = F2[t] and the differentials are
 module maps over it, so the generator values determine everything. A
@@ -50,20 +53,14 @@ class GroupChoice(enum.Enum):
         return 1 if self is GroupChoice.Z2 else 2
 
 
-class PageRow(Record):
-    __slots__ = ("module", "generator")
-
-    def __init__(self, module: IntervalModule, generator: Optional[str]):
-        object.__setattr__(self, "module", module)
-        # names the class of 1 (x) v_l when column 0 survives
-        object.__setattr__(self, "generator", generator)
-
-
 class Page(Record):
+    """A page of the spectral sequence. Its rows are degrees of its fiber:
+    row l is the F2[t]-module left of the free row on 1 (x) fiber.names[l],
+    whose generator lives while column 0 does."""
     __slots__ = ("fiber", "group", "rounds", "rows", "_scan_cache")
 
     def __init__(self, fiber: FiberRing, group: GroupChoice,
-                 rounds: Tuple[int, ...], rows: Dict[int, PageRow]):
+                 rounds: Tuple[int, ...], rows: Dict[int, IntervalModule]):
         object.__setattr__(self, "fiber", fiber)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "rounds", rounds)  # remaining, current first
@@ -131,21 +128,17 @@ class ClassificationReport(NamedTuple):
 
 
 def build_e2(fiber: FiberRing, group: GroupChoice) -> Page:
-    """Second page of the Borel fibration: each fiber row free over F2[t]."""
+    """Second page of the Borel fibration: each fiber row free of rank one
+    over F2[t]. Two basis elements in one degree are refused."""
     problems = validate_fiber(fiber)
     if problems:
         raise InvalidInputError("invalid fiber ring: " + "; ".join(problems))
-    step = group.step
-    rows: Dict[int, PageRow] = {}
-    by_degree: Dict[int, List[str]] = {}
-    for name, deg in fiber.basis:
-        by_degree.setdefault(deg, []).append(name)
-    for deg in sorted(by_degree):
-        names = by_degree[deg]
-        generator = names[0] if len(names) == 1 else None
-        rows[deg] = PageRow(free_module(step, rank=len(names)), generator)
+    if len(fiber.names) != len(fiber.basis):
+        raise UnsupportedShapeError("rows of rank > 1 are not classifiable")
+    row = free_module(group.step)
     return Page(fiber=fiber, group=group,
-                rounds=admissible_rounds(fiber, group), rows=rows)
+                rounds=admissible_rounds(fiber, group),
+                rows={deg: row for deg in sorted(fiber.names)})
 
 
 def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
@@ -192,13 +185,13 @@ def _scan_page(page: Page) -> _Scan:
     if r is None:
         raise PreconditionError("the page has no differential rounds left")
     e = r // step
-    endpoint = max((row.module.max_finite_endpoint()
-                    for row in rows.values()), default=0)
+    endpoint = max((row.max_finite_endpoint() for row in rows.values()),
+                   default=0)
     rep = endpoint // step + 2 * e + 4
     nbits = 2 * rep + 2 * e + 4
-    masks = {l: row.module.column_mask(nbits) for l, row in rows.items()}
-    gens = tuple((l, rows[l].generator) for l in sorted(rows)
-                 if rows[l].generator is not None and masks[l] & 1)
+    masks = {l: row.column_mask(nbits) for l, row in rows.items()}
+    names = page.fiber.names
+    gens = tuple((l, names[l]) for l in sorted(rows) if masks[l] & 1)
     live = {l for l, _ in gens}
     slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
                   and masks[l - r + 1] >> e & 1)
@@ -235,6 +228,7 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     masks = scan.masks
     rep_mask = (1 << scan.rep_bits) - 1
     gens = scan.gens
+    names = page.fiber.names
 
     # Leibniz closure, columnwise: for generators u, v and all columns k, j,
     #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
@@ -254,13 +248,13 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
             u_mask = 0
             if lu in sources:
                 lu2 = lu - r + 1
-                gu2 = rows[lu2].generator
+                gu2 = names[lu2]
                 if page.fiber.mult(gu2, gv):
                     u_mask = masks.get(lu2, 0) >> e
             v_mask = 0
             if lv in sources:
                 lv2 = lv - r + 1
-                gv2 = rows[lv2].generator
+                gv2 = names[lv2]
                 if page.fiber.mult(gu, gv2):
                     v_mask = masks.get(lv2, 0) >> e
             if not (w_mask or u_mask or v_mask):
@@ -316,8 +310,8 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
     masks = scan.masks
     threshold = scan.nbits - 2 * e - 2  # supports are constant from this bit on
 
-    new_rows: Dict[int, PageRow] = {}
-    for l, old in sorted(page.rows.items()):
+    new_rows: Dict[int, IntervalModule] = {}
+    for l in sorted(page.rows):
         mask = masks[l]
         if l in sources:
             mask &= ~(masks[l - r + 1] >> e)
@@ -326,8 +320,8 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
             mask &= ~(masks[l + r - 1] << e)
         module = from_mask(step, mask, threshold)
         if not module.is_zero():
-            new_rows[l] = PageRow(module, old.generator if mask & 1 else None)
-    if 0 not in new_rows or not new_rows[0].module.alive(0):
+            new_rows[l] = module
+    if 0 not in new_rows or not new_rows[0].alive(0):
         raise InvariantError(f"the unit class did not survive round {r}")
     return Page(fiber=page.fiber, group=page.group, rounds=page.rounds[1:],
                 rows=new_rows)
@@ -336,9 +330,9 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
 def is_free_admissible(page: Page, top_degree: int) -> bool:
     """Freeness filter: finite page supported in total degree <= top_degree."""
     for l, row in page.rows.items():
-        if row.module.has_infinite():
+        if row.has_infinite():
             return False
-        top = row.module.max_degree()
+        top = row.max_degree()
         if top is not None and top >= 0 and l + top > top_degree:
             return False
     return True
@@ -351,8 +345,6 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
     every maximal branch lands exactly once in outcomes or rejected.
     """
     page0 = build_e2(fiber, group)
-    if any(row.generator is None for row in page0.rows.values()):
-        raise UnsupportedShapeError("rows of rank > 1 are not classifiable")
     top_degree = fiber.top_degree
 
     outcomes: List[Outcome] = []
@@ -365,7 +357,7 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
                 pres, flags = presentation.extract_presentation(page, group)
                 # x^m != 0 exactly when t^m survives on the base row (the
                 # edge map), so the index is the row's last live column.
-                index = (page.rows[0].module.max_degree()
+                index = (page.rows[0].max_degree()
                          if group is GroupChoice.Z2 else None)
                 outcomes.append(Outcome(
                     history=history,

@@ -39,7 +39,7 @@ def normalize_parity(value: Parity) -> int:
 
 class FiberRing(Record):
     __slots__ = ("basis", "unit", "products", "top_degree", "warnings",
-                 "_tbl", "_deg")
+                 "_tbl", "_deg", "_names")
 
     def __init__(self, basis: Tuple[Tuple[str, int], ...], unit: str,
                  products: Tuple[Tuple[Tuple[str, str], FrozenSet[str]], ...],
@@ -70,13 +70,17 @@ class FiberRing(Record):
         object.__setattr__(self, "warnings", warnings)
         object.__setattr__(self, "_tbl", dict(products))
         object.__setattr__(self, "_deg", dict(basis))
+        object.__setattr__(self, "_names", {deg: name for name, deg in basis})
 
     @property
     def degrees(self) -> Dict[str, int]:
         return self._deg
 
-    def _table(self) -> Dict[Tuple[str, str], FrozenSet[str]]:
-        return self._tbl
+    @property
+    def names(self) -> Dict[int, str]:
+        """Degree -> basis element; shorter than the basis when two
+        elements share a degree."""
+        return self._names
 
     def mult(self, u: str, v: str) -> FrozenSet[str]:
         """Product of two basis elements as an F2 combination (set of names)."""
@@ -144,7 +148,7 @@ def validate(ring: FiberRing) -> List[str]:
     violations: List[str] = []
     degrees = ring.degrees
     names = [name for name, _ in ring.basis]
-    table = ring._table()
+    table = ring._tbl
     if degrees[ring.unit] != 0:
         violations.append(f"unit: {ring.unit} has degree {degrees[ring.unit]}, not 0")
     for u in names:

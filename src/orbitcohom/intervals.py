@@ -13,8 +13,7 @@ conversion costs a few big-int operations per run, whatever the degrees.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InvalidInputError
 from .record import Record
@@ -60,17 +59,6 @@ class IntervalModule(Record):
     def has_infinite(self) -> bool:
         return any(length is INFINITE for _, length in self.summands)
 
-    def has_overlap(self) -> bool:
-        """True when two summands share a degree, i.e. some dimension exceeds 1."""
-        reach: Dict[int, float] = {}  # residue mod step -> end of support so far
-        for shift, length in self.summands:  # canonical order: by shift
-            res = shift % self.step
-            if shift < reach.get(res, -1):
-                return True
-            end = math.inf if length is INFINITE else shift + self.step * length
-            reach[res] = max(reach.get(res, -1), end)
-        return False
-
     def max_degree(self) -> Optional[int]:
         """Largest supported degree, or None when some summand is infinite."""
         if self.has_infinite():
@@ -105,8 +93,8 @@ class IntervalModule(Record):
         return mask
 
 
-def free_module(step: int, rank: int = 1) -> IntervalModule:
-    return IntervalModule(step, ((0, INFINITE),) * rank)
+def free_module(step: int) -> IntervalModule:
+    return IntervalModule(step, ((0, INFINITE),))
 
 
 def runs(mask: int) -> List[Tuple[int, int]]:

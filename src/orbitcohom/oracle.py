@@ -82,12 +82,10 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
     problems = validate_fiber(fiber)
     if problems:
         raise InvalidInputError("invalid fiber ring: " + "; ".join(problems))
-    names: Dict[int, str] = {}
-    for name, deg in fiber.basis:
-        if deg in names:
-            raise UnsupportedShapeError(
-                "oracle needs at most one basis element per degree")
-        names[deg] = name
+    names = fiber.names
+    if len(names) != len(fiber.basis):
+        raise UnsupportedShapeError(
+            "oracle needs at most one basis element per degree")
     lowest = min_cap(fiber, group)
     if cap < lowest:
         raise InvalidInputError(f"cap {cap} too small; need at least {lowest}")
@@ -273,6 +271,16 @@ def compare_reports(engine_report, oracle_report: OracleReport) -> List[str]:
                     f"outcome {key}: dimension mismatch in degree {deg}: "
                     f"engine {e_dims.get(deg, 0)}, oracle {o_dims.get(deg, 0)}")
     return problems
+
+
+def check(report, cap: Optional[int] = None) -> Tuple[OracleReport, List[str]]:
+    """The oracle's report on the engine report's input at cap (at
+    ``min_cap`` when cap is None), and its discrepancies with the engine's."""
+    fiber, group = report.fiber, report.group
+    if cap is None:
+        cap = min_cap(fiber, group)
+    orep = brute_force_classify(fiber, group, cap)
+    return orep, compare_reports(report, orep)
 
 
 def cap_stable(fiber: FiberRing, group: GroupChoice, cap: int) -> List[str]:

@@ -153,16 +153,16 @@ def tot_poincare(e_inf: "Page") -> PoincareSeries:
     step = e_inf.step
     terms = []
     for l, row in e_inf.rows.items():
-        if row.module.has_infinite():
+        if row.has_infinite():
             raise UnsupportedShapeError("page has an infinite row; no finite Poincare data")
-        terms += [(shift + l, step, length) for shift, length in row.module.summands
+        terms += [(shift + l, step, length) for shift, length in row.summands
                   if shift % step == 0]
     return PoincareSeries(tuple(sorted(terms)))
 
 
 def _single_interval(row) -> Tuple[int, int]:
     """(shift, length) of a row that is one finite summand, else raise."""
-    summands = row.module.summands
+    summands = row.summands
     if len(summands) != 1 or summands[0][1] is None:
         raise UnsupportedShapeError("row is not a single finite interval")
     return summands[0]
@@ -172,8 +172,8 @@ def extract_presentation(e_inf: "Page",
                          group: "GroupChoice") -> Tuple[RingPresentation, List[ExtensionFlag]]:
     """Presentation of the total ring of an admissible limit page.
 
-    Supports pages whose rows are rank <= 1 single intervals based at
-    column 0 (the shapes the classification produces); anything else is an
+    Supports pages whose rows are single intervals based at column 0 (the
+    shapes the classification produces); anything else is an
     unsupported-shape error.
     """
     step = group.step
@@ -182,9 +182,6 @@ def extract_presentation(e_inf: "Page",
     rows = e_inf.rows
     if 0 not in rows:
         raise UnsupportedShapeError("unit row is missing from the page")
-    for l, row in rows.items():
-        if row.module.has_overlap():
-            raise UnsupportedShapeError(f"row {l} has rank > 1")
 
     shift0, x_power = _single_interval(rows[0])
     if shift0 != 0:
@@ -201,10 +198,7 @@ def extract_presentation(e_inf: "Page",
     fiber_rows = sorted(l for l in rows if l > 0)
     z_names: Dict[int, str] = {}
     for i, l in enumerate(fiber_rows):
-        row = rows[l]
-        if row.generator is None:
-            raise UnsupportedShapeError(f"row {l} has no named generator")
-        shift, length = _single_interval(row)
+        shift, length = _single_interval(rows[l])
         if shift != 0:
             raise UnsupportedShapeError(f"row {l} does not start at column 0")
         name = "z" if len(fiber_rows) == 1 else f"z{i + 1}"
@@ -222,13 +216,13 @@ def extract_presentation(e_inf: "Page",
             relations.append(((((x_name, length), (name, 1))),))
 
     # Products of the fiber-row generators, induced from the starting page.
+    names = e_inf.fiber.names
     for li, lj in itertools.combinations_with_replacement(fiber_rows, 2):
-        gi, gj = rows[li].generator, rows[lj].generator
-        product = e_inf.fiber.mult(gi, gj)
+        product = e_inf.fiber.mult(names[li], names[lj])
         mono: Monomial = ((z_names[li], 2),) if li == lj else (
             (z_names[li], 1), (z_names[lj], 1))
         lw = li + lj
-        if product and lw in rows and rows[lw].module.alive(0):
+        if product and lw in rows and rows[lw].alive(0):
             target = ((z_names[lw], 1),)
             relations.append((mono, target))
         else:
@@ -261,7 +255,7 @@ def _extension_flags(e_inf, pres: RingPresentation, z_names,
         candidates = []
         for l in sorted(rows, reverse=True):
             k = degree - l
-            if k > filtration and k % step == 0 and rows[l].module.alive(k):
+            if k > filtration and k % step == 0 and rows[l].alive(k):
                 parts = []
                 if x_name:
                     parts.append(x_name if k == step else f"{x_name}^{k // step}")

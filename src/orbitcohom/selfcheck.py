@@ -32,11 +32,7 @@ def self_check(report: ClassificationReport,
                   file=sys.stderr)
         else:
             problems += basis_problems(out, report.top_degree)
-    fiber, group = report.fiber, report.group
-    if cap is None:
-        cap = oracle.min_cap(fiber, group)
-    orep = oracle.brute_force_classify(fiber, group, cap)
-    return problems + oracle.compare_reports(report, orep)
+    return problems + oracle.check(report, cap)[1]
 
 
 def monomial_basis_elements(pres: RingPresentation,

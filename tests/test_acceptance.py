@@ -191,9 +191,9 @@ def _naive_dd_ok(page, pattern, bound=40):
         if last < 0 or last not in page.rows:
             continue
         for k in range(0, bound):
-            if (page.rows[l].module.alive(k)
-                    and page.rows[mid].module.alive(k + r)
-                    and page.rows[last].module.alive(k + 2 * r)):
+            if (page.rows[l].alive(k)
+                    and page.rows[mid].alive(k + r)
+                    and page.rows[last].alive(k + 2 * r)):
                 return False
     return True
 
@@ -203,36 +203,36 @@ def _naive_square_rule_ok(page, pattern, bound=30):
     r = pattern.round
     step = page.step
     coeff = dict.fromkeys(pattern.sources, 1)
-    rows = page.rows
+    rows, names = page.rows, page.fiber.names
     for l, row in rows.items():
-        u = row.generator
-        if u is None or not row.module.alive(0):
+        if not row.alive(0):
             continue
+        u = names[l]
         square = page.fiber.mult(u, u)
         lw = 2 * l
         for k in range(0, bound, step):
-            if not row.module.alive(k):
+            if not row.alive(k):
                 continue
             for j in range(0, bound, step):
-                if not row.module.alive(j):
+                if not row.alive(j):
                     continue
                 lhs = 0
-                if (square and lw in rows and rows[lw].module.alive(k + j)
+                if (square and lw in rows and rows[lw].alive(k + j)
                         and coeff.get(lw, 0) and lw - r + 1 in rows
-                        and rows[lw - r + 1].module.alive(k + j + r)):
+                        and rows[lw - r + 1].alive(k + j + r)):
                     lhs = 1
                 terms = 0
                 lu2 = l - r + 1
                 if coeff.get(l, 0) and lu2 in rows:
-                    partner = rows[lu2].generator
+                    partner = names[lu2] if rows[lu2].alive(0) else None
                     cross = (page.fiber.mult(partner, u)
                              if partner else frozenset())
                     result_row = lw - r + 1
                     res_ok = (cross and result_row in rows
-                              and rows[result_row].module.alive(k + j + r))
-                    if res_ok and rows[lu2].module.alive(k + r):
+                              and rows[result_row].alive(k + j + r))
+                    if res_ok and rows[lu2].alive(k + r):
                         terms += 1
-                    if res_ok and rows[lu2].module.alive(j + r):
+                    if res_ok and rows[lu2].alive(j + r):
                         terms += 1
                 if (lhs + terms) % 2:
                     return False
@@ -280,11 +280,11 @@ def test_criterion_7_invariants():
                                           in branches(page)
                                           if p == pattern and reason is None]
                                 for l, row in nxt.rows.items():
-                                    old = page.rows[l].module
+                                    old = page.rows[l]
                                     for k in range(0, 30):
-                                        assert (row.module.dimension_at(k)
+                                        assert (row.dimension_at(k)
                                                 <= old.dimension_at(k))
-                                assert nxt.rows[0].module.alive(0)
+                                assert nxt.rows[0].alive(0)
                                 page = nxt
                             assert basis_problems(
                                 out, report.top_degree) == []

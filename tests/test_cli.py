@@ -21,6 +21,7 @@ from orbitcohom import cli, engine
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_LARGE = Path(__file__).with_name("golden_cli_large.json")
 FIBER_U6 = str(Path(__file__).with_name("fiber_truncated_u6.json"))
+FIBER_RANK_TWO = str(Path(__file__).with_name("fiber_rank_two.json"))
 
 
 def run_cli(capsys, *argv):
@@ -118,9 +119,12 @@ def test_index_command(capsys):
 
 
 def test_index_rejects_circle(capsys):
-    code, _, err = run_cli(capsys, "index", "--group", "s1", "--n", "2")
+    code, out, err = run_cli(capsys, "index", "--group", "s1", "--n", "2")
     assert code == 1
+    assert out == ""
     assert "z2" in err
+    assert err.splitlines() == [
+        "error: the mod-2 cohomology index is defined for --group z2 only"]
 
 
 def test_oracle_check_agreement(capsys):
@@ -201,6 +205,15 @@ def test_fiber_with_a_type_ab_flag_exits_one(capsys, command, flag):
     assert out == ""
     assert err.splitlines() == [
         "error: --fiber cannot be combined with --n, --a or --b"]
+
+
+@pytest.mark.parametrize("command", ["classify", "index", "oracle-check"])
+def test_rank_two_fiber_exits_one(capsys, command):
+    # two basis elements in degree 2 would make row 2 free of rank two
+    code, out, err = run_cli(capsys, command, "--fiber", FIBER_RANK_TWO)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: rows of rank > 1 are not classifiable"]
 
 
 def test_fiber_file_bad_references_exit_one(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from orbitcohom.engine import (GroupChoice, admissible_rounds, branches,
                                build_e2, check_pattern, classify,
                                differential_slots, DifferentialPattern,
-                               is_free_admissible, Page, PageRow, _sum_hit)
+                               is_free_admissible, Page, _sum_hit)
 from orbitcohom.errors import (InvalidInputError, InvariantError,
                                PreconditionError, UnsupportedShapeError)
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab, point_ring
@@ -21,17 +21,17 @@ def test_build_e2_rows_z2():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
     assert sorted(page.rows) == [0, 2, 4, 6]
     for row in page.rows.values():
-        assert row.module.summands == ((0, INFINITE),)
-        assert row.module.step == 1
+        assert row.summands == ((0, INFINITE),)
+        assert row.step == 1
 
 
 def test_build_e2_rows_circle():
     page = build_e2(make_type_ab(3, 0, 0), GroupChoice.CIRCLE)
     assert sorted(page.rows) == [0, 3, 6, 9]
     for row in page.rows.values():
-        assert row.module.step == 2
-        assert row.module.dimension_at(2) == 1
-        assert row.module.dimension_at(1) == 0
+        assert row.step == 2
+        assert row.dimension_at(2) == 1
+        assert row.dimension_at(1) == 0
 
 
 def test_build_e2_point_fiber():
@@ -88,10 +88,22 @@ def test_slots_on_e2():
 def test_slots_need_a_live_target_class():
     # row 0 dies at column 3 and beyond, so d3 on row 2 has no target
     fiber = make_type_ab(2, 0, 0)
-    rows = {0: PageRow(IntervalModule(1, ((0, 3),)), "1"),
-            2: PageRow(free_module(1), "v1")}
+    rows = {0: IntervalModule(1, ((0, 3),)), 2: free_module(1)}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
     assert differential_slots(page) == ()
+
+
+def test_slots_need_a_live_source_generator():
+    # row 2 has lost column 0, so its generator v1 is dead although the
+    # fiber still names it, and d3 on row 2 has no source
+    fiber = make_type_ab(2, 0, 0)
+    assert fiber.names[2] == "v1"
+    rows = {0: free_module(1), 2: IntervalModule(1, ((1, INFINITE),))}
+    page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
+    assert differential_slots(page) == ()
+    live = {0: free_module(1), 2: free_module(1)}
+    assert differential_slots(Page(fiber=fiber, group=GroupChoice.Z2,
+                                   rounds=(3,), rows=live)) == (2,)
 
 
 def test_finished_page_has_no_round():
@@ -128,10 +140,10 @@ def _next_page(page, pattern):
 def test_turn_page_known_intervals():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
     nxt = _next_page(page, DifferentialPattern(3, (4,)))
-    assert nxt.rows[0].module.summands == ((0, INFINITE),)
-    assert nxt.rows[2].module.summands == ((0, 3),)
+    assert nxt.rows[0].summands == ((0, INFINITE),)
+    assert nxt.rows[2].summands == ((0, 3),)
     assert 4 not in nxt.rows
-    assert nxt.rows[6].module.summands == ((0, INFINITE),)
+    assert nxt.rows[6].summands == ((0, INFINITE),)
     assert nxt.rounds == (5, 7) and nxt.round == 5
 
     # round 5 has no slots left; round 7 kills rows 0 and 6 against each other
@@ -139,7 +151,7 @@ def test_turn_page_known_intervals():
     mid = _next_page(nxt, DifferentialPattern(5, ()))
     assert differential_slots(mid) == (6,)
     final = _next_page(mid, DifferentialPattern(7, (6,)))
-    assert final.rows[0].module.summands == ((0, 7),)
+    assert final.rows[0].summands == ((0, 7),)
     assert 6 not in final.rows
     assert final.rounds == () and final.round is None
 
@@ -147,8 +159,7 @@ def test_turn_page_known_intervals():
 def test_turn_page_all_zero_keeps_modules():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
     nxt = _next_page(page, DifferentialPattern(3, ()))
-    assert {l: r.module for l, r in nxt.rows.items()} == {
-        l: r.module for l, r in page.rows.items()}
+    assert nxt.rows == page.rows
     assert nxt.round == 5
 
 
@@ -180,8 +191,7 @@ def test_turn_page_raises_when_the_unit_dies():
     # hand-built page whose unit row has lost column 0: a real error, not an
     # assert, so the check also holds under python -O
     fiber = make_type_ab(2, 0, 0)
-    rows = {0: PageRow(IntervalModule(1, ((1, INFINITE),)), None),
-            2: PageRow(free_module(1), "v1")}
+    rows = {0: IntervalModule(1, ((1, INFINITE),)), 2: free_module(1)}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
     with pytest.raises(InvariantError, match="unit"):
         list(branches(page))
@@ -250,9 +260,9 @@ def test_dimensions_never_increase():
         if reason is not None:
             continue
         for l, row in nxt.rows.items():
-            old = page.rows[l].module
+            old = page.rows[l]
             for k in range(0, 25):
-                assert row.module.dimension_at(k) <= old.dimension_at(k)
+                assert row.dimension_at(k) <= old.dimension_at(k)
 
 
 def test_is_free_admissible():
@@ -266,8 +276,7 @@ def test_is_free_admissible_checks_the_top_degree():
     fiber = make_type_ab(1, 0, 0)  # top degree 3
 
     def page(base, top_row):
-        rows = {0: PageRow(IntervalModule(1, (base,)), "1"),
-                3: PageRow(IntervalModule(1, (top_row,)), "v3")}
+        rows = {0: IntervalModule(1, (base,)), 3: IntervalModule(1, (top_row,))}
         return Page(fiber=fiber, group=GroupChoice.Z2, rounds=(), rows=rows)
 
     assert not is_free_admissible(page((0, 2), (0, 2)), 3)
@@ -314,7 +323,7 @@ def test_unit_survives_every_outcome():
         for b in (0, 1):
             report = classify(make_type_ab(2, a, b), GroupChoice.Z2)
             for out in report.outcomes:
-                assert out.e_inf.rows[0].module.alive(0)
+                assert out.e_inf.rows[0].alive(0)
 
 
 def test_classify_rejects_rank_two_rows():
@@ -328,6 +337,16 @@ def test_classify_rejects_rank_two_rows():
                      top_degree=2)
     with pytest.raises(UnsupportedShapeError):
         classify(ring, GroupChoice.Z2)
+
+
+@pytest.mark.parametrize("group", list(GroupChoice), ids=lambda g: g.value)
+def test_build_e2_rejects_rank_two_rows(group):
+    # u and w share degree 2, so row 2 would be free of rank two
+    ring = load_fiber(os.path.join(os.path.dirname(__file__),
+                                   "fiber_rank_two.json"))
+    with pytest.raises(UnsupportedShapeError,
+                       match=r"^rows of rank > 1 are not classifiable$"):
+        build_e2(ring, group)
 
 
 def test_even_even_index_is_3n():

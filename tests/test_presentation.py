@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcohom.engine import GroupChoice, Page, PageRow, classify
+from orbitcohom.engine import GroupChoice, Page, classify
 from orbitcohom.errors import UnsupportedShapeError
 from orbitcohom.fiber import make_type_ab, point_ring
 from orbitcohom.intervals import IntervalModule
@@ -119,11 +119,11 @@ def test_basis_problems_reports_injected_mismatches():
 def _tot_poincare_per_degree(e_inf):
     out = {}
     for l, row in e_inf.rows.items():
-        top = row.module.max_degree()
+        top = row.max_degree()
         if top is None:
             raise UnsupportedShapeError("page has an infinite row")
         for k in range(0, top + 1, e_inf.step):
-            d = row.module.dimension_at(k)
+            d = row.dimension_at(k)
             if d:
                 out[k + l] = out.get(k + l, 0) + d
     return dict(sorted(out.items()))
@@ -133,11 +133,11 @@ def _surviving_monomials(e_inf, z_names, x_name):
     step = e_inf.step
     out = []
     for l, row in e_inf.rows.items():
-        top = row.module.max_degree()
+        top = row.max_degree()
         if top is None:
             continue
         for k in range(0, top + 1, step):
-            if not row.module.dimension_at(k):
+            if not row.dimension_at(k):
                 continue
             parts = []
             if k and x_name:
@@ -196,8 +196,8 @@ def _finite_pages(draw):
     monomials in x and the row generators."""
     step = draw(st.integers(1, 2))
     ls = draw(st.sets(st.integers(1, 9), max_size=3))
-    rows = {l: PageRow(IntervalModule(step, tuple(
-                draw(st.lists(_finite_summand, min_size=1, max_size=4)))), None)
+    rows = {l: IntervalModule(step, tuple(
+                draw(st.lists(_finite_summand, min_size=1, max_size=4))))
             for l in {0} | ls}
     page = Page(fiber=point_ring(), group=GroupChoice(("z2", "s1")[step - 1]),
                 rounds=(), rows=rows)
@@ -230,7 +230,7 @@ def test_outcome_data_matches_reference_on_hand_built_pages(built):
 
 def test_tot_poincare_rejects_infinite_rows():
     page = Page(fiber=point_ring(), group=GroupChoice.Z2, rounds=(),
-                rows={0: PageRow(IntervalModule(1, ((0, 2), (4, None))), None)})
+                rows={0: IntervalModule(1, ((0, 2), (4, None)))})
     with pytest.raises(UnsupportedShapeError):
         tot_poincare(page)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from orbitcohom.engine import (DifferentialPattern, GroupChoice, Page, PageRow,
+from orbitcohom.engine import (DifferentialPattern, GroupChoice, Page,
                                build_e2, classify)
 from orbitcohom.errors import InvalidInputError
 from orbitcohom.fiber import FiberRing, make_type_ab, point_ring
@@ -20,8 +20,7 @@ def _records():
                                   min_cap(fiber, GroupChoice.Z2))
     page = out.e_inf
     return [
-        ("IntervalModule", page.rows[0].module, "summands"),
-        ("PageRow", page.rows[0], "generator"),
+        ("IntervalModule", page.rows[0], "summands"),
         ("Page", page, "rows"),
         ("DifferentialPattern", out.history[0], "sources"),
         ("FiberRing", fiber, "top_degree"),
@@ -57,9 +56,8 @@ def test_keyword_and_positional_constructors():
         basis=ring.basis, unit="1", products=ring.products, top_degree=0,
         warnings=())
     assert ring.warnings == () and ring.degrees == {"1": 0}
-    module = IntervalModule(step=1, summands=((0, 2),))
-    row = PageRow(module=module, generator="1")
-    assert row == PageRow(module, "1")
+    row = IntervalModule(step=1, summands=((0, 2),))
+    assert row == IntervalModule(1, ((0, 2),))
     page = Page(fiber=ring, group=GroupChoice.Z2, rounds=(), rows={0: row})
     assert page == Page(ring, GroupChoice.Z2, (), {0: row})
     assert page.step == 1 and page.round is None
@@ -98,5 +96,7 @@ def test_fiber_ring_validation_and_private_tables():
     assert ring != make_type_ab(2, 1, 0)
     assert ring.mult("v1", "v2") == frozenset({"v3"})
     assert "_tbl" not in repr(ring)
+    assert ring.names == {0: "1", 2: "v1", 4: "v2", 6: "v3"}
+    assert "_names" not in repr(ring)
     with pytest.raises(InvalidInputError):
         FiberRing(basis=(("1", 0),), unit="u", products=(), top_degree=0)
