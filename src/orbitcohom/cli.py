@@ -56,9 +56,9 @@ def _report_doc(report: engine.ClassificationReport, inputs: dict,
                 show_rejected: bool) -> dict:
     doc = {
         "inputs": inputs,
-        "warnings": list(report.warnings),
+        "warnings": list(report.fiber.warnings),
         "verdict": report.verdict,
-        "outcomes": [_outcome_doc(o, report.top_degree)
+        "outcomes": [_outcome_doc(o, report.fiber.top_degree)
                      for o in report.outcomes],
     }
     if show_rejected:
@@ -81,13 +81,13 @@ def _emit_json(doc: dict) -> None:
 
 def _emit_report_text(report: engine.ClassificationReport,
                       show_rejected: bool) -> None:
-    for w in report.warnings:
+    for w in report.fiber.warnings:
         print(f"warning: {w}")
     print(f"verdict: {report.verdict}")
     print(f"outcomes: {len(report.outcomes)}")
     for i, out in enumerate(report.outcomes, 1):
         print(f"[{i}] {presentation.presentation_str(out.presentation)}")
-        print(f"    poincare: {out.poincare.dense(report.top_degree)}")
+        print(f"    poincare: {out.poincare.dense(report.fiber.top_degree)}")
         if out.index is not None:
             print(f"    index: {out.index} (no equivariant sphere map above "
                   f"dimension {out.index})")
@@ -123,14 +123,12 @@ def _load_inputs(args) -> tuple:
 
 
 def _cmd_classify(args) -> int:
-    if args.cap is not None and not args.self_check:
-        raise OrbitCohomError("--cap needs --self-check")
     ring, inputs = _load_inputs(args)
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
     if args.self_check:
         from . import selfcheck
-        problems = selfcheck.self_check(report, args.cap)
+        problems = selfcheck.self_check(report)
         if problems:
             for p in problems:
                 print(f"self-check failed: {p}", file=sys.stderr)
@@ -203,7 +201,7 @@ def _cmd_oracle_check(args) -> int:
     ring, inputs = _load_inputs(args)
     group = engine.GroupChoice(args.group)
     report = engine.classify(ring, group)
-    orep, problems = oracle.check(report, args.cap)
+    orep, problems = oracle.check(report)
     cap = orep.complex.cap
     doc = {
         "inputs": inputs,
@@ -255,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-check", action="store_true",
                    help="cross-check each outcome against its monomial basis "
                         "and the brute-force oracle (exit 2 on disagreement)")
-    p.add_argument("--cap", type=int, default=None,
-                   help="truncation degree for the self-check oracle "
-                        "(needs --self-check)")
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("table", help="summary over all parity pairs")
@@ -272,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("oracle-check",
                         help="compare engine and brute-force oracle")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=None,
-                   help="truncation degree for the oracle model")
     p.set_defaults(func=_cmd_oracle_check)
     return parser
 

@@ -117,10 +117,8 @@ class RejectedBranch(NamedTuple):
 class ClassificationReport(NamedTuple):
     fiber: FiberRing
     group: GroupChoice
-    top_degree: int
     outcomes: Tuple[Outcome, ...]
     rejected: Tuple[RejectedBranch, ...]
-    warnings: Tuple[str, ...]
 
     @property
     def verdict(self) -> str:
@@ -184,13 +182,17 @@ def _scan_page(page: Page) -> _Scan:
     r, step, rows = page.round, page.step, page.rows
     if r is None:
         raise PreconditionError("the page has no differential rounds left")
+    names = page.fiber.names
+    stray = set(rows).difference(names)
+    if stray:
+        raise PreconditionError(
+            f"rows {sorted(stray)} are not degrees of the page's fiber")
     e = r // step
     endpoint = max((row.max_finite_endpoint() for row in rows.values()),
                    default=0)
     rep = endpoint // step + 2 * e + 4
     nbits = 2 * rep + 2 * e + 4
     masks = {l: row.column_mask(nbits) for l, row in rows.items()}
-    names = page.fiber.names
     gens = tuple((l, names[l]) for l in sorted(rows) if masks[l] & 1)
     live = {l for l, _ in gens}
     slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
@@ -327,13 +329,15 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
                 rows=new_rows)
 
 
-def is_free_admissible(page: Page, top_degree: int) -> bool:
-    """Freeness filter: finite page supported in total degree <= top_degree."""
+def is_free_admissible(page: Page) -> bool:
+    """Freeness filter: finite page supported in total degree at most the
+    fiber's top degree."""
+    top_degree = page.fiber.top_degree
     for l, row in page.rows.items():
         if row.has_infinite():
             return False
         top = row.max_degree()
-        if top is not None and top >= 0 and l + top > top_degree:
+        if top >= 0 and l + top > top_degree:
             return False
     return True
 
@@ -345,16 +349,14 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
     every maximal branch lands exactly once in outcomes or rejected.
     """
     page0 = build_e2(fiber, group)
-    top_degree = fiber.top_degree
-
     outcomes: List[Outcome] = []
     rejected: List[RejectedBranch] = []
 
     def dfs(page: Page, history: Tuple[DifferentialPattern, ...]):
         r = page.round
         if r is None:
-            if is_free_admissible(page, top_degree):
-                pres, flags = presentation.extract_presentation(page, group)
+            if is_free_admissible(page):
+                pres, flags = presentation.extract_presentation(page)
                 # x^m != 0 exactly when t^m survives on the base row (the
                 # edge map), so the index is the row's last live column.
                 index = (page.rows[0].max_degree()
@@ -382,6 +384,5 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
     dfs(page0, ())
     outcomes.sort(key=lambda o: o.history_key())
     return ClassificationReport(
-        fiber=fiber, group=group, top_degree=top_degree,
-        outcomes=tuple(outcomes), rejected=tuple(rejected),
-        warnings=tuple(fiber.warnings))
+        fiber=fiber, group=group,
+        outcomes=tuple(outcomes), rejected=tuple(rejected))

@@ -263,23 +263,22 @@ def compare_reports(engine_report, oracle_report: OracleReport) -> List[str]:
         if key not in oracle_keys:
             problems.append(f"engine-only outcome {key}")
             continue
-        e_dims = engine_keys[key].poincare
+        e_dims = engine_keys[key].poincare.dense(reliable)
         o_dims = oracle_keys[key].dims
-        for deg in range(reliable + 1):
-            if e_dims.get(deg, 0) != o_dims.get(deg, 0):
+        for deg, e_dim in enumerate(e_dims):
+            if e_dim != o_dims.get(deg, 0):
                 problems.append(
                     f"outcome {key}: dimension mismatch in degree {deg}: "
-                    f"engine {e_dims.get(deg, 0)}, oracle {o_dims.get(deg, 0)}")
+                    f"engine {e_dim}, oracle {o_dims.get(deg, 0)}")
     return problems
 
 
-def check(report, cap: Optional[int] = None) -> Tuple[OracleReport, List[str]]:
-    """The oracle's report on the engine report's input at cap (at
-    ``min_cap`` when cap is None), and its discrepancies with the engine's."""
+def check(report) -> Tuple[OracleReport, List[str]]:
+    """The oracle's report on the engine report's input at ``min_cap``, whose
+    reliable degree is the fiber's top degree, and its discrepancies with
+    the engine's."""
     fiber, group = report.fiber, report.group
-    if cap is None:
-        cap = min_cap(fiber, group)
-    orep = brute_force_classify(fiber, group, cap)
+    orep = brute_force_classify(fiber, group, min_cap(fiber, group))
     return orep, compare_reports(report, orep)
 
 

@@ -11,14 +11,12 @@ reported as extension flags, never silently resolved.
 from __future__ import annotations
 
 import itertools
-from collections.abc import ItemsView, Mapping
-from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import UnsupportedShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import GroupChoice, Page
+    from .engine import Page
 
 # A monomial is a tuple of (generator name, exponent) pairs in canonical
 # generator order; a relation is a tuple of monomials whose sum is zero.
@@ -80,45 +78,16 @@ def presentation_str(pres: RingPresentation) -> str:
     return f"F2[{gens}]/({rels})" if rels else f"F2[{gens}]"
 
 
-class PoincareSeries(Mapping):
+class PoincareSeries(NamedTuple):
     """Poincare series of a finite limit page, kept as its progressions.
 
     ``terms`` holds one (first degree, step, count) per row summand on the
     lattice, sorted: the rational form sum t^first (1 - t^(step*count)) /
-    (1 - t^step). As a read-only mapping it is the dimension per degree,
-    with only the supported degrees as keys, so ``get``, ``items`` and
-    ``==`` against a plain dict read as before. A lookup scans the few
-    terms; iteration, ``items`` and ``dense`` expand the series in one
-    pass over them, and only when asked.
+    (1 - t^step). ``dense`` and ``items`` expand the series in one pass
+    over the terms, and only when asked.
     """
 
-    # A plain class, as no module of the package imports dataclasses
-    # (see record.py).
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Tuple[Tuple[int, int, int], ...]):
-        self.terms = terms
-
-    def __repr__(self) -> str:
-        return f"PoincareSeries({self.terms!r})"
-
-    def __getitem__(self, degree: int) -> int:
-        dim = sum(1 for first, step, count in self.terms
-                  if first <= degree < first + step * count
-                  and (degree - first) % step == 0)
-        if not dim:
-            raise KeyError(degree)
-        return dim
-
-    def __iter__(self) -> Iterator[int]:
-        return itertools.compress(itertools.count(), self.dense(self._top()))
-
-    def __len__(self) -> int:
-        dims = self.dense(self._top())
-        return len(dims) - dims.count(0)
-
-    def items(self) -> ItemsView:
-        return _SeriesItems(self)
+    terms: Tuple[Tuple[int, int, int], ...]
 
     def dense(self, top: int) -> List[int]:
         """Dimensions in degrees 0..top as a list."""
@@ -128,18 +97,11 @@ class PoincareSeries(Mapping):
             out[span] = [dim + 1 for dim in out[span]]
         return out
 
-    def _top(self) -> int:
-        """Highest supported degree, -1 for the empty series."""
-        return max((first + step * (count - 1) for first, step, count in self.terms),
-                   default=-1)
-
-
-class _SeriesItems(ItemsView):
-    """``items()`` of a PoincareSeries, read in one pass, not key by key."""
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        dims = self._mapping.dense(self._mapping._top())
-        return zip(itertools.compress(itertools.count(), dims), filter(None, dims))
+    def items(self) -> List[Tuple[int, int]]:
+        """The supported (degree, dimension) pairs, by rising degree."""
+        top = max((first + step * (count - 1) for first, step, count in self.terms),
+                  default=-1)
+        return [(degree, dim) for degree, dim in enumerate(self.dense(top)) if dim]
 
 
 def tot_poincare(e_inf: "Page") -> PoincareSeries:
@@ -168,17 +130,14 @@ def _single_interval(row) -> Tuple[int, int]:
     return summands[0]
 
 
-def extract_presentation(e_inf: "Page",
-                         group: "GroupChoice") -> Tuple[RingPresentation, List[ExtensionFlag]]:
+def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[ExtensionFlag]]:
     """Presentation of the total ring of an admissible limit page.
 
     Supports pages whose rows are single intervals based at column 0 (the
     shapes the classification produces); anything else is an
     unsupported-shape error.
     """
-    step = group.step
-    if step != e_inf.step:
-        raise UnsupportedShapeError("group does not match the page")
+    step = e_inf.step
     rows = e_inf.rows
     if 0 not in rows:
         raise UnsupportedShapeError("unit row is missing from the page")

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import oracle
 from .engine import ClassificationReport, Outcome
@@ -16,11 +16,11 @@ from .presentation import (Monomial, RingPresentation, presentation_str,
                            relation_str)
 
 
-def self_check(report: ClassificationReport,
-               cap: Optional[int]) -> List[str]:
-    """Disagreements found, empty for agreement. The oracle runs at cap, or
-    at its smallest when cap is None. The basis walk cannot enumerate a
-    two-term relation, so it skips such an outcome with a note on stderr."""
+def self_check(report: ClassificationReport) -> List[str]:
+    """Disagreements found, empty for agreement. The oracle runs at its
+    smallest cap, which is exact through the fiber's top degree. The basis
+    walk cannot enumerate a two-term relation, so it skips such an outcome
+    with a note on stderr."""
     problems = []
     for out in report.outcomes:
         binomial = [relation_str(r)
@@ -31,8 +31,8 @@ def self_check(report: ClassificationReport,
                   f"two-term relation {', '.join(binomial)}",
                   file=sys.stderr)
         else:
-            problems += basis_problems(out, report.top_degree)
-    return problems + oracle.check(report, cap)[1]
+            problems += basis_problems(out)
+    return problems + oracle.check(report)[1]
 
 
 def monomial_basis_elements(pres: RingPresentation,
@@ -76,23 +76,24 @@ def monomial_basis_elements(pres: RingPresentation,
     return out
 
 
-def basis_problems(outcome: Outcome, top_degree: int) -> List[str]:
+def basis_problems(outcome: Outcome) -> List[str]:
     """Disagreements between an outcome's ring data and its monomial basis.
 
-    Enumerates the monomial basis of the presentation up to top_degree and
-    compares its count per degree with the Poincare series read off the
-    page, and, for an outcome with an index (Z/2), its largest nonzero pure
-    power of x with that index. Empty means agreement.
+    Enumerates the monomial basis of the presentation up to the fiber's top
+    degree and compares its count per degree with the Poincare series read
+    off the page, and, for an outcome with an index (Z/2), its largest
+    nonzero pure power of x with that index. Empty means agreement.
     """
     pres = outcome.presentation
-    elements = monomial_basis_elements(pres, top_degree)
+    top = outcome.e_inf.fiber.top_degree
+    elements = monomial_basis_elements(pres, top)
     counts = Counter(degree for degree, _ in elements)
     key = outcome.history_key()
     problems = [
-        f"outcome {key}: degree {d} has {counts.get(d, 0)} basis monomials "
-        f"but Poincare dimension {outcome.poincare.get(d, 0)}"
-        for d in sorted(set(counts) | set(outcome.poincare))
-        if counts.get(d, 0) != outcome.poincare.get(d, 0)]
+        f"outcome {key}: degree {d} has {counts[d]} basis monomials "
+        f"but Poincare dimension {dim}"
+        for d, dim in enumerate(outcome.poincare.dense(top))
+        if counts[d] != dim]
     if outcome.index is not None:
         x = pres.base_generator
         walked = max((mono[0][1] for _, mono in elements

@@ -141,20 +141,26 @@ def test_self_check_flag(capsys):
     assert "verdict:" in out
 
 
-def test_cap_without_self_check_is_refused(capsys):
-    code, out, err = run_cli(capsys, "classify", "--n", "2", "--cap", "5")
+@pytest.mark.parametrize("argv", [["classify", "--self-check"],
+                                  ["oracle-check"]],
+                         ids=["classify", "oracle-check"])
+def test_cap_is_not_an_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n", "1", "--cap", "20")
     assert code == 1
     assert out == ""
-    assert "error: --cap needs --self-check" in err.splitlines()
+    assert "orbitcohom: error: unrecognized arguments: --cap 20" in err.splitlines()
 
 
-@pytest.mark.parametrize("command", ["oracle-check", "classify"])
-def test_cap_zero_is_refused_not_replaced(capsys, command):
-    extra = ["--self-check"] if command == "classify" else []
-    code, out, err = run_cli(capsys, command, "--n", "1", "--cap", "0", *extra)
-    assert code == 1
-    assert out == ""
-    assert "error: cap 0 too small; need at least 8" in err.splitlines()
+@pytest.mark.parametrize("group", ["z2", "s1"])
+def test_oracle_check_runs_at_the_smallest_cap(capsys, group):
+    from orbitcohom.oracle import min_cap
+    fiber = orbitcohom.make_type_ab(2, 1, 0)
+    code, out, _ = run_cli(capsys, "oracle-check", "--group", group, "--n", "2",
+                           "--a", "odd", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["cap"] == min_cap(fiber, engine.GroupChoice(group))
+    assert doc["reliable_degree"] == fiber.top_degree
 
 
 def test_self_check_catches_an_index_mismatch(capsys, monkeypatch):

@@ -106,6 +106,17 @@ def test_slots_need_a_live_source_generator():
                                    rounds=(3,), rows=live)) == (2,)
 
 
+def test_rows_off_the_fiber_degrees_are_refused():
+    # the fiber of type (2, 0, 0) has basis degrees 0, 2, 4 and 6
+    page = Page(fiber=make_type_ab(2, 0, 0), group=GroupChoice.Z2, rounds=(3,),
+                rows={0: free_module(1), 3: free_module(1)})
+    with pytest.raises(PreconditionError,
+                       match=r"rows \[3\] are not degrees of the page's fiber"):
+        differential_slots(page)
+    with pytest.raises(PreconditionError, match="not degrees"):
+        check_pattern(page, DifferentialPattern(3, ()))
+
+
 def test_finished_page_has_no_round():
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
     page = report.outcomes[0].e_inf
@@ -267,9 +278,9 @@ def test_dimensions_never_increase():
 
 def test_is_free_admissible():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    assert not is_free_admissible(page, 6)
+    assert not is_free_admissible(page)
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    assert all(is_free_admissible(o.e_inf, 6) for o in report.outcomes)
+    assert all(is_free_admissible(o.e_inf) for o in report.outcomes)
 
 
 def test_is_free_admissible_checks_the_top_degree():
@@ -279,9 +290,9 @@ def test_is_free_admissible_checks_the_top_degree():
         rows = {0: IntervalModule(1, (base,)), 3: IntervalModule(1, (top_row,))}
         return Page(fiber=fiber, group=GroupChoice.Z2, rounds=(), rows=rows)
 
-    assert not is_free_admissible(page((0, 2), (0, 2)), 3)
-    assert is_free_admissible(page((0, 4), (0, 1)), 3)
-    assert not is_free_admissible(page((0, 5), (0, 1)), 3)
+    assert not is_free_admissible(page((0, 2), (0, 2)))
+    assert is_free_admissible(page((0, 4), (0, 1)))
+    assert not is_free_admissible(page((0, 5), (0, 1)))
 
 
 def test_classify_even_even_single_branch():

@@ -8,10 +8,10 @@ from orbitcohom.engine import GroupChoice, Page, classify
 from orbitcohom.errors import UnsupportedShapeError
 from orbitcohom.fiber import make_type_ab, point_ring
 from orbitcohom.intervals import IntervalModule
-from orbitcohom.presentation import (ExtensionFlag, _extension_flags,
-                                     make_presentation, monomial_str,
-                                     presentation_str, relation_str,
-                                     tot_poincare)
+from orbitcohom.presentation import (ExtensionFlag, PoincareSeries,
+                                     _extension_flags, make_presentation,
+                                     monomial_str, presentation_str,
+                                     relation_str, tot_poincare)
 from orbitcohom.selfcheck import (basis_problems, monomial_basis_elements,
                                   same_presentation)
 
@@ -97,20 +97,18 @@ def test_tot_poincare_matches_monomial_basis():
                 for b in (0, 1):
                     report = classify(make_type_ab(n, a, b), group)
                     for out in report.outcomes:
-                        assert basis_problems(out, report.top_degree) == [], (
+                        assert basis_problems(out) == [], (
                             group, n, a, b)
 
 
 def test_basis_problems_reports_injected_mismatches():
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
     out = report.outcomes[0]
-    top = report.top_degree
     wrong_index = out._replace(index=out.index + 1)
-    assert [p for p in basis_problems(wrong_index, top) if "index" in p]
-    poincare = dict(out.poincare)
-    poincare[3] += 1
-    wrong_series = out._replace(poincare=poincare)
-    (problem,) = basis_problems(wrong_series, top)
+    assert [p for p in basis_problems(wrong_index) if "index" in p]
+    wrong_series = out._replace(
+        poincare=PoincareSeries(out.poincare.terms + ((3, 1, 1),)))
+    (problem,) = basis_problems(wrong_series)
     assert "degree 3" in problem
 
 
@@ -180,7 +178,8 @@ def test_outcome_data_matches_per_degree_reference():
                     report = classify(make_type_ab(n, a, b), group)
                     for out in report.outcomes:
                         pres, page = out.presentation, out.e_inf
-                        assert out.poincare == _tot_poincare_per_degree(page)
+                        assert (dict(out.poincare.items())
+                                == _tot_poincare_per_degree(page))
                         assert list(out.extension_flags) == _extension_flags_sorted(
                             page, pres, _z_names(pres), pres.base_generator), (
                                 group, n, a, b)
@@ -215,13 +214,8 @@ def _finite_pages(draw):
 def test_outcome_data_matches_reference_on_hand_built_pages(built):
     page, pres, z_names = built
     series, reference = tot_poincare(page), _tot_poincare_per_degree(page)
-    assert series == reference
+    assert series.items() == list(reference.items())
     top = max(reference, default=0)
-    assert ([series.get(d, 0) for d in range(-2, top + 4)]
-            == [reference.get(d, 0) for d in range(-2, top + 4)])
-    assert sorted(series.items()) == sorted(reference.items())
-    assert len(series) == len(reference)
-    assert list(series) == sorted(reference)
     assert series.dense(top + 3) == [reference.get(d, 0) for d in range(top + 4)]
     assert series.dense(top // 2) == [reference.get(d, 0) for d in range(top // 2 + 1)]
     assert (_extension_flags(page, pres, z_names, "x")
@@ -248,7 +242,7 @@ def test_extraction_is_stable():
     from orbitcohom.presentation import extract_presentation
     report = classify(make_type_ab(3, 0, 0), GroupChoice.Z2)
     out = report.outcomes[0]
-    again, flags = extract_presentation(out.e_inf, GroupChoice.Z2)
+    again, flags = extract_presentation(out.e_inf)
     assert again == out.presentation
     assert tuple(flags) == out.extension_flags
 

@@ -36,7 +36,7 @@ def test_z2_outcome_and_index():
         "F2[x(1),z1(2),z2(4)]/(x^2, z1^2 + z2, z1*z2, z2^2)"]
     (outcome,) = report.outcomes
     assert outcome.index == 1
-    assert [outcome.poincare.get(d, 0) for d in range(6)] == [1] * 6
+    assert outcome.poincare.dense(5) == [1] * 6
 
 
 def test_circle_outcome_is_cp2():
