@@ -17,7 +17,7 @@ from .errors import (InvalidInputError, InvariantError, OrbitCohomError,
                      OversizedInstanceError, PreconditionError,
                      UnsupportedShapeError)
 from .fiber import FiberRing, load_fiber, make_type_ab, point_ring
-from .intervals import INFINITE, IntervalModule, free_module
+from .intervals import FREE_ROW, INFINITE, IntervalModule
 from .presentation import (ExtensionFlag, RingPresentation,
                            extract_presentation, presentation_str,
                            tot_poincare)
@@ -31,7 +31,7 @@ __all__ = [
     "OversizedInstanceError",
     "PreconditionError", "UnsupportedShapeError",
     "FiberRing", "load_fiber", "make_type_ab", "point_ring",
-    "INFINITE", "IntervalModule", "free_module",
+    "FREE_ROW", "INFINITE", "IntervalModule",
     "OracleReport", "brute_force_classify", "cap_stable", "compare_reports",
     "min_cap", "truncate_e2",
     "ExtensionFlag", "RingPresentation", "extract_presentation",

@@ -8,8 +8,11 @@ keeps exactly the branches whose limit page is compatible with a free
 action (finite, and supported in total degree at most the fiber dimension).
 
 Row l of a page is the F2[t]-module of the fiber's degree l. Its generator
-is the fiber's one basis element of that degree, and it survives while
+g is the fiber's one basis element of that degree, and it survives while
 column 0 does; a fiber with two basis elements in one degree is refused.
+A row is held as the set of columns k whose class t^k g survives, in runs
+(``intervals.IntervalModule``); column k of row l lies in total degree
+l + k*step, where step = |t| is the group's.
 Differentials are recorded only on row generators: every starting row is a
 free module over the base ring H*(B_G) = F2[t] and the differentials are
 module maps over it, so the generator values determine everything. A
@@ -17,17 +20,16 @@ round's assignment is therefore the pattern (round, sources): the rows
 whose generator maps nonzero, the same pair that keys a branch's history.
 A page carries only its remaining rounds, the current one first.
 
-The Leibniz and d o d checks hold across all columns exactly. Each row's
-support is a union of runs of columns that is constant beyond its last
-interval endpoint, so finitely many columns represent every regime. A page
+The Leibniz and d o d checks hold across all columns exactly. Each row
+is a union of runs of columns that is constant beyond its last run
+endpoint, so finitely many columns represent every regime. A page
 reads its rows as column masks once per round (``Page._scan``). A Leibniz
 test asks whether some pair of columns k, j with given term parities sums
 into a set of live target columns; the sumset of the runs [a, b) and
 [c, d) is the single run [a + c, b + d - 1), so each test costs O(runs^2)
 big-int operations, whatever n is. A page turn clears the columns that are
-hit or hit something and reads the surviving runs straight back as
-interval summands, the run that reaches the constant regime becoming
-infinite.
+hit or hit something and reads the surviving runs straight back as the
+row, the run that reaches the constant regime becoming infinite.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from . import presentation
 from .errors import (InvalidInputError, InvariantError, PreconditionError,
                      UnsupportedShapeError)
 from .fiber import FiberRing, validate as validate_fiber
-from .intervals import IntervalModule, free_module, from_mask, runs
+from .intervals import FREE_ROW, IntervalModule, from_mask, runs
 from .record import Record
 
 
@@ -55,7 +57,7 @@ class GroupChoice(enum.Enum):
 
 class Page(Record):
     """A page of the spectral sequence. Its rows are degrees of its fiber:
-    row l is the F2[t]-module left of the free row on 1 (x) fiber.names[l],
+    row l holds the columns left of the free row on 1 (x) fiber.names[l],
     whose generator lives while column 0 does."""
     __slots__ = ("fiber", "group", "rounds", "rows", "_scan_cache")
 
@@ -97,7 +99,7 @@ class DifferentialPattern(Record):
 class Outcome(NamedTuple):
     history: Tuple[DifferentialPattern, ...]
     e_inf: Page
-    # Dimension per total degree, held as one progression per row summand
+    # Dimension per total degree, held as one progression per row run
     # (presentation.PoincareSeries), so its size does not grow with n.
     poincare: presentation.PoincareSeries
     presentation: presentation.RingPresentation
@@ -133,10 +135,9 @@ def build_e2(fiber: FiberRing, group: GroupChoice) -> Page:
         raise InvalidInputError("invalid fiber ring: " + "; ".join(problems))
     if len(fiber.names) != len(fiber.basis):
         raise UnsupportedShapeError("rows of rank > 1 are not classifiable")
-    row = free_module(group.step)
     return Page(fiber=fiber, group=group,
                 rounds=admissible_rounds(fiber, group),
-                rows={deg: row for deg in sorted(fiber.names)})
+                rows={deg: FREE_ROW for deg in sorted(fiber.names)})
 
 
 def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
@@ -175,7 +176,7 @@ class _Scan(Record):
 def _scan_page(page: Page) -> _Scan:
     """Mask widths and row masks covering every support regime.
 
-    Beyond the largest interval endpoint shifted by the differential every
+    Beyond the largest run endpoint shifted by the differential every
     row's support is constant, so scanning representatives up to that bound
     is exact even though the modules are infinite.
     """
@@ -190,7 +191,7 @@ def _scan_page(page: Page) -> _Scan:
     e = r // step
     endpoint = max((row.max_finite_endpoint() for row in rows.values()),
                    default=0)
-    rep = endpoint // step + 2 * e + 4
+    rep = endpoint + 2 * e + 4
     nbits = 2 * rep + 2 * e + 4
     masks = {l: row.column_mask(nbits) for l, row in rows.items()}
     gens = tuple((l, names[l]) for l in sorted(rows) if masks[l] & 1)
@@ -305,8 +306,7 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
     """Homology of the page under a pattern that passed check_pattern, rows
     back in canonical form."""
     r = pattern.round
-    step = page.step
-    e = r // step
+    e = r // page.step
     sources = set(pattern.sources)
     scan = page._scan
     masks = scan.masks
@@ -320,10 +320,10 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
         if l + r - 1 in sources:
             # image of the incoming differential: source column k - r must live
             mask &= ~(masks[l + r - 1] << e)
-        module = from_mask(step, mask, threshold)
-        if not module.is_zero():
-            new_rows[l] = module
-    if 0 not in new_rows or not new_rows[0].alive(0):
+        row = from_mask(mask, threshold)
+        if row.summands:
+            new_rows[l] = row
+    if 0 not in new_rows or not new_rows[0].has_column(0):
         raise InvariantError(f"the unit class did not survive round {r}")
     return Page(fiber=page.fiber, group=page.group, rounds=page.rounds[1:],
                 rows=new_rows)
@@ -332,12 +332,10 @@ def _turn(page: Page, pattern: DifferentialPattern) -> Page:
 def is_free_admissible(page: Page) -> bool:
     """Freeness filter: finite page supported in total degree at most the
     fiber's top degree."""
-    top_degree = page.fiber.top_degree
+    top_degree, step = page.fiber.top_degree, page.step
     for l, row in page.rows.items():
-        if row.has_infinite():
-            return False
-        top = row.max_degree()
-        if top >= 0 and l + top > top_degree:
+        last = row.last_column()
+        if last is None or (last >= 0 and l + last * step > top_degree):
             return False
     return True
 
@@ -358,8 +356,9 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
             if is_free_admissible(page):
                 pres, flags = presentation.extract_presentation(page)
                 # x^m != 0 exactly when t^m survives on the base row (the
-                # edge map), so the index is the row's last live column.
-                index = (page.rows[0].max_degree()
+                # edge map), so the index is the row's last live column,
+                # which is its degree under Z/2, where t has degree 1.
+                index = (page.rows[0].last_column()
                          if group is GroupChoice.Z2 else None)
                 outcomes.append(Outcome(
                     history=history,

@@ -22,6 +22,12 @@ Parity = Union[int, str]
 MAX_DEGREE = 300_000
 
 
+def _is_int(value) -> bool:
+    """False for a float (2.0, 2.5, NaN), a string and a bool, which int()
+    would truncate or misread without a word."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def normalize_parity(value: Parity) -> int:
     """Reduce an integer (or the words even/odd) to a residue mod 2."""
     if isinstance(value, str):
@@ -44,6 +50,10 @@ class FiberRing(Record):
     def __init__(self, basis: Tuple[Tuple[str, int], ...], unit: str,
                  products: Tuple[Tuple[Tuple[str, str], FrozenSet[str]], ...],
                  top_degree: int, warnings: Tuple[str, ...] = ()):
+        for key, value in ([("degree", deg) for _, deg in basis]
+                           + [("top_degree", top_degree)]):
+            if not _is_int(value):
+                raise InvalidInputError(f"{key} must be an integer, got {value!r}")
         names = [name for name, _ in basis]
         if len(set(names)) != len(names):
             raise InvalidInputError("duplicate basis names")
@@ -104,7 +114,7 @@ def make_type_ab(n: int, a_parity: Parity, b_parity: Parity) -> FiberRing:
     as a formal input but flagged: integral graded commutativity forces
     v1*v1 = 0 there, so no honest space realizes it.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidInputError("n must be a positive integer")
     a = normalize_parity(a_parity)
     b = normalize_parity(b_parity)
@@ -181,14 +191,6 @@ def validate(ring: FiberRing) -> List[str]:
     return violations
 
 
-def _json_int(value, key: str) -> int:
-    """value when it is a JSON integer; floats (2.5, Infinity) and booleans
-    are rejected rather than truncated by int()."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def load_fiber(path: str) -> FiberRing:
     """Read a fiber ring from its JSON description.
 
@@ -203,13 +205,15 @@ def load_fiber(path: str) -> FiberRing:
         # RecursionError, arrays nested too deep for the parser.
         raise InvalidInputError(f"cannot read fiber file {path}: {exc}") from exc
     try:
-        basis = tuple((str(b["name"]), _json_int(b["degree"], "degree"))
-                      for b in doc["basis"])
+        basis = tuple((str(b["name"]), b["degree"]) for b in doc["basis"])
         unit = str(doc["unit"])
-        top_degree = _json_int(doc["top_degree"], "top_degree")
+        top_degree = doc["top_degree"]
         products = {}
         for entry in doc.get("products", []):
             key = (str(entry["left"]), str(entry["right"]))
+            if key in products:
+                raise InvalidInputError(
+                    f"product {key[0]}*{key[1]} is listed twice")
             result = entry["result"]
             if not (isinstance(result, list)
                     and all(isinstance(x, str) for x in result)):

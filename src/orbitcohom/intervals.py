@@ -1,18 +1,22 @@
-"""Interval summand representation of graded modules over the base ring F2[t].
+"""Page rows as sets of columns over the base ring F2[t].
 
-A summand (shift, length) contributes one F2 dimension in the degrees
-shift, shift + step, ..., shift + step*(length - 1); length None means the
-summand continues forever. Infinitude stays exactly decidable, which is
-what the freeness filter needs.
+A row of a page is a quotient of the free F2[t]-module on one generator g:
+its classes are t^k g for the columns k it supports. An ``IntervalModule``
+holds that set as its maximal runs (start, length) of columns, sorted,
+disjoint and never touching; length None means the run continues forever,
+and only the last run may. Infinitude stays exactly decidable, which is
+what the freeness filter needs. A row knows columns only: the degree of
+column k is k times the degree of t, which the page's group gives.
 
-The engine reads a module's support on the lattice of multiples of step as
-a bitmask (bit i for degree i*step). A summand is one run of set bits, and
-``runs`` / ``from_mask`` turn a mask back into summands, so every
-conversion costs a few big-int operations per run, whatever the degrees.
+The engine reads a row as a bitmask of columns (bit k for column k). A run
+is one block of set bits, and ``runs`` / ``from_mask`` turn a mask back
+into runs, so every conversion costs a few big-int operations per run,
+whatever the columns.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .errors import InvalidInputError
@@ -20,81 +24,68 @@ from .record import Record
 
 INFINITE = None
 
-Summand = Tuple[int, Optional[int]]
-
-
-def _sort_key(summand: Summand):
-    shift, length = summand
-    return (shift, length is INFINITE, length if length is not INFINITE else 0)
+Run = Tuple[int, Optional[int]]
 
 
 class IntervalModule(Record):
-    __slots__ = ("step", "summands")
+    __slots__ = ("summands",)
 
-    def __init__(self, step: int, summands: Tuple[Summand, ...]):
-        if step < 1:
-            raise InvalidInputError("step must be positive")
-        for shift, length in summands:
-            if shift < 0 or (length is not INFINITE and length < 1):
-                raise InvalidInputError(f"bad summand ({shift}, {length})")
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "summands", tuple(sorted(summands, key=_sort_key)))
+    def __init__(self, summands: Tuple[Run, ...]):
+        summands = tuple(sorted(summands, key=itemgetter(0)))
+        free = 0  # lowest column the next run may start at
+        for start, length in summands:
+            if free is INFINITE:
+                raise InvalidInputError("only the last run may be infinite")
+            if start < 0:
+                raise InvalidInputError(f"run ({start}, {length}) starts "
+                                        "at a negative column")
+            if length is not INFINITE and length < 1:
+                raise InvalidInputError(f"run ({start}, {length}) is empty")
+            if start < free:
+                raise InvalidInputError(f"run ({start}, {length}) overlaps "
+                                        "or touches the run before it")
+            free = INFINITE if length is INFINITE else start + length + 1
+        object.__setattr__(self, "summands", summands)
 
-    def dimension_at(self, k: int) -> int:
-        dim = 0
-        for shift, length in self.summands:
-            d = k - shift
-            if d < 0 or d % self.step:
-                continue
-            if length is INFINITE or d // self.step < length:
-                dim += 1
-        return dim
-
-    def alive(self, k: int) -> bool:
-        return k >= 0 and self.dimension_at(k) > 0
-
-    def is_zero(self) -> bool:
-        return not self.summands
+    def has_column(self, k: int) -> bool:
+        for start, length in self.summands:
+            if k < start:
+                return False
+            if length is INFINITE or k < start + length:
+                return True
+        return False
 
     def has_infinite(self) -> bool:
-        return any(length is INFINITE for _, length in self.summands)
+        return bool(self.summands) and self.summands[-1][1] is INFINITE
 
-    def max_degree(self) -> Optional[int]:
-        """Largest supported degree, or None when some summand is infinite."""
-        if self.has_infinite():
-            return None
+    def last_column(self) -> Optional[int]:
+        """Largest supported column: None when the last run is infinite, -1
+        for the zero row."""
         if not self.summands:
             return -1
-        return max(shift + self.step * (length - 1) for shift, length in self.summands)
+        start, length = self.summands[-1]
+        return None if length is INFINITE else start + length - 1
 
     def max_finite_endpoint(self) -> int:
-        """Largest degree at which the support pattern can still change."""
-        best = 0
-        for shift, length in self.summands:
-            if length is INFINITE:
-                best = max(best, shift)
-            else:
-                best = max(best, shift + self.step * length)
-        return best
+        """Largest column at which the support can still change."""
+        if not self.summands:
+            return 0
+        start, length = self.summands[-1]
+        return start if length is INFINITE else start + length
 
     def column_mask(self, nbits: int) -> int:
-        """Bitmask with bit i set when degree i*step is supported (i < nbits).
-
-        Each summand on the lattice sets one block of bits; a summand whose
-        shift is not a multiple of step never meets the lattice.
-        """
+        """Bitmask with bit k set when column k is supported (k < nbits)."""
         mask = 0
-        for shift, length in self.summands:
-            start, off = divmod(shift, self.step)
-            if off or start >= nbits:
-                continue
+        for start, length in self.summands:
+            if start >= nbits:
+                break
             end = nbits if length is INFINITE else min(start + length, nbits)
             mask |= ((1 << (end - start)) - 1) << start
         return mask
 
 
-def free_module(step: int) -> IntervalModule:
-    return IntervalModule(step, ((0, INFINITE),))
+# The second page's row: free of rank one, every column supported.
+FREE_ROW = IntervalModule(((0, INFINITE),))
 
 
 def runs(mask: int) -> List[Tuple[int, int]]:
@@ -112,16 +103,16 @@ def runs(mask: int) -> List[Tuple[int, int]]:
     return out
 
 
-def from_mask(step: int, mask: int, threshold: int) -> IntervalModule:
-    """Canonical module supported on degree i*step for each set bit i < threshold.
+def from_mask(mask: int, threshold: int) -> IntervalModule:
+    """The row supported on column k for each set bit k < threshold.
 
-    When bit threshold is set, the support also covers every degree from
-    threshold*step on, so the run reaching it becomes an infinite summand;
-    bits above threshold are ignored.
+    When bit threshold is set, the row also has every column from threshold
+    on, so the run reaching it becomes infinite; bits above threshold are
+    ignored.
     """
     if mask < 0 or threshold < 0:
         raise InvalidInputError("mask and threshold must be nonnegative")
     mask &= (1 << (threshold + 1)) - 1
-    return IntervalModule(step, tuple(
-        (start * step, INFINITE if end > threshold else end - start)
+    return IntervalModule(tuple(
+        (start, INFINITE if end > threshold else end - start)
         for start, end in runs(mask)))

@@ -81,10 +81,10 @@ def presentation_str(pres: RingPresentation) -> str:
 class PoincareSeries(NamedTuple):
     """Poincare series of a finite limit page, kept as its progressions.
 
-    ``terms`` holds one (first degree, step, count) per row summand on the
-    lattice, sorted: the rational form sum t^first (1 - t^(step*count)) /
-    (1 - t^step). ``dense`` and ``items`` expand the series in one pass
-    over the terms, and only when asked.
+    ``terms`` holds one (first degree, step, count) per row run, sorted:
+    the rational form sum t^first (1 - t^(step*count)) / (1 - t^step).
+    ``dense`` and ``items`` expand the series in one pass over the terms,
+    and only when asked.
     """
 
     terms: Tuple[Tuple[int, int, int], ...]
@@ -107,23 +107,22 @@ class PoincareSeries(NamedTuple):
 def tot_poincare(e_inf: "Page") -> PoincareSeries:
     """Poincare series of the total graded ring; requires a finite page.
 
-    Each summand (shift, length) of row l adds one class in each total
-    degree shift + l + step*i, i < length: the progression
-    (shift + l, step, length). A summand off the lattice of multiples of
-    step holds no page class.
+    Each run (start, length) of row l adds one class in each total degree
+    (start + i)*step + l, i < length: the progression
+    (start*step + l, step, length).
     """
     step = e_inf.step
     terms = []
     for l, row in e_inf.rows.items():
         if row.has_infinite():
             raise UnsupportedShapeError("page has an infinite row; no finite Poincare data")
-        terms += [(shift + l, step, length) for shift, length in row.summands
-                  if shift % step == 0]
+        terms += [(start * step + l, step, length)
+                  for start, length in row.summands]
     return PoincareSeries(tuple(sorted(terms)))
 
 
 def _single_interval(row) -> Tuple[int, int]:
-    """(shift, length) of a row that is one finite summand, else raise."""
+    """(start, length) of a row that is one finite run, else raise."""
     summands = row.summands
     if len(summands) != 1 or summands[0][1] is None:
         raise UnsupportedShapeError("row is not a single finite interval")
@@ -142,8 +141,8 @@ def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[Extensio
     if 0 not in rows:
         raise UnsupportedShapeError("unit row is missing from the page")
 
-    shift0, x_power = _single_interval(rows[0])
-    if shift0 != 0:
+    start0, x_power = _single_interval(rows[0])
+    if start0 != 0:
         raise UnsupportedShapeError("base row does not start at column 0")
 
     generators: List[Tuple[str, int]] = []
@@ -157,8 +156,8 @@ def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[Extensio
     fiber_rows = sorted(l for l in rows if l > 0)
     z_names: Dict[int, str] = {}
     for i, l in enumerate(fiber_rows):
-        shift, length = _single_interval(rows[l])
-        if shift != 0:
+        start, length = _single_interval(rows[l])
+        if start != 0:
             raise UnsupportedShapeError(f"row {l} does not start at column 0")
         name = "z" if len(fiber_rows) == 1 else f"z{i + 1}"
         z_names[l] = name
@@ -181,7 +180,7 @@ def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[Extensio
         mono: Monomial = ((z_names[li], 2),) if li == lj else (
             (z_names[li], 1), (z_names[lj], 1))
         lw = li + lj
-        if product and lw in rows and rows[lw].alive(0):
+        if product and lw in rows and rows[lw].has_column(0):
             target = ((z_names[lw], 1),)
             relations.append((mono, target))
         else:
@@ -196,9 +195,10 @@ def _extension_flags(e_inf, pres: RingPresentation, z_names,
                      x_name) -> List[ExtensionFlag]:
     """Vanishing products whose degree holds a surviving class of higher filtration.
 
-    A class of total degree D in row l sits at column k = D - l, so the
-    candidates for a product of filtration F are the rows whose column
-    D - l > F is alive, listed by rising column.
+    A class of total degree D in row l sits k = D - l degrees above the
+    row's generator, in column k / step, so the candidates for a product of
+    filtration F are the rows whose column of D - l > F is alive, listed by
+    rising column.
     """
     step = e_inf.step
     rows = e_inf.rows
@@ -214,7 +214,8 @@ def _extension_flags(e_inf, pres: RingPresentation, z_names,
         candidates = []
         for l in sorted(rows, reverse=True):
             k = degree - l
-            if k > filtration and k % step == 0 and rows[l].alive(k):
+            if (k > filtration and k % step == 0
+                    and rows[l].has_column(k // step)):
                 parts = []
                 if x_name:
                     parts.append(x_name if k == step else f"{x_name}^{k // step}")

@@ -272,6 +272,24 @@ def test_fiber_file_string_result_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "list of names" in err
 
 
+@pytest.mark.parametrize("results", [(["v"], []), ([], ["v"])],
+                         ids=["v-then-zero", "zero-then-v"])
+def test_fiber_file_repeated_product_exits_one(tmp_path, capsys, results):
+    # with the last entry kept, the order of the two entries picked the verdict
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps({
+        "basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 2},
+                  {"name": "v", "degree": 4}, {"name": "w", "degree": 6}],
+        "unit": "1", "top_degree": 6,
+        "products": [{"left": "u", "right": "u", "result": result}
+                     for result in results]}))
+    code, out, err = run_cli(capsys, "classify", "--fiber", str(path))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and line.endswith("product u*u is listed twice")
+
+
 def _exits_one_without_allocating(capsys, *argv):
     tracemalloc.start()
     try:

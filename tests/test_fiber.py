@@ -176,6 +176,18 @@ def test_load_fiber_rejects_non_integer_degrees(tmp_path, field, value):
         load_fiber(str(path))
 
 
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "3"],
+                         ids=["float", "fraction", "bool", "string"])
+def test_library_refuses_non_integer_degrees(value):
+    with pytest.raises(InvalidInputError, match="n must be a positive integer"):
+        make_type_ab(value, 0, 0)
+    with pytest.raises(InvalidInputError, match="degree must be an integer"):
+        FiberRing(basis=(("1", 0), ("u", value)), unit="1", products=(),
+                  top_degree=6)
+    with pytest.raises(InvalidInputError, match="top_degree must be an integer"):
+        FiberRing(basis=(("1", 0),), unit="1", products=(), top_degree=value)
+
+
 @pytest.mark.parametrize("result", [
     '"v"', '"vv"', '"1"', "null", "7", '{"v": 1}', '["v", 2]', '[["v"]]',
 ], ids=["string", "long-string", "unit-string", "null", "number", "object",

@@ -1,123 +1,145 @@
-"""Tests for the interval-summand module representation."""
+"""Tests for page rows held as maximal runs of columns."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitcohom.engine import GroupChoice, Page
 from orbitcohom.errors import InvalidInputError
-from orbitcohom.intervals import (INFINITE, IntervalModule, free_module,
+from orbitcohom.fiber import point_ring
+from orbitcohom.intervals import (FREE_ROW, INFINITE, IntervalModule,
                                   from_mask, runs)
+from orbitcohom.presentation import tot_poincare
 
 
 def test_free_module_dimensions():
-    m = free_module(1)
-    assert all(m.dimension_at(k) == 1 for k in range(20))
-    assert m.has_infinite() and m.max_degree() is None
-    m2 = free_module(2)
-    assert m2.dimension_at(4) == 1
-    assert m2.dimension_at(3) == 0
+    assert FREE_ROW.summands == ((0, INFINITE),)
+    assert all(FREE_ROW.has_column(k) for k in range(20))
+    assert not FREE_ROW.has_column(-1)
+    assert FREE_ROW.has_infinite() and FREE_ROW.last_column() is None
 
 
 def test_finite_interval():
-    m = IntervalModule(1, ((0, 4),))
-    assert [m.dimension_at(k) for k in range(6)] == [1, 1, 1, 1, 0, 0]
-    assert m.max_degree() == 3
-    assert not m.has_infinite() and not m.is_zero()
+    m = IntervalModule(((0, 4),))
+    assert [m.has_column(k) for k in range(6)] == [True] * 4 + [False] * 2
+    assert m.last_column() == 3
+    assert not m.has_infinite() and m.summands
 
 
 def test_step_two_support():
-    m = IntervalModule(2, ((0, 3),))
-    assert [m.dimension_at(k) for k in range(7)] == [1, 0, 1, 0, 1, 0, 0]
-    assert m.max_degree() == 4
+    # a row holds columns only; under the circle, column k is degree 2k
+    m = IntervalModule(((0, 3),))
+    assert [m.has_column(k) for k in range(4)] == [True, True, True, False]
+    assert m.last_column() == 2
+    page = Page(fiber=point_ring(), group=GroupChoice.CIRCLE, rounds=(),
+                rows={0: m})
+    assert tot_poincare(page).items() == [(0, 1), (2, 1), (4, 1)]
 
 
 def test_zero_module():
-    m = IntervalModule(1, ())
-    assert m.is_zero()
-    assert m.max_degree() == -1
+    m = IntervalModule(())
+    assert not m.summands and not m.has_infinite()
+    assert m.last_column() == -1
+    assert not m.has_column(0)
+    assert m.max_finite_endpoint() == 0 and m.column_mask(8) == 0
 
 
 def test_canonical_summand_order():
-    a = IntervalModule(1, ((3, 2), (0, 1)))
-    b = IntervalModule(1, ((0, 1), (3, 2)))
-    assert a == b
-    c = IntervalModule(1, [(3, 2), (0, INFINITE), (0, 1)])
-    assert c.summands == ((0, 1), (0, INFINITE), (3, 2))
-    d = IntervalModule(1, ((0, INFINITE), (3, 2), (0, 1)))
-    assert c == d and hash(c) == hash(d)
-    assert c != IntervalModule(2, d.summands)
+    a = IntervalModule(((3, 2), (0, 1)))
+    b = IntervalModule(((0, 1), (3, 2)))
+    assert a == b and hash(a) == hash(b)
+    c = IntervalModule([(3, 2), (9, INFINITE), (0, 1)])
+    assert c.summands == ((0, 1), (3, 2), (9, INFINITE))
+    assert c.last_column() is None and c.max_finite_endpoint() == 9
+    assert a != c
 
 
 def test_invalid_summands():
-    with pytest.raises(InvalidInputError):
-        IntervalModule(0, ())
-    with pytest.raises(InvalidInputError):
-        IntervalModule(1, ((-1, 2),))
-    with pytest.raises(InvalidInputError):
-        IntervalModule(1, ((0, 0),))
+    with pytest.raises(InvalidInputError, match="negative column"):
+        IntervalModule(((-1, 2),))
+    with pytest.raises(InvalidInputError, match="empty"):
+        IntervalModule(((0, 0),))
+
+
+@pytest.mark.parametrize("summands, message", [
+    (((0, 3), (2, 2)), "overlaps"),
+    (((4, 1), (4, INFINITE)), "overlaps"),
+    (((0, 3), (3, 2)), "touches"),
+    (((5, 1), (0, INFINITE)), "only the last run may be infinite"),
+], ids=["overlapping", "same-start", "touching", "infinite-not-last"])
+def test_runs_must_be_maximal_and_disjoint(summands, message):
+    with pytest.raises(InvalidInputError, match=message):
+        IntervalModule(summands)
 
 
 def test_from_mask_merges_runs():
-    m = from_mask(1, 0b1100111, 10)
+    m = from_mask(0b1100111, 10)
     assert m.summands == ((0, 3), (5, 2))
-    m2 = from_mask(2, 0b1011, 10)
-    assert m2.summands == ((0, 2), (6, 1))
+    m2 = from_mask(0b1011, 10)
+    assert m2.summands == ((0, 2), (3, 1))
 
 
 def test_from_mask_tail():
     # bit 2 is the threshold: its run continues forever
-    m = from_mask(1, 0b111, 2)
+    m = from_mask(0b111, 2)
     assert m.summands == ((0, INFINITE),)
-    m2 = from_mask(1, 0b1001, 3)
+    m2 = from_mask(0b1001, 3)
     assert m2.summands == ((0, 1), (3, INFINITE))
     # bits above the threshold are ignored
-    assert from_mask(1, 0b110001, 3).summands == ((0, 1),)
+    assert from_mask(0b110001, 3).summands == ((0, 1),)
 
 
 def test_from_mask_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        from_mask(1, -1, 4)
+        from_mask(-1, 4)
     with pytest.raises(InvalidInputError):
-        from_mask(1, 0b1, -1)
-    with pytest.raises(InvalidInputError):
-        from_mask(0, 0b1, 4)
+        from_mask(0b1, -1)
 
 
 def test_column_mask():
-    m = IntervalModule(2, ((0, 2), (8, INFINITE)))
+    m = IntervalModule(((0, 2), (4, INFINITE)))
     assert m.column_mask(8) == 0b11110011
-    m2 = IntervalModule(2, ((1, INFINITE), (4, 3), (20, INFINITE)))
-    assert m2.column_mask(4) == 0b1100  # odd shift skipped, block clipped
-    assert IntervalModule(1, ((5, 2),)).column_mask(5) == 0
+    m2 = IntervalModule(((2, 3), (10, INFINITE)))
+    assert m2.column_mask(4) == 0b1100  # block clipped, run past nbits skipped
+    assert IntervalModule(((5, 2),)).column_mask(5) == 0
 
 
-summand_strategy = st.tuples(
-    st.integers(0, 12),
-    st.one_of(st.none(), st.integers(1, 8)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3), st.lists(summand_strategy, max_size=5))
-def test_dimension_matches_direct_enumeration(step, summands):
-    """dimension_at agrees with a naive degree-by-degree expansion."""
-    m = IntervalModule(step, tuple(summands))
-    bound = 40
-    expected = [0] * bound
-    for shift, length in summands:
-        count = (bound if length is INFINITE else length)
-        for i in range(count):
-            d = shift + step * i
-            if d < bound:
-                expected[d] += 1
-    assert [m.dimension_at(k) for k in range(bound)] == expected
+@st.composite
+def run_lists(draw):
+    """Maximal disjoint runs, the last one possibly infinite, in any order."""
+    out, start = [], draw(st.integers(0, 6))
+    for length in draw(st.lists(st.integers(1, 8), max_size=5)):
+        out.append((start, length))
+        start += length + draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        out.append((start, INFINITE))
+    return draw(st.permutations(out))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 40), st.integers(0, 1 << 40))
-def test_from_mask_round_trip(step, threshold, mask):
-    """runs -> summands -> column mask gives back the bits below threshold,
-    and the threshold bit's run covers every later column."""
-    m = from_mask(step, mask, threshold)
+@given(run_lists())
+def test_dimension_matches_direct_enumeration(summands):
+    """has_column (the dimension of a column, 0 or 1) agrees with a naive
+    column-by-column expansion, and the last run decides the rest."""
+    m = IntervalModule(tuple(summands))
+    bound = 100
+    expected = [False] * bound
+    for start, length in summands:
+        for k in range(start, bound if length is INFINITE else start + length):
+            expected[k] = True
+    assert [m.has_column(k) for k in range(bound)] == expected
+    infinite = any(length is INFINITE for _, length in summands)
+    assert m.has_infinite() == infinite
+    columns = [k for k in range(bound) if expected[k]]
+    assert m.last_column() == (None if infinite else max(columns, default=-1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 1 << 40))
+def test_from_mask_round_trip(threshold, mask):
+    """runs -> row -> column mask gives back the bits below threshold, and
+    the threshold bit's run covers every later column."""
+    m = from_mask(mask, threshold)
     nbits = threshold + 8
     low = mask & ((1 << threshold) - 1)
     tail = 0
@@ -125,20 +147,19 @@ def test_from_mask_round_trip(step, threshold, mask):
         tail = ((1 << nbits) - 1) ^ ((1 << threshold) - 1)
     assert m.column_mask(nbits) == low | tail
     assert m.has_infinite() == bool(tail)
-    assert all(m.dimension_at(k) <= 1 for k in range(nbits * step))
+    assert IntervalModule(m.summands) == m
 
 
 def _column_mask_reference(m, nbits):
-    return sum(1 << i for i in range(nbits) if m.dimension_at(i * m.step))
+    return sum(1 << k for k in range(nbits) if m.has_column(k))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), st.lists(summand_strategy, max_size=5),
-       st.integers(0, 30))
-def test_column_mask_matches_dimension_at(step, summands, nbits):
-    """The closed-form mask equals a degree-by-degree probe, including shifts
-    off the lattice of step, nbits at or below a shift and infinite summands."""
-    m = IntervalModule(step, tuple(summands))
+@given(run_lists(), st.integers(0, 30))
+def test_column_mask_matches_has_column(summands, nbits):
+    """The closed-form mask equals a column-by-column probe, including nbits
+    at or below a start and infinite runs."""
+    m = IntervalModule(tuple(summands))
     assert m.column_mask(nbits) == _column_mask_reference(m, nbits)
 
 
@@ -157,4 +178,3 @@ def test_runs_match_bit_scan(mask):
         else:
             i += 1
     assert runs(mask) == expected
-

@@ -117,13 +117,13 @@ def test_basis_problems_reports_injected_mismatches():
 def _tot_poincare_per_degree(e_inf):
     out = {}
     for l, row in e_inf.rows.items():
-        top = row.max_degree()
-        if top is None:
+        last = row.last_column()
+        if last is None:
             raise UnsupportedShapeError("page has an infinite row")
-        for k in range(0, top + 1, e_inf.step):
-            d = row.dimension_at(k)
-            if d:
-                out[k + l] = out.get(k + l, 0) + d
+        for c in range(last + 1):
+            if row.has_column(c):
+                d = c * e_inf.step + l
+                out[d] = out.get(d, 0) + 1
     return dict(sorted(out.items()))
 
 
@@ -131,12 +131,13 @@ def _surviving_monomials(e_inf, z_names, x_name):
     step = e_inf.step
     out = []
     for l, row in e_inf.rows.items():
-        top = row.max_degree()
-        if top is None:
+        last = row.last_column()
+        if last is None:
             continue
-        for k in range(0, top + 1, step):
-            if not row.dimension_at(k):
+        for c in range(last + 1):
+            if not row.has_column(c):
                 continue
+            k = c * step
             parts = []
             if k and x_name:
                 parts.append(x_name if k == step else f"{x_name}^{k // step}")
@@ -185,19 +186,24 @@ def test_outcome_data_matches_per_degree_reference():
                                 group, n, a, b)
 
 
-_finite_summand = st.tuples(st.integers(0, 12), st.integers(1, 6))
+@st.composite
+def _finite_row(draw):
+    """One to four finite runs of columns with gaps between them."""
+    runs, start = [], draw(st.integers(0, 6))
+    for length in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
+        runs.append((start, length))
+        start += length + draw(st.integers(1, 4))
+    return IntervalModule(tuple(runs))
 
 
 @st.composite
 def _finite_pages(draw):
-    """Finite pages with several summands per row, gaps between them and
-    shifts off the lattice, plus a presentation with a few vanishing
-    monomials in x and the row generators."""
+    """Finite pages with several runs per row and gaps between them, plus a
+    presentation with a few vanishing monomials in x and the row
+    generators."""
     step = draw(st.integers(1, 2))
     ls = draw(st.sets(st.integers(1, 9), max_size=3))
-    rows = {l: IntervalModule(step, tuple(
-                draw(st.lists(_finite_summand, min_size=1, max_size=4))))
-            for l in {0} | ls}
+    rows = {l: draw(_finite_row()) for l in {0} | ls}
     page = Page(fiber=point_ring(), group=GroupChoice(("z2", "s1")[step - 1]),
                 rounds=(), rows=rows)
     z_names = {l: f"z{l}" for l in ls}
@@ -224,7 +230,7 @@ def test_outcome_data_matches_reference_on_hand_built_pages(built):
 
 def test_tot_poincare_rejects_infinite_rows():
     page = Page(fiber=point_ring(), group=GroupChoice.Z2, rounds=(),
-                rows={0: IntervalModule(1, ((0, 2), (4, None)))})
+                rows={0: IntervalModule(((0, 2), (4, None)))})
     with pytest.raises(UnsupportedShapeError):
         tot_poincare(page)
 

@@ -56,8 +56,8 @@ def test_keyword_and_positional_constructors():
         basis=ring.basis, unit="1", products=ring.products, top_degree=0,
         warnings=())
     assert ring.warnings == () and ring.degrees == {"1": 0}
-    row = IntervalModule(step=1, summands=((0, 2),))
-    assert row == IntervalModule(1, ((0, 2),))
+    row = IntervalModule(summands=((0, 2),))
+    assert row == IntervalModule(((0, 2),))
     page = Page(fiber=ring, group=GroupChoice.Z2, rounds=(), rows={0: row})
     assert page == Page(ring, GroupChoice.Z2, (), {0: row})
     assert page.step == 1 and page.round is None
