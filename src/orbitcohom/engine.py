@@ -39,9 +39,8 @@ import itertools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import presentation
-from .errors import (InvalidInputError, InvariantError, PreconditionError,
-                     UnsupportedShapeError)
-from .fiber import FiberRing, validate as validate_fiber
+from .errors import InvariantError, PreconditionError, UnsupportedShapeError
+from .fiber import FiberRing
 from .intervals import FREE_ROW, IntervalModule, from_mask, runs
 from .record import Record
 
@@ -130,9 +129,6 @@ class ClassificationReport(NamedTuple):
 def build_e2(fiber: FiberRing, group: GroupChoice) -> Page:
     """Second page of the Borel fibration: each fiber row free of rank one
     over F2[t]. Two basis elements in one degree are refused."""
-    problems = validate_fiber(fiber)
-    if problems:
-        raise InvalidInputError("invalid fiber ring: " + "; ".join(problems))
     if len(fiber.names) != len(fiber.basis):
         raise UnsupportedShapeError("rows of rank > 1 are not classifiable")
     return Page(fiber=fiber, group=group,

@@ -3,10 +3,13 @@
 The main constructor builds the four-class ring of a space whose integral
 cohomology is Z in degrees 0, n, 2n, 3n with v1*v1 = a*v2 and v1*v2 = b*v3,
 reduced mod 2; arbitrary rings can be loaded from a JSON description.
+A ring is checked when it is built: ``FiberRing(...)`` and ``load_fiber``
+raise InvalidInputError for a table that breaks a ring axiom.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Dict, FrozenSet, List, Tuple, Union
 
@@ -21,6 +24,8 @@ Parity = Union[int, str]
 # the CLI on a 2-core Xeon, most of the time printing the Poincare lists.
 MAX_DEGREE = 300_000
 
+EMPTY: FrozenSet[str] = frozenset()
+
 
 def _is_int(value) -> bool:
     """False for a float (2.0, 2.5, NaN), a string and a bool, which int()
@@ -32,15 +37,15 @@ def normalize_parity(value: Parity) -> int:
     """Reduce an integer (or the words even/odd) to a residue mod 2."""
     if isinstance(value, str):
         word = value.strip().lower()
-        if word == "even":
-            return 0
-        if word == "odd":
-            return 1
+        if word in ("even", "odd"):
+            return int(word == "odd")
         try:
             return int(word) % 2
         except ValueError:
-            raise InvalidInputError(f"not a parity: {value!r}") from None
-    return int(value) % 2
+            pass
+    if not _is_int(value):
+        raise InvalidInputError(f"not a parity: {value!r}")
+    return value % 2
 
 
 class FiberRing(Record):
@@ -78,9 +83,14 @@ class FiberRing(Record):
         object.__setattr__(self, "products", products)
         object.__setattr__(self, "top_degree", top_degree)
         object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "_tbl", dict(products))
+        table = {(v, u): value for (u, v), value in products}
+        table.update(products)  # a given order wins over the mirrored one
+        object.__setattr__(self, "_tbl", table)
         object.__setattr__(self, "_deg", dict(basis))
         object.__setattr__(self, "_names", {deg: name for name, deg in basis})
+        problems = validate(self)
+        if problems:
+            raise InvalidInputError("invalid fiber ring: " + "; ".join(problems))
 
     @property
     def degrees(self) -> Dict[str, int]:
@@ -94,14 +104,10 @@ class FiberRing(Record):
 
     def mult(self, u: str, v: str) -> FrozenSet[str]:
         """Product of two basis elements as an F2 combination (set of names)."""
-        table = self._tbl
-        hit = table.get((u, v))
-        if hit is None:
-            hit = table.get((v, u))
-        return hit if hit is not None else frozenset()
+        return self._tbl.get((u, v), EMPTY)
 
     def mult_set(self, left: FrozenSet[str], v: str) -> FrozenSet[str]:
-        acc: FrozenSet[str] = frozenset()
+        acc = EMPTY
         for u in left:
             acc = acc.symmetric_difference(self.mult(u, v))
         return acc
@@ -119,21 +125,12 @@ def make_type_ab(n: int, a_parity: Parity, b_parity: Parity) -> FiberRing:
     a = normalize_parity(a_parity)
     b = normalize_parity(b_parity)
     basis = (("1", 0), ("v1", n), ("v2", 2 * n), ("v3", 3 * n))
-    names = [name for name, _ in basis]
-    products: Dict[Tuple[str, str], FrozenSet[str]] = {}
-    for u in names:
-        products[("1", u)] = frozenset({u})
-        products[(u, "1")] = frozenset({u})
-    nontrivial = {
-        ("v1", "v1"): frozenset({"v2"}) if a else frozenset(),
-        ("v1", "v2"): frozenset({"v3"}) if b else frozenset(),
-    }
-    for (u, v), value in nontrivial.items():
-        products[(u, v)] = value
-        products[(v, u)] = value
-    for u in ("v1", "v2", "v3"):
-        for v in ("v1", "v2", "v3"):
-            products.setdefault((u, v), frozenset())
+    # One order of each nonzero product; FiberRing supplies the other.
+    products = [(("1", u), frozenset({u})) for u, _ in basis]
+    if a:
+        products.append((("v1", "v1"), frozenset({"v2"})))
+    if b:
+        products.append((("v1", "v2"), frozenset({"v3"})))
     warnings = []
     if n % 2 == 1 and a == 1:
         warnings.append(
@@ -142,7 +139,7 @@ def make_type_ab(n: int, a_parity: Parity, b_parity: Parity) -> FiberRing:
     return FiberRing(
         basis=basis,
         unit="1",
-        products=tuple(sorted(products.items())),
+        products=tuple(products),
         top_degree=3 * n,
         warnings=tuple(warnings),
     )
@@ -154,23 +151,22 @@ def point_ring() -> FiberRing:
 
 
 def validate(ring: FiberRing) -> List[str]:
-    """All axiom violations, each naming the failing rule with witnesses."""
+    """All axiom violations, each naming the failing rule with witnesses;
+    ``FiberRing`` refuses to build a ring with any."""
     violations: List[str] = []
     degrees = ring.degrees
-    names = [name for name, _ in ring.basis]
-    table = ring._tbl
+    given = dict(ring.products)  # so each order given is reported
     if degrees[ring.unit] != 0:
         violations.append(f"unit: {ring.unit} has degree {degrees[ring.unit]}, not 0")
-    for u in names:
+    for u in degrees:
         got = ring.mult(ring.unit, u)
         if got != frozenset({u}):
             violations.append(f"unit law: 1*{u} = {sorted(got)}, expected [{u}]")
-    for (u, v), value in table.items():
-        other = table.get((v, u))
-        if other is not None and other != value:
+    for (u, v), value in given.items():
+        if given.get((v, u), value) != value:
             violations.append(f"commutativity: {u}*{v} != {v}*{u}")
         want = degrees[u] + degrees[v]
-        for term in value:
+        for term in sorted(value):
             if degrees[term] != want:
                 violations.append(
                     f"degree additivity: {u}*{v} contains {term} of degree "
@@ -179,23 +175,32 @@ def validate(ring: FiberRing) -> List[str]:
             violations.append(
                 f"top degree: {u}*{v} lands in degree {want} > {ring.top_degree} "
                 "but is nonzero")
-    for u in names:
-        for v in names:
-            for w in names:
-                left = ring.mult_set(ring.mult(u, v), w)
-                right = ring.mult_set(ring.mult(v, w), u)
-                if left != right:
-                    violations.append(
-                        f"associativity: ({u}*{v})*{w} = {sorted(left)} but "
-                        f"{u}*({v}*{w}) = {sorted(right)}")
+    # Once the unit law and commutativity hold, both checked above, every
+    # triple holding the unit is associative ((1*v)*w = v*w = (v*w)*1, and so
+    # on), so leaving those out refuses exactly the rings a full walk refuses.
+    names = [name for name in degrees if name != ring.unit]
+    for u, v, w in itertools.product(names, repeat=3):
+        left = ring.mult_set(ring.mult(u, v), w)
+        right = ring.mult_set(ring.mult(v, w), u)
+        if left != right:
+            violations.append(
+                f"associativity: ({u}*{v})*{w} = {sorted(left)} but "
+                f"{u}*({v}*{w}) = {sorted(right)}")
     return violations
+
+
+def _name(value, what: str) -> str:
+    if isinstance(value, str):  # str() would read null as the name "None"
+        return value
+    raise InvalidInputError(f"{what} must be a string, got {value!r}")
 
 
 def load_fiber(path: str) -> FiberRing:
     """Read a fiber ring from its JSON description.
 
     Keys: basis (list of {name, degree}), unit, products (list of
-    {left, right, result: [names]}), top_degree. Missing products are zero.
+    {left, right, result: [names]}), top_degree; names are JSON strings.
+    Missing products are zero, and u*v stands for v*u too.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -205,12 +210,14 @@ def load_fiber(path: str) -> FiberRing:
         # RecursionError, arrays nested too deep for the parser.
         raise InvalidInputError(f"cannot read fiber file {path}: {exc}") from exc
     try:
-        basis = tuple((str(b["name"]), b["degree"]) for b in doc["basis"])
-        unit = str(doc["unit"])
+        basis = tuple((_name(b["name"], "basis name"), b["degree"])
+                      for b in doc["basis"])
+        unit = _name(doc["unit"], "unit")
         top_degree = doc["top_degree"]
         products = {}
         for entry in doc.get("products", []):
-            key = (str(entry["left"]), str(entry["right"]))
+            key = (_name(entry["left"], "product left"),
+                   _name(entry["right"], "product right"))
             if key in products:
                 raise InvalidInputError(
                     f"product {key[0]}*{key[1]} is listed twice")
@@ -222,9 +229,8 @@ def load_fiber(path: str) -> FiberRing:
             products[key] = frozenset(result)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed fiber file {path}: {exc}") from exc
-    names = {name for name, _ in basis}
-    for u in names:
-        products.setdefault((unit, u), frozenset({u}))
-        products.setdefault((u, unit), frozenset({u}))
+    for u, _ in basis:
+        if (unit, u) not in products and (u, unit) not in products:
+            products[(unit, u)] = frozenset({u})
     return FiberRing(basis=basis, unit=unit,
                      products=tuple(sorted(products.items())), top_degree=top_degree)

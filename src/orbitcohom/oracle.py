@@ -35,7 +35,7 @@ from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
 from .engine import GroupChoice, admissible_rounds
 from .errors import (InvalidInputError, OversizedInstanceError,
                      UnsupportedShapeError)
-from .fiber import FiberRing, validate as validate_fiber
+from .fiber import FiberRing
 
 MAX_CELLS = 600
 
@@ -79,9 +79,6 @@ def min_cap(fiber: FiberRing, group: GroupChoice) -> int:
 
 def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComplex:
     """Finite cell model of the second page up to total degree cap."""
-    problems = validate_fiber(fiber)
-    if problems:
-        raise InvalidInputError("invalid fiber ring: " + "; ".join(problems))
     names = fiber.names
     if len(names) != len(fiber.basis):
         raise UnsupportedShapeError(

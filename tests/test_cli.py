@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_LARGE = Path(__file__).with_name("golden_cli_large.json")
 FIBER_U6 = str(Path(__file__).with_name("fiber_truncated_u6.json"))
 FIBER_RANK_TWO = str(Path(__file__).with_name("fiber_rank_two.json"))
+FIBER_NOT_ASSOCIATIVE = str(Path(__file__).with_name("fiber_not_associative.json"))
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +221,42 @@ def test_rank_two_fiber_exits_one(capsys, command):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: rows of rank > 1 are not classifiable"]
+
+
+@pytest.mark.parametrize("command", ["classify", "index", "oracle-check"])
+def test_non_associative_fiber_exits_one(capsys, command):
+    # (v1*v1)*v2 = v2*v2 = 0 but v1*(v1*v2) = v1*v3 = v4
+    code, out, err = run_cli(capsys, command, "--fiber", FIBER_NOT_ASSOCIATIVE)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: invalid fiber ring: associativity: "
+                           "(v1*v1)*v2 = [] but v1*(v1*v2) = ['v4']")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", None), ("name", 7), ("unit", None), ("unit", 1),
+    ("left", None), ("right", ["u"])])
+def test_fiber_file_name_that_is_not_a_string_exits_one(tmp_path, capsys,
+                                                         field, value):
+    # str() would read null as the name "None" and 7 as "7"
+    doc = {"basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 2}],
+           "unit": "1", "top_degree": 4,
+           "products": [{"left": "u", "right": "u", "result": []}]}
+    if field == "name":
+        doc["basis"][0]["name"] = value
+        doc["unit"] = str(value)
+    elif field == "unit":
+        doc["unit"] = value
+    else:
+        doc["products"][0][field] = value
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "classify", "--fiber", str(path))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and "must be a string" in line
 
 
 def test_fiber_file_bad_references_exit_one(tmp_path, capsys):

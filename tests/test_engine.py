@@ -40,11 +40,13 @@ def test_build_e2_point_fiber():
 
 
 def test_build_e2_rejects_invalid_fiber():
-    bad = FiberRing(basis=(("1", 0), ("u", 2)), unit="1",
-                    products=((("1", "1"), frozenset({"1"})),
-                              (("u", "u"), frozenset({"u"}))),
-                    top_degree=2)
-    with pytest.raises(InvalidInputError):
+    # the ring is refused when it is built, so build_e2 never sees it
+    with pytest.raises(InvalidInputError,
+                       match="^invalid fiber ring: unit law: 1\\*u = "):
+        bad = FiberRing(basis=(("1", 0), ("u", 2)), unit="1",
+                        products=((("1", "1"), frozenset({"1"})),
+                                  (("u", "u"), frozenset({"u"}))),
+                        top_degree=2)
         build_e2(bad, GroupChoice.Z2)
 
 

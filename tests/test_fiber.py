@@ -1,13 +1,19 @@
 """Tests for fiber-ring construction, validation, and loading."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitcohom import fiber
+from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError
 from orbitcohom.fiber import (FiberRing, load_fiber, make_type_ab,
                               MAX_DEGREE, normalize_parity, point_ring,
                               validate)
+from orbitcohom.oracle import brute_force_classify, min_cap
 
 
 def test_normalize_parity():
@@ -18,6 +24,19 @@ def test_normalize_parity():
     assert normalize_parity("7") == 1
     with pytest.raises(InvalidInputError):
         normalize_parity("sometimes")
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, float("nan"), True, False,
+                                   b"1", None, [1]],
+                         ids=["fraction", "float", "nan", "true", "false",
+                              "bytes", "none", "list"])
+def test_normalize_parity_refuses_what_is_not_an_int_or_a_string(value):
+    # int() would read 2.5 as even, True and b"1" as odd, and fail bare on
+    # None and NaN
+    with pytest.raises(InvalidInputError, match="^not a parity: "):
+        normalize_parity(value)
+    with pytest.raises(InvalidInputError, match="^not a parity: "):
+        make_type_ab(2, value, 0)
 
 
 def test_type_ab_products_even_even():
@@ -67,6 +86,22 @@ def test_constructor_output_always_valid():
                 assert len(ring.basis) == 4
 
 
+def test_type_ab_table_lists_one_order_of_each_nonzero_product():
+    ring = make_type_ab(2, 1, 1)
+    keys = [key for key, _ in ring.products]
+    assert all(value for _, value in ring.products)
+    assert not any((v, u) in keys for u, v in keys if u != v)
+    assert ring.mult("v2", "v1") == ring.mult("v1", "v2") == frozenset({"v3"})
+    assert ring.mult("v3", "1") == frozenset({"v3"})
+
+
+def _refusal(build, *args, **kwargs):
+    """The violations a ring built by build(*args, **kwargs) is refused for."""
+    with pytest.raises(InvalidInputError, match="^invalid fiber ring: ") as info:
+        build(*args, **kwargs)
+    return str(info.value).removeprefix("invalid fiber ring: ").split("; ")
+
+
 def _ring_with(products, n=2, top=None):
     basis = (("1", 0), ("v1", n), ("v2", 2 * n), ("v3", 3 * n))
     table = {}
@@ -80,16 +115,14 @@ def _ring_with(products, n=2, top=None):
 
 
 def test_validate_degree_defect():
-    ring = _ring_with({("v1", "v2"): frozenset({"v1"}),
-                       ("v2", "v1"): frozenset({"v1"})})
-    problems = validate(ring)
+    problems = _refusal(_ring_with, {("v1", "v2"): frozenset({"v1"}),
+                                     ("v2", "v1"): frozenset({"v1"})})
     assert any("degree additivity" in p for p in problems)
 
 
 def test_validate_commutativity_defect():
-    ring = _ring_with({("v1", "v2"): frozenset({"v3"}),
-                       ("v2", "v1"): frozenset()})
-    problems = validate(ring)
+    problems = _refusal(_ring_with, {("v1", "v2"): frozenset({"v3"}),
+                                     ("v2", "v1"): frozenset()})
     assert any("commutativity" in p for p in problems)
 
 
@@ -108,17 +141,104 @@ def test_validate_associativity_defect():
     for (u, v), val in sym.items():
         table[(u, v)] = val
         table[(v, u)] = val
-    ring = FiberRing(basis=basis, unit="1", products=tuple(sorted(table.items())),
-                     top_degree=4)
-    problems = validate(ring)
+    problems = _refusal(FiberRing, basis=basis, unit="1",
+                        products=tuple(sorted(table.items())), top_degree=4)
     assert any("associativity" in p and "v1" in p and "v2" in p
                for p in problems)
 
 
 def test_validate_top_degree_defect():
-    ring = _ring_with({("v2", "v3"): frozenset({"v1"})}, n=2)
-    problems = validate(ring)
+    problems = _refusal(_ring_with, {("v2", "v3"): frozenset({"v1"})}, n=2)
     assert any("top degree" in p or "degree additivity" in p for p in problems)
+
+
+def _reference_violations(basis, unit, products, top_degree):
+    """Axiom violations found by walking every pair in both orders and every
+    triple, with a product given in one order standing for the other."""
+    degree = dict(basis)
+    names = list(degree)
+
+    def mult(u, v):
+        return products.get((u, v), products.get((v, u), frozenset()))
+
+    def times(left, right):  # product of two F2 combinations
+        acc = frozenset()
+        for x, y in itertools.product(left, right):
+            acc ^= mult(x, y)
+        return acc
+
+    found = []
+    if degree[unit] != 0:
+        found.append(("unit", unit))
+    for u, v in itertools.product(names, repeat=2):
+        if u == unit and mult(u, v) != {v} or v == unit and mult(u, v) != {u}:
+            found.append(("unit law", u, v))
+        if (u, v) in products and (v, u) in products \
+                and products[(u, v)] != products[(v, u)]:
+            found.append(("commutativity", u, v))
+        if any(degree[x] != degree[u] + degree[v] for x in mult(u, v)):
+            found.append(("degree", u, v))
+        if degree[u] + degree[v] > top_degree and mult(u, v):
+            found.append(("top degree", u, v))
+    for u, v, w in itertools.product(names, repeat=3):
+        if times(mult(u, v), {w}) != times({u}, mult(v, w)):
+            found.append(("associativity", u, v, w))
+    return found
+
+
+@st.composite
+def _small_rings(draw):
+    """Random tables, most of them close to a ring (a degree-0 unit with its
+    products, results of the right degree), so that both outcomes occur."""
+    often = st.sampled_from((True, True, True, False))
+    size = draw(st.integers(2, 5))
+    names = [f"e{i}" for i in range(size)]
+    degree = {name: draw(st.integers(0, 3)) for name in names}
+    unit = draw(st.sampled_from(names))
+    if draw(often):
+        degree[unit] = 0
+    element = st.sampled_from(names)
+    products = {}
+    for u, v in draw(st.lists(st.tuples(element, element), max_size=6)):
+        if unit in (u, v) and draw(often):
+            products[(u, v)] = frozenset({v if u == unit else u})
+            continue
+        fitting = [x for x in names if degree[x] == degree[u] + degree[v]]
+        pool = fitting if fitting and draw(often) else names
+        products[(u, v)] = draw(st.frozensets(st.sampled_from(pool), max_size=2))
+    if draw(often):
+        for name in names:
+            products.setdefault((unit, name), frozenset({name}))
+    top_degree = max(degree.values()) if draw(often) else draw(st.integers(0, 6))
+    return tuple(degree.items()), unit, products, top_degree
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_rings())
+def test_construction_succeeds_exactly_on_valid_rings(ring):
+    basis, unit, products, top_degree = ring
+    fields = dict(basis=basis, unit=unit, products=tuple(products.items()),
+                  top_degree=top_degree)
+    if _reference_violations(*ring):
+        with pytest.raises(InvalidInputError, match="^invalid fiber ring: "):
+            FiberRing(**fields)
+    else:
+        assert validate(FiberRing(**fields)) == []
+
+
+def test_classify_and_oracle_do_not_check_a_built_ring_again(monkeypatch):
+    ring = make_type_ab(2, 0, 1)
+
+    def refuse(_):
+        raise AssertionError("the ring was checked again after it was built")
+
+    # in place, so that a module that bound validate under another name
+    # calls the refusing body too
+    monkeypatch.setattr(fiber.validate, "__code__", refuse.__code__)
+    for group in GroupChoice:
+        report = classify(ring, group)
+        oracle = brute_force_classify(ring, group, min_cap(ring, group))
+        assert len(oracle.outcomes) == len(report.outcomes)
 
 
 def test_duplicate_names_rejected():
