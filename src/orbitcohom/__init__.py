@@ -16,7 +16,7 @@ from .engine import (ClassificationReport, DifferentialPattern, GroupChoice,
 from .errors import (InvalidInputError, InvariantError, OrbitCohomError,
                      OversizedInstanceError, PreconditionError,
                      UnsupportedShapeError)
-from .fiber import FiberRing, load_fiber, make_type_ab, point_ring
+from .fiber import FiberRing, load_fiber, make_type_ab
 from .intervals import FREE_ROW, INFINITE, IntervalModule
 from .presentation import (ExtensionFlag, RingPresentation,
                            extract_presentation, presentation_str,
@@ -30,20 +30,20 @@ __all__ = [
     "InvalidInputError", "InvariantError", "OrbitCohomError",
     "OversizedInstanceError",
     "PreconditionError", "UnsupportedShapeError",
-    "FiberRing", "load_fiber", "make_type_ab", "point_ring",
+    "FiberRing", "load_fiber", "make_type_ab",
     "FREE_ROW", "INFINITE", "IntervalModule",
-    "OracleReport", "brute_force_classify", "cap_stable", "compare_reports",
-    "min_cap", "truncate_e2",
+    "OracleReport", "brute_force_classify", "compare_reports", "min_cap",
+    "truncate_e2",
     "ExtensionFlag", "RingPresentation", "extract_presentation",
     "presentation_str", "tot_poincare",
-    "basis_problems", "same_presentation",
+    "basis_problems",
 ]
 
 # Name -> module, imported on first use: only oracle-check and --self-check
 # need these, and every other command would pay for their import.
-_LAZY = {**dict.fromkeys(("OracleReport", "brute_force_classify", "cap_stable",
+_LAZY = {**dict.fromkeys(("OracleReport", "brute_force_classify",
                           "compare_reports", "min_cap", "truncate_e2"), "oracle"),
-         "basis_problems": "selfcheck", "same_presentation": "selfcheck"}
+         "basis_problems": "selfcheck"}
 
 
 def __getattr__(name):

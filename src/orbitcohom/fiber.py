@@ -145,23 +145,18 @@ def make_type_ab(n: int, a_parity: Parity, b_parity: Parity) -> FiberRing:
     )
 
 
-def point_ring() -> FiberRing:
-    return FiberRing(basis=(("1", 0),), unit="1",
-                     products=((("1", "1"), frozenset({"1"})),), top_degree=0)
-
-
 def validate(ring: FiberRing) -> List[str]:
     """All axiom violations, each naming the failing rule with witnesses;
     ``FiberRing`` refuses to build a ring with any."""
     violations: List[str] = []
-    degrees = ring.degrees
+    unit, degrees = ring.unit, ring.degrees
     given = dict(ring.products)  # so each order given is reported
-    if degrees[ring.unit] != 0:
-        violations.append(f"unit: {ring.unit} has degree {degrees[ring.unit]}, not 0")
+    if degrees[unit] != 0:
+        violations.append(f"unit: {unit} has degree {degrees[unit]}, not 0")
     for u in degrees:
-        got = ring.mult(ring.unit, u)
+        got = ring.mult(unit, u)
         if got != frozenset({u}):
-            violations.append(f"unit law: 1*{u} = {sorted(got)}, expected [{u}]")
+            violations.append(f"unit law: {unit}*{u} = {sorted(got)}, expected [{u}]")
     for (u, v), value in given.items():
         if given.get((v, u), value) != value:
             violations.append(f"commutativity: {u}*{v} != {v}*{u}")
@@ -178,7 +173,7 @@ def validate(ring: FiberRing) -> List[str]:
     # Once the unit law and commutativity hold, both checked above, every
     # triple holding the unit is associative ((1*v)*w = v*w = (v*w)*1, and so
     # on), so leaving those out refuses exactly the rings a full walk refuses.
-    names = [name for name in degrees if name != ring.unit]
+    names = [name for name in degrees if name != unit]
     for u, v, w in itertools.product(names, repeat=3):
         left = ring.mult_set(ring.mult(u, v), w)
         right = ring.mult_set(ring.mult(v, w), u)

@@ -277,23 +277,3 @@ def check(report) -> Tuple[OracleReport, List[str]]:
     fiber, group = report.fiber, report.group
     orep = brute_force_classify(fiber, group, min_cap(fiber, group))
     return orep, compare_reports(report, orep)
-
-
-def cap_stable(fiber: FiberRing, group: GroupChoice, cap: int) -> List[str]:
-    """Discrepancies between oracle runs at cap and cap + 2."""
-    lo = brute_force_classify(fiber, group, cap)
-    hi = brute_force_classify(fiber, group, cap + 2)
-    problems: List[str] = []
-    lo_keys = {o.key: o for o in lo.outcomes}
-    hi_keys = {o.key: o for o in hi.outcomes}
-    if set(lo_keys) != set(hi_keys):
-        problems.append(f"outcome keys differ between caps {cap} and {cap + 2}")
-        return problems
-    reliable = lo.complex.reliable_degree
-    for key, out in lo_keys.items():
-        other = hi_keys[key]
-        for deg in range(reliable + 1):
-            if out.dims.get(deg, 0) != other.dims.get(deg, 0):
-                problems.append(
-                    f"outcome {key}: degree {deg} changed with the cap")
-    return problems

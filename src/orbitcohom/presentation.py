@@ -3,9 +3,10 @@
 The canonical answer is the total graded ring of the limit page: one
 generator x for the surviving base column (the image of t), one generator
 per surviving fiber row, and monomial relations read off the interval
-endpoints and the induced product table. Products that vanish on the limit
-page while higher-filtration classes of the same degree survive are
-reported as extension flags, never silently resolved.
+endpoints and the induced product table. Extraction notes each product it
+finds vanishing, with its total degree and filtration; those whose degree
+holds a surviving class of higher filtration are reported as extension
+flags, never silently resolved.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ Relation = Tuple[Monomial, ...]
 class RingPresentation(NamedTuple):
     generators: Tuple[Tuple[str, int], ...]
     relations: Tuple[Relation, ...]
-    base_generator: Optional[str] = None  # image of t; not part of ring identity
-
-    def degree_of(self, name: str) -> int:
-        return dict(self.generators)[name]
-
-    def monomial_degree(self, monomial: Monomial) -> int:
-        degs = dict(self.generators)
-        return sum(degs[g] * e for g, e in monomial)
+    base_generator: Optional[str] = None  # the image of t; == compares it too
 
 
 class ExtensionFlag(NamedTuple):
@@ -121,108 +115,80 @@ def tot_poincare(e_inf: "Page") -> PoincareSeries:
     return PoincareSeries(tuple(sorted(terms)))
 
 
-def _single_interval(row) -> Tuple[int, int]:
-    """(start, length) of a row that is one finite run, else raise."""
-    summands = row.summands
-    if len(summands) != 1 or summands[0][1] is None:
-        raise UnsupportedShapeError("row is not a single finite interval")
-    return summands[0]
-
-
 def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[ExtensionFlag]]:
-    """Presentation of the total ring of an admissible limit page.
+    """Presentation of the total ring of an admissible limit page, and its
+    extension flags.
 
     Supports pages whose rows are single intervals based at column 0 (the
     shapes the classification produces); anything else is an
-    unsupported-shape error.
+    unsupported-shape error. Each row is read once, as its length.
     """
-    step = e_inf.step
-    rows = e_inf.rows
+    step, rows = e_inf.step, e_inf.rows
     if 0 not in rows:
         raise UnsupportedShapeError("unit row is missing from the page")
 
-    start0, x_power = _single_interval(rows[0])
-    if start0 != 0:
-        raise UnsupportedShapeError("base row does not start at column 0")
-
-    generators: List[Tuple[str, int]] = []
-    relations: List[Relation] = []
-    x_name: Optional[str] = None
-    if x_power > 1:
-        x_name = "x"
-        generators.append((x_name, step))
-        relations.append(((((x_name, x_power)),),))
-
     fiber_rows = sorted(l for l in rows if l > 0)
+    length: Dict[int, int] = {}  # row l is alive in columns 0..length[l] - 1
+    for l in [0] + fiber_rows:
+        summands = rows[l].summands
+        if len(summands) != 1 or summands[0][1] is None:
+            raise UnsupportedShapeError("row is not a single finite interval")
+        start, length[l] = summands[0]
+        if start != 0:
+            raise UnsupportedShapeError(f"row {l} does not start at column 0" if l
+                                        else "base row does not start at column 0")
+
+    x_name = "x" if length[0] > 1 else None
+    generators: List[Tuple[str, int]] = [(x_name, step)] if x_name else []
+    relations: List[Relation] = [(((x_name, length[0]),),)] if x_name else []
+    # (monomial, total degree, filtration) of each product that vanishes
+    vanishing: List[Tuple[Monomial, int, int]] = []
     z_names: Dict[int, str] = {}
     for i, l in enumerate(fiber_rows):
-        start, length = _single_interval(rows[l])
-        if start != 0:
-            raise UnsupportedShapeError(f"row {l} does not start at column 0")
-        name = "z" if len(fiber_rows) == 1 else f"z{i + 1}"
-        z_names[l] = name
+        name = z_names[l] = "z" if len(fiber_rows) == 1 else f"z{i + 1}"
         generators.append((name, l))
-        if x_name is None:
-            if length != 1:
-                raise UnsupportedShapeError(
-                    f"row {l} extends past column 0 but the base generator is elided")
-        elif length > x_power:
+        if x_name is None and length[l] != 1:
+            raise UnsupportedShapeError(
+                f"row {l} extends past column 0 but the base generator is elided")
+        if length[l] > length[0]:
             raise UnsupportedShapeError(
                 f"row {l} outlives the base row; not generated by x and z")
-        elif length < x_power:
-            # z*x^q with q = x_power is already implied by x^x_power = 0.
-            relations.append(((((x_name, length), (name, 1))),))
+        elif length[l] < length[0]:
+            # z*x^length[0] = 0 follows from x^length[0] = 0. For l < |x|,
+            # z goes first in the relation, but the product is never flagged:
+            # a candidate row lies below l by a multiple of |x|.
+            q = length[l] * step
+            vanishing.append((((x_name, length[l]), (name, 1)), q + l, q))
 
     # Products of the fiber-row generators, induced from the starting page.
     names = e_inf.fiber.names
     for li, lj in itertools.combinations_with_replacement(fiber_rows, 2):
-        product = e_inf.fiber.mult(names[li], names[lj])
-        mono: Monomial = ((z_names[li], 2),) if li == lj else (
+        mono = ((z_names[li], 2),) if li == lj else (
             (z_names[li], 1), (z_names[lj], 1))
-        lw = li + lj
-        if product and lw in rows and rows[lw].has_column(0):
-            target = ((z_names[lw], 1),)
-            relations.append((mono, target))
+        if e_inf.fiber.mult(names[li], names[lj]) and li + lj in length:
+            relations.append((mono, ((z_names[li + lj], 1),)))
         else:
-            relations.append((mono,))
+            vanishing.append((mono, li + lj, 0))
 
+    relations += [(mono,) for mono, _, _ in vanishing]
     pres = make_presentation(generators, relations, base_generator=x_name)
-    flags = _extension_flags(e_inf, pres, z_names, x_name)
-    return pres, flags
+    return pres, _flags(e_inf, vanishing, z_names, x_name)
 
 
-def _extension_flags(e_inf, pres: RingPresentation, z_names,
-                     x_name) -> List[ExtensionFlag]:
-    """Vanishing products whose degree holds a surviving class of higher filtration.
-
-    A class of total degree D in row l sits k = D - l degrees above the
-    row's generator, in column k / step, so the candidates for a product of
-    filtration F are the rows whose column of D - l > F is alive, listed by
-    rising column.
-    """
-    step = e_inf.step
-    rows = e_inf.rows
+def _flags(e_inf: "Page", vanishing, z_names, x_name) -> List[ExtensionFlag]:
+    """The vanishing products (monomial, total degree D, filtration F) whose
+    degree holds a surviving class of higher filtration. A class of degree D
+    in row l sits k = D - l degrees above the row's generator, in column
+    k / step; the candidates are the rows alive there with k > F, by rising k."""
+    step, rows = e_inf.step, e_inf.rows
     flags: List[ExtensionFlag] = []
-    for rel in pres.relations:
-        if len(rel) != 1:
-            continue  # only vanishing products can hide an extension
-        (mono,) = rel
-        if len(mono) == 1 and mono[0][0] == x_name:
-            continue  # x-power vanishing is exact at the base edge
-        degree = pres.monomial_degree(mono)
-        filtration = sum(pres.degree_of(g) * e for g, e in mono if g == x_name)
+    for mono, degree, filtration in vanishing:
         candidates = []
         for l in sorted(rows, reverse=True):
             k = degree - l
-            if (k > filtration and k % step == 0
-                    and rows[l].has_column(k // step)):
-                parts = []
-                if x_name:
-                    parts.append(x_name if k == step else f"{x_name}^{k // step}")
-                if l:
-                    parts.append(z_names[l])
-                candidates.append("*".join(parts))
+            if k > filtration and k % step == 0 and rows[l].has_column(k // step):
+                factors = ((x_name, k // step), (z_names.get(l), 1))
+                candidates.append(monomial_str(tuple(f for f in factors if f[0])))
         if candidates:
             flags.append(ExtensionFlag(monomial_str(mono), tuple(candidates)))
-    flags.sort(key=lambda f: f.product)
-    return flags
+    return sorted(flags, key=lambda f: f.product)

@@ -4,10 +4,9 @@ comparison of the whole report with the brute-force oracle."""
 
 from __future__ import annotations
 
-import itertools
 import sys
 from collections import Counter
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import oracle
 from .engine import ClassificationReport, Outcome
@@ -102,32 +101,3 @@ def basis_problems(outcome: Outcome) -> List[str]:
             problems.append(f"outcome {key}: largest basis power of x is "
                             f"{walked} but the index is {outcome.index}")
     return problems
-
-
-def same_presentation(p1: RingPresentation, p2: RingPresentation) -> bool:
-    """Equality after canonicalization, allowing renames within equal degree."""
-
-    def forms(p: RingPresentation):
-        gens = sorted(p.generators, key=lambda g: (g[1], g[0]))
-        degrees = tuple(d for _, d in gens)
-        # permute names within each degree class
-        by_degree: Dict[int, List[str]] = {}
-        for name, d in gens:
-            by_degree.setdefault(d, []).append(name)
-        degree_classes = [by_degree[d] for d in sorted(by_degree)]
-        for perm_parts in itertools.product(
-                *[itertools.permutations(c) for c in degree_classes]):
-            rename = {}
-            slot = 0
-            for part in perm_parts:
-                for name in part:
-                    rename[name] = slot
-                    slot += 1
-            rels = frozenset(
-                tuple(sorted(tuple(sorted((rename[g], e) for g, e in mono))
-                             for mono in rel))
-                for rel in p.relations)
-            yield degrees, rels
-
-    targets = set(forms(p2))
-    return any(f in targets for f in forms(p1))

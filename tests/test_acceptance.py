@@ -13,10 +13,11 @@ from contextlib import redirect_stdout
 from orbitcohom import cli
 from orbitcohom.engine import GroupChoice, branches, build_e2, classify
 from orbitcohom.fiber import make_type_ab
-from orbitcohom.oracle import (brute_force_classify, cap_stable,
-                               compare_reports, min_cap)
+from orbitcohom.oracle import brute_force_classify, compare_reports, min_cap
 from orbitcohom.presentation import make_presentation
-from orbitcohom.selfcheck import basis_problems, same_presentation
+from orbitcohom.selfcheck import basis_problems
+
+from helpers import cap_stable, same_presentation
 
 # collected verdict lines; echoed by the conftest terminal-summary hook so
 # they appear even under default output capturing

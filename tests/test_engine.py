@@ -13,8 +13,10 @@ from orbitcohom.engine import (GroupChoice, admissible_rounds, branches,
                                is_free_admissible, Page, _sum_hit)
 from orbitcohom.errors import (InvalidInputError, InvariantError,
                                PreconditionError, UnsupportedShapeError)
-from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab, point_ring
+from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
 from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule, runs
+
+from helpers import point_ring
 
 
 def test_build_e2_rows_z2():

@@ -11,8 +11,7 @@ from orbitcohom import fiber
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError
 from orbitcohom.fiber import (FiberRing, load_fiber, make_type_ab,
-                              MAX_DEGREE, normalize_parity, point_ring,
-                              validate)
+                              MAX_DEGREE, normalize_parity, validate)
 from orbitcohom.oracle import brute_force_classify, min_cap
 
 
@@ -145,6 +144,13 @@ def test_validate_associativity_defect():
                         products=tuple(sorted(table.items())), top_degree=4)
     assert any("associativity" in p and "v1" in p and "v2" in p
                for p in problems)
+
+
+def test_unit_law_defect_names_the_ring_unit():
+    problems = _refusal(FiberRing, basis=(("e2", 0), ("e0", 1)), unit="e2",
+                        products=((("e2", "e2"), frozenset({"e2"})),
+                                  (("e2", "e0"), frozenset())), top_degree=1)
+    assert problems == ["unit law: e2*e0 = [], expected [e0]"]
 
 
 def test_validate_top_degree_defect():

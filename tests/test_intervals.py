@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from orbitcohom.engine import GroupChoice, Page
 from orbitcohom.errors import InvalidInputError
-from orbitcohom.fiber import point_ring
 from orbitcohom.intervals import (FREE_ROW, INFINITE, IntervalModule,
                                   from_mask, runs)
 from orbitcohom.presentation import tot_poincare
+
+from helpers import point_ring
 
 
 def test_free_module_dimensions():

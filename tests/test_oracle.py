@@ -4,9 +4,11 @@ import pytest
 
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError, OversizedInstanceError
-from orbitcohom.fiber import make_type_ab, point_ring
-from orbitcohom.oracle import (_turn, brute_force_classify, cap_stable,
-                               compare_reports, min_cap, truncate_e2)
+from orbitcohom.fiber import make_type_ab
+from orbitcohom.oracle import (_turn, brute_force_classify, compare_reports,
+                               min_cap, truncate_e2)
+
+from helpers import cap_stable, point_ring
 
 
 def test_cell_counts():

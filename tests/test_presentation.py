@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from orbitcohom.engine import GroupChoice, Page, classify
 from orbitcohom.errors import UnsupportedShapeError
-from orbitcohom.fiber import make_type_ab, point_ring
+from orbitcohom.fiber import FiberRing, make_type_ab
 from orbitcohom.intervals import IntervalModule
-from orbitcohom.presentation import (ExtensionFlag, PoincareSeries,
-                                     _extension_flags, make_presentation,
+from orbitcohom.presentation import (ExtensionFlag, PoincareSeries, _flags,
+                                     extract_presentation, make_presentation,
                                      monomial_str, presentation_str,
                                      relation_str, tot_poincare)
-from orbitcohom.selfcheck import (basis_problems, monomial_basis_elements,
-                                  same_presentation)
+from orbitcohom.selfcheck import basis_problems, monomial_basis_elements
+
+from helpers import point_ring, same_presentation
 
 
 def _z2_ring(n, power, z_deg, z_len=None):
@@ -112,8 +113,9 @@ def test_basis_problems_reports_injected_mismatches():
     assert "degree 3" in problem
 
 
-# Per-degree reference versions of tot_poincare and _extension_flags, as they
-# were before both read the summands directly.
+# Per-degree reference versions of tot_poincare and of the extension flags,
+# which walk every column of every row and read each vanishing product back
+# from the presentation's relations.
 def _tot_poincare_per_degree(e_inf):
     out = {}
     for l, row in e_inf.rows.items():
@@ -147,6 +149,13 @@ def _surviving_monomials(e_inf, z_names, x_name):
     return out
 
 
+def _degree_and_filtration(pres, mono, x_name):
+    """A monomial's total degree and the part of it that x carries."""
+    degrees = dict(pres.generators)
+    return (sum(degrees[g] * e for g, e in mono),
+            sum(degrees[g] * e for g, e in mono if g == x_name))
+
+
 def _extension_flags_sorted(e_inf, pres, z_names, x_name):
     classes = _surviving_monomials(e_inf, z_names, x_name)
     flags = []
@@ -156,8 +165,7 @@ def _extension_flags_sorted(e_inf, pres, z_names, x_name):
         (mono,) = rel
         if len(mono) == 1 and mono[0][0] == x_name:
             continue
-        degree = pres.monomial_degree(mono)
-        filtration = sum(pres.degree_of(g) * e for g, e in mono if g == x_name)
+        degree, filtration = _degree_and_filtration(pres, mono, x_name)
         candidates = tuple(name for d, k, name in sorted(classes)
                            if d == degree and k > filtration)
         if candidates:
@@ -171,19 +179,41 @@ def _z_names(pres):
             if name != pres.base_generator}
 
 
+def _truncated_polynomial(degree, k):
+    """F2[u]/(u^k) with |u| = degree, its classes named 1, u1, .., u{k-1}."""
+    names = ["1"] + [f"u{i}" for i in range(1, k)]
+    products = [((names[i], names[j]),
+                 frozenset({names[i + j]}) if i + j < k else frozenset())
+                for i in range(k) for j in range(i, k)]
+    return FiberRing(basis=tuple((name, i * degree) for i, name in enumerate(names)),
+                     unit="1", products=tuple(products),
+                     top_degree=(k - 1) * degree)
+
+
+def _reference_fibers():
+    for n in range(1, 25):
+        for a in (0, 1):
+            for b in (0, 1):
+                yield make_type_ab(n, a, b)
+    # their outcomes carry two-term relations such as z1^2 + z2
+    for degree in range(1, 5):
+        for k in range(2, 8):
+            yield _truncated_polynomial(degree, k)
+
+
 def test_outcome_data_matches_per_degree_reference():
+    two_term = 0
     for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
-        for n in range(1, 25):
-            for a in (0, 1):
-                for b in (0, 1):
-                    report = classify(make_type_ab(n, a, b), group)
-                    for out in report.outcomes:
-                        pres, page = out.presentation, out.e_inf
-                        assert (dict(out.poincare.items())
-                                == _tot_poincare_per_degree(page))
-                        assert list(out.extension_flags) == _extension_flags_sorted(
-                            page, pres, _z_names(pres), pres.base_generator), (
-                                group, n, a, b)
+        for fiber in _reference_fibers():
+            for out in classify(fiber, group).outcomes:
+                pres, page = out.presentation, out.e_inf
+                assert (dict(out.poincare.items())
+                        == _tot_poincare_per_degree(page))
+                assert list(out.extension_flags) == _extension_flags_sorted(
+                    page, pres, _z_names(pres), pres.base_generator), (
+                        group, fiber.basis)
+                two_term += any(len(rel) > 1 for rel in pres.relations)
+    assert two_term
 
 
 @st.composite
@@ -200,7 +230,8 @@ def _finite_row(draw):
 def _finite_pages(draw):
     """Finite pages with several runs per row and gaps between them, plus a
     presentation with a few vanishing monomials in x and the row
-    generators."""
+    generators, each with a row generator: extraction never records a power
+    of x, which is exact at the base edge."""
     step = draw(st.integers(1, 2))
     ls = draw(st.sets(st.integers(1, 9), max_size=3))
     rows = {l: draw(_finite_row()) for l in {0} | ls}
@@ -210,8 +241,10 @@ def _finite_pages(draw):
     gens = [("x", step)] + [(name, l) for l, name in z_names.items()]
     monos = st.lists(st.tuples(st.sampled_from([g for g, _ in gens]),
                                st.integers(1, 3)),
-                     min_size=1, max_size=3, unique_by=lambda p: p[0])
-    relations = [(tuple(m),) for m in draw(st.lists(monos, max_size=4))]
+                     min_size=1, max_size=3, unique_by=lambda p: p[0]).filter(
+        lambda m: any(g != "x" for g, _ in m))
+    relations = [(tuple(m),)
+                 for m in draw(st.lists(monos, max_size=4 if ls else 0))]
     return page, make_presentation(gens, relations, base_generator="x"), z_names
 
 
@@ -224,8 +257,34 @@ def test_outcome_data_matches_reference_on_hand_built_pages(built):
     top = max(reference, default=0)
     assert series.dense(top + 3) == [reference.get(d, 0) for d in range(top + 4)]
     assert series.dense(top // 2) == [reference.get(d, 0) for d in range(top // 2 + 1)]
-    assert (_extension_flags(page, pres, z_names, "x")
+    vanishing = [(mono, *_degree_and_filtration(pres, mono, "x"))
+                 for (mono,) in pres.relations]
+    assert (_flags(page, vanishing, z_names, "x")
             == _extension_flags_sorted(page, pres, z_names, "x"))
+
+
+@st.composite
+def _single_run_pages(draw):
+    """Pages of the shape extraction supports, over a truncated polynomial
+    fiber: each row one run from column 0, none longer than the base row."""
+    step, degree = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    k = draw(st.integers(2, 5))
+    fiber = _truncated_polynomial(degree, k)
+    base = draw(st.integers(1, 6))
+    rows = {0: IntervalModule(((0, base),))}
+    for i in range(1, k):
+        if draw(st.booleans()):
+            rows[i * degree] = IntervalModule(((0, draw(st.integers(1, base))),))
+    return Page(fiber=fiber, group=GroupChoice(("z2", "s1")[step - 1]),
+                rounds=(), rows=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_single_run_pages())
+def test_extracted_flags_match_reference_on_hand_built_pages(page):
+    pres, flags = extract_presentation(page)
+    assert flags == _extension_flags_sorted(page, pres, _z_names(pres),
+                                            pres.base_generator)
 
 
 def test_tot_poincare_rejects_infinite_rows():
@@ -245,7 +304,6 @@ def test_extension_flags_even_even():
 
 
 def test_extraction_is_stable():
-    from orbitcohom.presentation import extract_presentation
     report = classify(make_type_ab(3, 0, 0), GroupChoice.Z2)
     out = report.outcomes[0]
     again, flags = extract_presentation(out.e_inf)

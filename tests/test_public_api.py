@@ -8,9 +8,12 @@ from pathlib import Path
 
 import orbitcohom
 import orbitcohom.engine
+import orbitcohom.fiber
+import orbitcohom.oracle
 import orbitcohom.selfcheck
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -27,8 +30,39 @@ def test_second_ways_to_step_a_page_are_gone():
 
 
 def test_lazy_names_are_the_selfcheck_module_functions():
-    assert orbitcohom.same_presentation is orbitcohom.selfcheck.same_presentation
     assert orbitcohom.basis_problems is orbitcohom.selfcheck.basis_problems
+
+
+def _used(name, text):
+    """Whether name occurs in text outside the lines that define it."""
+    word = re.escape(name)
+    definition = re.compile(rf"\s*(?:def|class)\s+{word}\b|{word}\s*[:=]")
+    return any(re.search(rf"\b{word}\b", line)
+               for line in text.splitlines() if not definition.match(line))
+
+
+def test_every_exported_name_is_used_outside_its_definition():
+    """A name the package exports is used by a package module, documented in
+    the README or used by the benchmark; one that only the tests use
+    belongs under tests/."""
+    package = Path(orbitcohom.__file__).parent
+    texts = [path.read_text() for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py"]
+    texts.append(README.read_text())
+    texts += [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*"))
+              if path.suffix in (".py", ".md")]
+    unused = [name for name in orbitcohom.__all__
+              if not any(_used(name, text) for text in texts)]
+    assert unused == []
+
+
+def test_test_only_helpers_left_the_package():
+    for module, name in ((orbitcohom.selfcheck, "same_presentation"),
+                         (orbitcohom.oracle, "cap_stable"),
+                         (orbitcohom.fiber, "point_ring")):
+        assert name not in orbitcohom.__all__
+        assert not hasattr(orbitcohom, name), name
+        assert not hasattr(module, name), name
 
 
 def _library_blocks():

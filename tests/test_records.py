@@ -5,10 +5,12 @@ import pytest
 from orbitcohom.engine import (DifferentialPattern, GroupChoice, Page,
                                build_e2, classify)
 from orbitcohom.errors import InvalidInputError
-from orbitcohom.fiber import FiberRing, make_type_ab, point_ring
+from orbitcohom.fiber import FiberRing, make_type_ab
 from orbitcohom.intervals import IntervalModule
 from orbitcohom.oracle import brute_force_classify, min_cap
 from orbitcohom.presentation import ExtensionFlag, RingPresentation
+
+from helpers import point_ring
 
 
 def _records():
