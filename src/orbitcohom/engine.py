@@ -22,14 +22,19 @@ A page carries only its remaining rounds, the current one first.
 
 The Leibniz and d o d checks hold across all columns exactly. Each row
 is a union of runs of columns that is constant beyond its last run
-endpoint, so finitely many columns represent every regime. A page
-reads its rows as column masks once per round (``Page._scan``). A Leibniz
+endpoint, so finitely many columns represent every regime. A page that
+has a slot reads its rows as column masks once, and from them builds, also
+once, the data of its Leibniz tests and d o d chains that no pattern
+changes (``Page._scan``); a pattern only switches that data on or off by
+its sources. The zero pattern switches nothing on, so it fails no check
+and keeps every row, and a page without a slot builds no masks at all. A Leibniz
 test asks whether some pair of columns k, j with given term parities sums
 into a set of live target columns; the sumset of the runs [a, b) and
 [c, d) is the single run [a + c, b + d - 1), so each test costs O(runs^2)
-big-int operations, whatever n is. A page turn clears the columns that are
-hit or hit something and reads the surviving runs straight back as the
-row, the run that reaches the constant regime becoming infinite.
+big-int operations, whatever n is. A page turn clears, in each row the
+pattern sources or targets, the columns that are hit or hit something and
+reads the surviving runs straight back as the row, the run that reaches
+the constant regime becoming infinite; every other row is kept as it is.
 """
 
 from __future__ import annotations
@@ -157,20 +162,24 @@ def differential_slots(page: Page) -> Tuple[int, ...]:
 
 
 class _Scan(Record):
-    """Column data of a page for its current round, shared by all its patterns."""
-    __slots__ = ("rep_bits", "nbits", "masks", "gens", "slots")
+    """Data of a page for its current round that no pattern changes, shared
+    by all its patterns. A page without slots has only the zero pattern,
+    which needs none of it, so its scan holds the slots alone."""
+    __slots__ = ("slots", "threshold", "masks", "pairs", "chains")
 
-    def __init__(self, rep_bits: int, nbits: int, masks: Dict[int, int],
-                 gens: Tuple[Tuple[int, str], ...], slots: Tuple[int, ...]):
-        object.__setattr__(self, "rep_bits", rep_bits)  # representatives to scan
-        object.__setattr__(self, "nbits", nbits)  # room for sums of representatives
-        object.__setattr__(self, "masks", masks)  # row -> column mask
-        object.__setattr__(self, "gens", gens)  # (row, generator) alive at column 0
+    def __init__(self, slots: Tuple[int, ...], threshold: int,
+                 masks: Dict[int, int], pairs: Tuple[tuple, ...],
+                 chains: Tuple[Tuple[int, int, int], ...]):
         object.__setattr__(self, "slots", slots)  # source rows of the round's slots
+        object.__setattr__(self, "threshold", threshold)  # supports constant from here
+        object.__setattr__(self, "masks", masks)  # row -> column mask
+        object.__setattr__(self, "pairs", pairs)  # Leibniz tests, in check order
+        object.__setattr__(self, "chains", chains)  # (l, mid, last) with d o d live
 
 
 def _scan_page(page: Page) -> _Scan:
-    """Mask widths and row masks covering every support regime.
+    """Slots, and for a page with slots the masks and the Leibniz and d o d
+    data covering every support regime.
 
     Beyond the largest run endpoint shifted by the differential every
     row's support is constant, so scanning representatives up to that bound
@@ -185,16 +194,58 @@ def _scan_page(page: Page) -> _Scan:
         raise PreconditionError(
             f"rows {sorted(stray)} are not degrees of the page's fiber")
     e = r // step
-    endpoint = max((row.max_finite_endpoint() for row in rows.values()),
-                   default=0)
+    gens = tuple((l, names[l]) for l in sorted(rows) if rows[l].has_column(0))
+    live = {l for l, _ in gens}
+    slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
+                  and rows[l - r + 1].has_column(e))
+    if not slots:
+        return _Scan(slots=slots, threshold=0, masks={}, pairs=(), chains=())
+
+    endpoint = max(row.max_finite_endpoint() for row in rows.values())
     rep = endpoint + 2 * e + 4
     nbits = 2 * rep + 2 * e + 4
     masks = {l: row.column_mask(nbits) for l, row in rows.items()}
-    gens = tuple((l, names[l]) for l in sorted(rows) if masks[l] & 1)
-    live = {l for l, _ in gens}
-    slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
-                  and masks[l - r + 1] >> e & 1)
-    return _Scan(rep_bits=rep, nbits=nbits, masks=masks, gens=gens, slots=slots)
+    rep_mask = (1 << rep) - 1
+    cols = {l: masks[l] & rep_mask for l in live}
+    down = {l: mask >> e for l, mask in masks.items()}  # bit s: column s + e
+
+    # Leibniz closure, columnwise: for generators u, v and all columns k, j,
+    #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
+    # with page products of dead classes equal to zero. A pair of generators
+    # whose target row has live classes keeps its partner masks: the
+    # columns s where t^s (u*v) lives, k where d(t^k u) does and j where
+    # d(t^j v) does, each zero unless its fiber product is nonzero and its
+    # row is a slot; a pattern switches each on when that row is a source.
+    mult = page.fiber.mult
+    slot_set = set(slots)
+    pairs = []
+    for i, (lu, gu) in enumerate(gens):
+        for lv, gv in gens[i:]:
+            lw = lu + lv
+            target = lw - r + 1
+            if target < 0 or target not in rows:
+                continue
+            sum_alive = down[target]
+            if not sum_alive:
+                continue
+            w_mask = masks[lw] if lw in slot_set and mult(gu, gv) else 0
+            u_mask = (down[lu - r + 1] if lu in slot_set
+                      and mult(names[lu - r + 1], gv) else 0)
+            v_mask = (down[lv - r + 1] if lv in slot_set
+                      and mult(gu, names[lv - r + 1]) else 0)
+            if w_mask or u_mask or v_mask:
+                pairs.append((lu, lv, lw, gu, gv, sum_alive, w_mask, u_mask,
+                              v_mask, cols[lu], cols[lv]))
+
+    # d o d = 0 along row chains l -> l-r+1 -> l-2r+2, whose last row lives
+    # whenever the middle one is a slot.
+    chains = []
+    for l in slots:
+        mid, last = l - r + 1, l - 2 * r + 2
+        if mid in slot_set and masks[l] & down[mid] & (masks[last] >> (2 * e)):
+            chains.append((l, mid, last))
+    return _Scan(slots=slots, threshold=nbits - 2 * e - 2, masks=masks,
+                 pairs=tuple(pairs), chains=tuple(chains))
 
 
 def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
@@ -222,64 +273,27 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     if stray:
         raise PreconditionError(
             f"rows {sorted(stray)} are not differential slots of round {r}")
-    e = r // page.step
-    rows = page.rows
-    masks = scan.masks
-    rep_mask = (1 << scan.rep_bits) - 1
-    gens = scan.gens
-    names = page.fiber.names
-
-    # Leibniz closure, columnwise: for generators u, v and all columns k, j,
-    #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
-    # with page products of dead classes equal to zero.
-    for i, (lu, gu) in enumerate(gens):
-        for lv, gv in gens[i:]:
-            lw = lu + lv
-            target = lw - r + 1
-            if target < 0 or target not in rows:
-                continue
-            sum_alive = masks.get(target, 0) >> e  # s -> class t^(s+e) in row target
-            if not sum_alive:
-                continue
-            phi_w = bool(page.fiber.mult(gu, gv))
-            w_mask = masks.get(lw, 0) if (lw in sources and phi_w) else 0
-
+    for (lu, lv, lw, gu, gv, sum_alive, w_mask, u_mask, v_mask,
+         u_cols, v_cols) in scan.pairs:
+        if lw not in sources:
+            w_mask = 0
+        if lu not in sources:
             u_mask = 0
-            if lu in sources:
-                lu2 = lu - r + 1
-                gu2 = names[lu2]
-                if page.fiber.mult(gu2, gv):
-                    u_mask = masks.get(lu2, 0) >> e
+        if lv not in sources:
             v_mask = 0
-            if lv in sources:
-                lv2 = lv - r + 1
-                gv2 = names[lv2]
-                if page.fiber.mult(gu, gv2):
-                    v_mask = masks.get(lv2, 0) >> e
-            if not (w_mask or u_mask or v_mask):
-                continue
-
-            u_cols = masks[lu] & rep_mask
-            v_cols = masks[lv] & rep_mask
-            u1, u0 = runs(u_cols & u_mask), runs(u_cols & ~u_mask)
-            v1, v0 = runs(v_cols & v_mask), runs(v_cols & ~v_mask)
-            odd_sum = sum_alive & w_mask    # term count is odd here ...
-            even_sum = sum_alive & ~w_mask  # ... and even here
-            if (_sum_hit(u0, v0, odd_sum) or _sum_hit(u1, v1, odd_sum)
-                    or _sum_hit(u0, v1, even_sum) or _sum_hit(u1, v0, even_sum)):
-                return (f"Leibniz violation at round {r} on the product "
-                        f"{gu}*{gv}")
-
-    # d o d = 0 along row chains l -> l-r+1 -> l-2r+2.
-    for l in sorted(sources):
-        mid = l - r + 1
-        if mid not in sources:
+        if not (w_mask or u_mask or v_mask):
             continue
-        last = mid - r + 1
-        if last < 0 or last not in rows:
-            continue
-        chain = masks[l] & (masks[mid] >> e) & (masks[last] >> (2 * e))
-        if chain:
+        u1, u0 = runs(u_cols & u_mask), runs(u_cols & ~u_mask)
+        v1, v0 = runs(v_cols & v_mask), runs(v_cols & ~v_mask)
+        odd_sum = sum_alive & w_mask    # term count is odd here ...
+        even_sum = sum_alive & ~w_mask  # ... and even here
+        if (_sum_hit(u0, v0, odd_sum) or _sum_hit(u1, v1, odd_sum)
+                or _sum_hit(u0, v1, even_sum) or _sum_hit(u1, v0, even_sum)):
+            return (f"Leibniz violation at round {r} on the product "
+                    f"{gu}*{gv}")
+
+    for l, mid, last in scan.chains:
+        if l in sources and mid in sources:
             return (f"d o d nonzero at round {r} along rows "
                     f"{l} -> {mid} -> {last}")
     return None
@@ -300,23 +314,22 @@ def branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str],
 
 def _turn(page: Page, pattern: DifferentialPattern) -> Page:
     """Homology of the page under a pattern that passed check_pattern, rows
-    back in canonical form."""
+    back in canonical form. A row that the pattern neither sources nor
+    targets is kept as it is, so the zero pattern reads no mask."""
     r = pattern.round
     e = r // page.step
     sources = set(pattern.sources)
     scan = page._scan
-    masks = scan.masks
-    threshold = scan.nbits - 2 * e - 2  # supports are constant from this bit on
-
     new_rows: Dict[int, IntervalModule] = {}
-    for l in sorted(page.rows):
-        mask = masks[l]
-        if l in sources:
-            mask &= ~(masks[l - r + 1] >> e)
-        if l + r - 1 in sources:
-            # image of the incoming differential: source column k - r must live
-            mask &= ~(masks[l + r - 1] << e)
-        row = from_mask(mask, threshold)
+    for l, row in sorted(page.rows.items()):
+        if l in sources or l + r - 1 in sources:
+            mask = scan.masks[l]
+            if l in sources:
+                mask &= ~(scan.masks[l - r + 1] >> e)
+            if l + r - 1 in sources:
+                # image of the incoming differential: source column k - r must live
+                mask &= ~(scan.masks[l + r - 1] << e)
+            row = from_mask(mask, scan.threshold)
         if row.summands:
             new_rows[l] = row
     if 0 not in new_rows or not new_rows[0].has_column(0):

@@ -102,14 +102,17 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
                             cells=cells, names=names, products=products)
 
 
-def _differential(live: AbstractSet[Cell], r: int, coeff: Dict[int, int],
-                  cell: Cell) -> Optional[Cell]:
-    """The live cell a live cell's round-r differential hits, or None."""
-    k, l = cell
-    target = (k + r, l - r + 1)
-    if coeff.get(l, 0) and target in live:
-        return target
-    return None
+def _differentials(live: AbstractSet[Cell], r: int,
+                   coeff: Dict[int, int]) -> Dict[Cell, Cell]:
+    """Each live cell whose round-r differential is nonzero, mapped to the
+    live cell it hits."""
+    out: Dict[Cell, Cell] = {}
+    for k, l in live:
+        if coeff.get(l, 0):
+            target = (k + r, l - r + 1)
+            if target in live:
+                out[k, l] = target
+    return out
 
 
 def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell], r: int,
@@ -137,29 +140,30 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell], r: int,
         k = c1[0] + c2[0]
         return {(k, l) for l in products[c1[1], c2[1]] if (k, l) in live}
 
+    d = _differentials(live, r, coeff)
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
             hot = nonzero.intersection(products[l1, l2])
             if not hot and l1 not in nonzero and l2 not in nonzero:
                 continue
             for k1 in columns[l1]:
+                c1 = (k1, l1)
+                d1 = d.get(c1)
                 for k2 in columns[l2]:
                     if l1 == l2 and k2 < k1:
                         continue
                     if k1 + l1 + k2 + l2 + 1 > cap:
                         break
-                    c1, c2 = (k1, l1), (k2, l2)
+                    c2 = (k2, l2)
                     lhs: Set[Cell] = set()
                     for l in hot:
-                        if (k1 + k2, l) in live:
-                            d = _differential(live, r, coeff, (k1 + k2, l))
-                            if d is not None:
-                                lhs ^= {d}
+                        target = d.get((k1 + k2, l))
+                        if target is not None:
+                            lhs ^= {target}
                     rhs: Set[Cell] = set()
-                    d1 = _differential(live, r, coeff, c1)
                     if d1 is not None:
                         rhs ^= times(d1, c2)
-                    d2 = _differential(live, r, coeff, c2)
+                    d2 = d.get(c2)
                     if d2 is not None:
                         rhs ^= times(c1, d2)
                     if lhs != rhs:
@@ -174,11 +178,11 @@ def _turn(live: AbstractSet[Cell], r: int,
     Every cell carries one basis element, so a cell dies exactly when it is
     hit or hits something, and a cell that does both is a nonzero composite.
     """
+    d = _differentials(live, r, coeff)
     new_live: Set[Cell] = set()
     for cell in live:
-        src = (cell[0] - r, cell[1] + r - 1)
-        hit = src in live and _differential(live, r, coeff, src) is not None
-        hits = _differential(live, r, coeff, cell) is not None
+        hit = (cell[0] - r, cell[1] + r - 1) in d
+        hits = cell in d
         if hit and hits:
             return None
         if not (hit or hits):

@@ -212,6 +212,62 @@ def test_turn_page_raises_when_the_unit_dies():
         list(branches(page))
 
 
+def _walk(page, out):
+    """Append (page, its branches) for page and every page below it that
+    still has a round, the patterns checked on the shared page in turn."""
+    if page.round is None:
+        return
+    steps = list(branches(page))
+    out.append((page, steps))
+    for _, _, nxt in steps:
+        if nxt is not None:
+            _walk(nxt, out)
+
+
+def test_patterns_on_one_page_do_not_interfere():
+    # a page builds its slot data once and every pattern reads it, so a
+    # pattern's verdict must not depend on the patterns checked before it
+    fibers = [make_type_ab(n, a, b) for n in range(1, 25)
+              for a in (0, 1) for b in (0, 1)]
+    fibers.append(load_fiber(os.path.join(os.path.dirname(__file__),
+                                          "fiber_truncated_u6.json")))
+    walked = []
+    for fiber in fibers:
+        for group in GroupChoice:
+            _walk(build_e2(fiber, group), walked)
+    assert any(len(steps) > 2 for _, steps in walked)
+    for page, steps in walked:
+        for pattern, reason, _ in steps:
+            fresh = Page(fiber=page.fiber, group=page.group,
+                         rounds=page.rounds, rows=page.rows)
+            assert check_pattern(fresh, pattern) == reason, (page, pattern)
+            assert check_pattern(page, pattern) == reason, (page, pattern)
+
+
+def test_slotless_page_builds_no_masks(monkeypatch):
+    # the page after d3 on row 4 (test_turn_page_known_intervals): round 5
+    # has no slot, so its one pattern is zero and keeps every row
+    fiber = make_type_ab(2, 0, 0)
+    rows = {0: FREE_ROW, 2: IntervalModule(((0, 3),)), 6: FREE_ROW}
+    page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(5, 7), rows=rows)
+    calls = []
+    column_mask = IntervalModule.column_mask
+
+    def counted(self, nbits):
+        calls.append(nbits)
+        return column_mask(self, nbits)
+
+    monkeypatch.setattr(IntervalModule, "column_mask", counted)
+    assert differential_slots(page) == ()
+    ((pattern, reason, nxt),) = list(branches(page))
+    assert calls == []
+    assert (pattern, reason) == (DifferentialPattern(5, ()), None)
+    assert nxt.rows == page.rows and nxt.rounds == (7,)
+    # round 7 has the slot 6, whose page does read its rows as masks
+    assert differential_slots(nxt) == (6,)
+    assert len(calls) == len(rows)
+
+
 def _sum_hit_per_bit(left: int, right: int, sums: int) -> bool:
     """Reference: True when some k in left and j in right have k + j in sums."""
     while left:
