@@ -31,10 +31,10 @@ and keeps every row, and a page without a slot builds no masks at all. A Leibniz
 test asks whether some pair of columns k, j with given term parities sums
 into a set of live target columns; the sumset of the runs [a, b) and
 [c, d) is the single run [a + c, b + d - 1), so each test costs O(runs^2)
-big-int operations, whatever n is. A page turn clears, in each row the
-pattern sources or targets, the columns that are hit or hit something and
-reads the surviving runs straight back as the row, the run that reaches
-the constant regime becoming infinite; every other row is kept as it is.
+big-int operations, whatever n is. A page turn reads no mask: with
+e = r / step, a source row l loses each column k whose column k + e lives
+in row l - r + 1, a target row each column k whose column k - e lives in
+its source row, and every other row is kept as it is.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 from . import presentation
 from .errors import InvariantError, PreconditionError, UnsupportedShapeError
 from .fiber import FiberRing
-from .intervals import FREE_ROW, IntervalModule, from_mask, runs
+from .intervals import FREE_ROW, IntervalModule, runs
 from .record import Record
 
 
@@ -165,21 +165,18 @@ class _Scan(Record):
     """Data of a page for its current round that no pattern changes, shared
     by all its patterns. A page without slots has only the zero pattern,
     which needs none of it, so its scan holds the slots alone."""
-    __slots__ = ("slots", "threshold", "masks", "pairs", "chains")
+    __slots__ = ("slots", "pairs", "chains")
 
-    def __init__(self, slots: Tuple[int, ...], threshold: int,
-                 masks: Dict[int, int], pairs: Tuple[tuple, ...],
+    def __init__(self, slots: Tuple[int, ...], pairs: Tuple[tuple, ...],
                  chains: Tuple[Tuple[int, int, int], ...]):
         object.__setattr__(self, "slots", slots)  # source rows of the round's slots
-        object.__setattr__(self, "threshold", threshold)  # supports constant from here
-        object.__setattr__(self, "masks", masks)  # row -> column mask
         object.__setattr__(self, "pairs", pairs)  # Leibniz tests, in check order
         object.__setattr__(self, "chains", chains)  # (l, mid, last) with d o d live
 
 
 def _scan_page(page: Page) -> _Scan:
-    """Slots, and for a page with slots the masks and the Leibniz and d o d
-    data covering every support regime.
+    """Slots, and for a page with slots the Leibniz and d o d data covering
+    every support regime, read off column masks of its rows.
 
     Beyond the largest run endpoint shifted by the differential every
     row's support is constant, so scanning representatives up to that bound
@@ -199,7 +196,7 @@ def _scan_page(page: Page) -> _Scan:
     slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
                   and rows[l - r + 1].has_column(e))
     if not slots:
-        return _Scan(slots=slots, threshold=0, masks={}, pairs=(), chains=())
+        return _Scan(slots=slots, pairs=(), chains=())
 
     endpoint = max(row.max_finite_endpoint() for row in rows.values())
     rep = endpoint + 2 * e + 4
@@ -244,8 +241,7 @@ def _scan_page(page: Page) -> _Scan:
         mid, last = l - r + 1, l - 2 * r + 2
         if mid in slot_set and masks[l] & down[mid] & (masks[last] >> (2 * e)):
             chains.append((l, mid, last))
-    return _Scan(slots=slots, threshold=nbits - 2 * e - 2, masks=masks,
-                 pairs=tuple(pairs), chains=tuple(chains))
+    return _Scan(slots=slots, pairs=tuple(pairs), chains=tuple(chains))
 
 
 def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
@@ -313,23 +309,18 @@ def branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str],
 
 
 def _turn(page: Page, pattern: DifferentialPattern) -> Page:
-    """Homology of the page under a pattern that passed check_pattern, rows
-    back in canonical form. A row that the pattern neither sources nor
-    targets is kept as it is, so the zero pattern reads no mask."""
-    r = pattern.round
+    """Homology of the page under a pattern that passed check_pattern: each
+    row the pattern sources or targets is a difference of the old page's
+    rows, and every other row is kept as it is."""
+    r, rows = pattern.round, page.rows
     e = r // page.step
     sources = set(pattern.sources)
-    scan = page._scan
     new_rows: Dict[int, IntervalModule] = {}
-    for l, row in sorted(page.rows.items()):
-        if l in sources or l + r - 1 in sources:
-            mask = scan.masks[l]
-            if l in sources:
-                mask &= ~(scan.masks[l - r + 1] >> e)
-            if l + r - 1 in sources:
-                # image of the incoming differential: source column k - r must live
-                mask &= ~(scan.masks[l + r - 1] << e)
-            row = from_mask(mask, scan.threshold)
+    for l, row in sorted(rows.items()):
+        if l in sources:  # t^k g hits t^(k+e) of row l - r + 1 while that lives
+            row = row.minus(rows[l - r + 1], e)
+        if l + r - 1 in sources:  # t^k g is hit while t^(k-e) of the source lives
+            row = row.minus(rows[l + r - 1], -e)
         if row.summands:
             new_rows[l] = row
     if 0 not in new_rows or not new_rows[0].has_column(0):

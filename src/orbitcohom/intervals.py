@@ -8,10 +8,10 @@ and only the last run may. Infinitude stays exactly decidable, which is
 what the freeness filter needs. A row knows columns only: the degree of
 column k is k times the degree of t, which the page's group gives.
 
-The engine reads a row as a bitmask of columns (bit k for column k). A run
-is one block of set bits, and ``runs`` / ``from_mask`` turn a mask back
-into runs, so every conversion costs a few big-int operations per run,
-whatever the columns.
+A page turn is a difference of rows, ``minus``: one merge over two run
+lists, so it costs O(runs) whatever the columns. The engine's checks still
+read a row as a bitmask of columns (bit k for column k), in which a run is
+one block of set bits; ``runs`` lists the blocks of a mask.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import InvalidInputError
 from .record import Record
 
 INFINITE = None
+_END = float("inf")  # end of an infinite run, so that ends compare as numbers
 
 Run = Tuple[int, Optional[int]]
 
@@ -83,6 +84,24 @@ class IntervalModule(Record):
             mask |= ((1 << (end - start)) - 1) << start
         return mask
 
+    def minus(self, other: "IntervalModule", offset: int) -> "IntervalModule":
+        """The columns k of this row for which column k + offset is not in
+        other: other's runs, moved down by offset, cut this row's runs in
+        one merge over the two sorted lists."""
+        cuts = ((s - offset, s - offset + (_END if n is INFINITE else n))
+                for s, n in other.summands)
+        out, lo, hi = [], -_END, -_END
+        for start, length in self.summands:
+            end = start + (_END if length is INFINITE else length)
+            while start < end:
+                while hi <= start:  # the cut [lo, hi) ends below: take the next
+                    lo, hi = next(cuts, (_END, _END))
+                if lo > start:
+                    out.append((start, min(lo, end) - start))
+                start = hi
+        return IntervalModule(tuple((start, INFINITE if length == _END
+                                     else length) for start, length in out))
+
 
 # The second page's row: free of rank one, every column supported.
 FREE_ROW = IntervalModule(((0, INFINITE),))
@@ -102,17 +121,3 @@ def runs(mask: int) -> List[Tuple[int, int]]:
         mask &= top
     return out
 
-
-def from_mask(mask: int, threshold: int) -> IntervalModule:
-    """The row supported on column k for each set bit k < threshold.
-
-    When bit threshold is set, the row also has every column from threshold
-    on, so the run reaching it becomes infinite; bits above threshold are
-    ignored.
-    """
-    if mask < 0 or threshold < 0:
-        raise InvalidInputError("mask and threshold must be nonnegative")
-    mask &= (1 << (threshold + 1)) - 1
-    return IntervalModule(tuple(
-        (start, INFINITE if end > threshold else end - start)
-        for start, end in runs(mask)))

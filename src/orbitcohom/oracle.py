@@ -115,18 +115,19 @@ def _differentials(live: AbstractSet[Cell], r: int,
     return out
 
 
-def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell], r: int,
-                coeff: Dict[int, int]) -> bool:
+def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
+                d: Dict[Cell, Cell]) -> bool:
     """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
-    of live cells, degrees permitting.
+    of live cells, degrees permitting, for the differential map d
+    (``_differentials``).
 
     Cells are walked row pair by row pair. A pair of rows (l1, l2) is
-    skipped when neither row nor any row of the fiber product l1*l2 has a
-    nonzero coefficient: d vanishes on every cell involved, so both sides
-    are empty for each of its cell pairs. For the same reason the left side
-    sums d only over the product's rows that have one.
+    skipped when neither row nor any row of the fiber product l1*l2 holds a
+    source of d: d vanishes on every cell involved, so both sides are empty
+    for each of its cell pairs. For the same reason the left side sums d
+    only over the product's rows that hold one.
     """
-    nonzero = {l for l, c in coeff.items() if c}
+    nonzero = {l for _, l in d}
     if not nonzero:
         return True
     columns: Dict[int, List[int]] = {}
@@ -140,7 +141,6 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell], r: int,
         k = c1[0] + c2[0]
         return {(k, l) for l in products[c1[1], c2[1]] if (k, l) in live}
 
-    d = _differentials(live, r, coeff)
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
             hot = nonzero.intersection(products[l1, l2])
@@ -172,13 +172,13 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell], r: int,
 
 
 def _turn(live: AbstractSet[Cell], r: int,
-          coeff: Dict[int, int]) -> Optional[FrozenSet[Cell]]:
-    """Cells surviving the round-r differential; None when d o d != 0.
+          d: Dict[Cell, Cell]) -> Optional[FrozenSet[Cell]]:
+    """Cells surviving the round-r differential map d (``_differentials``);
+    None when d o d != 0.
 
     Every cell carries one basis element, so a cell dies exactly when it is
     hit or hits something, and a cell that does both is a nonzero composite.
     """
-    d = _differentials(live, r, coeff)
     new_live: Set[Cell] = set()
     for cell in live:
         hit = (cell[0] - r, cell[1] + r - 1) in d
@@ -235,8 +235,8 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
         weight <<= len(slots[i]) - len(usable)
         for choice in itertools.product((0, 1), repeat=len(usable)):
             coeff = dict(zip(usable, choice))
-            turned = (_turn(live, r, coeff)
-                      if _leibniz_ok(tc, live, r, coeff) else None)
+            d = _differentials(live, r, coeff)
+            turned = _turn(live, r, d) if _leibniz_ok(tc, live, d) else None
             if turned is None:
                 rejected += weight * later[i]
                 continue

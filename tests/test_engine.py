@@ -224,9 +224,9 @@ def _walk(page, out):
             _walk(nxt, out)
 
 
-def test_patterns_on_one_page_do_not_interfere():
-    # a page builds its slot data once and every pattern reads it, so a
-    # pattern's verdict must not depend on the patterns checked before it
+def _sweep():
+    """(page, its branches) for every page with a round, n = 1..24 in both
+    groups and all four (a, b), and the truncated-u6 fiber."""
     fibers = [make_type_ab(n, a, b) for n in range(1, 25)
               for a in (0, 1) for b in (0, 1)]
     fibers.append(load_fiber(os.path.join(os.path.dirname(__file__),
@@ -235,6 +235,13 @@ def test_patterns_on_one_page_do_not_interfere():
     for fiber in fibers:
         for group in GroupChoice:
             _walk(build_e2(fiber, group), walked)
+    return walked
+
+
+def test_patterns_on_one_page_do_not_interfere():
+    # a page builds its slot data once and every pattern reads it, so a
+    # pattern's verdict must not depend on the patterns checked before it
+    walked = _sweep()
     assert any(len(steps) > 2 for _, steps in walked)
     for page, steps in walked:
         for pattern, reason, _ in steps:
@@ -242,6 +249,45 @@ def test_patterns_on_one_page_do_not_interfere():
                          rounds=page.rounds, rows=page.rows)
             assert check_pattern(fresh, pattern) == reason, (page, pattern)
             assert check_pattern(page, pattern) == reason, (page, pattern)
+
+
+def _turn_reference(page, pattern):
+    """The next page's rows, column by column from the old page: a source
+    row l loses column k when column k + e lives in row l - r + 1, a target
+    row when column k - e lives in its source row. Every support is
+    constant from the largest finite endpoint + 2e on, so the columns up to
+    there and the last one's value for the tail give each row whole."""
+    r, rows, sources = pattern.round, page.rows, pattern.sources
+    e = r // page.step
+    endpoint = max((start + (length or 0) for row in rows.values()
+                    for start, length in row.summands), default=0)
+    bound = endpoint + 2 * e + 3
+    out = {}
+    for l, row in rows.items():
+        summands = []
+        for k in range(bound):
+            if (row.has_column(k)
+                    and not (l in sources and rows[l - r + 1].has_column(k + e))
+                    and not (l + r - 1 in sources
+                             and rows[l + r - 1].has_column(k - e))):
+                if summands and sum(summands[-1]) == k:
+                    summands[-1][1] += 1
+                else:
+                    summands.append([k, 1])
+        if summands and sum(summands[-1]) == bound:
+            summands[-1][1] = INFINITE
+        if summands:
+            out[l] = IntervalModule(tuple(map(tuple, summands)))
+    return out
+
+
+def test_every_turn_of_the_sweep_matches_a_column_reference():
+    walked = _sweep()
+    turned = [(page, pattern, nxt) for page, steps in walked
+              for pattern, _, nxt in steps if nxt is not None]
+    assert any(pattern.sources for _, pattern, _ in turned)
+    for page, pattern, nxt in turned:
+        assert nxt.rows == _turn_reference(page, pattern), (page, pattern)
 
 
 def test_slotless_page_builds_no_masks(monkeypatch):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from orbitcohom.engine import GroupChoice, Page
 from orbitcohom.errors import InvalidInputError
-from orbitcohom.intervals import (FREE_ROW, INFINITE, IntervalModule,
-                                  from_mask, runs)
+from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule, runs
 from orbitcohom.presentation import tot_poincare
 
 from helpers import point_ring
@@ -73,28 +72,20 @@ def test_runs_must_be_maximal_and_disjoint(summands, message):
         IntervalModule(summands)
 
 
-def test_from_mask_merges_runs():
-    m = from_mask(0b1100111, 10)
-    assert m.summands == ((0, 3), (5, 2))
-    m2 = from_mask(0b1011, 10)
-    assert m2.summands == ((0, 2), (3, 1))
-
-
-def test_from_mask_tail():
-    # bit 2 is the threshold: its run continues forever
-    m = from_mask(0b111, 2)
-    assert m.summands == ((0, INFINITE),)
-    m2 = from_mask(0b1001, 3)
-    assert m2.summands == ((0, 1), (3, INFINITE))
-    # bits above the threshold are ignored
-    assert from_mask(0b110001, 3).summands == ((0, 1),)
-
-
-def test_from_mask_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        from_mask(-1, 4)
-    with pytest.raises(InvalidInputError):
-        from_mask(0b1, -1)
+def test_minus_examples():
+    row = IntervalModule(((0, 4), (6, 3), (12, INFINITE)))
+    # a cut that starts below column 0: columns -2..1 of the other row
+    assert row.minus(IntervalModule(((0, 4),)), 2).summands == (
+        (2, 2), (6, 3), (12, INFINITE))
+    # an infinite cut ends the row at its start
+    assert row.minus(IntervalModule(((10, INFINITE),)), 3).summands == (
+        (0, 4), (6, 1))
+    # a cut that swallows a whole run, and one that splits the infinite run
+    assert row.minus(IntervalModule(((3, 8), (20, 2))), -2).summands == (
+        (0, 4), (13, 9), (24, INFINITE))
+    assert row.minus(IntervalModule(()), 5) == row
+    assert FREE_ROW.minus(FREE_ROW, -3).summands == ((0, 3),)
+    assert FREE_ROW.minus(FREE_ROW, 3).summands == ()
 
 
 def test_column_mask():
@@ -135,20 +126,23 @@ def test_dimension_matches_direct_enumeration(summands):
     assert m.last_column() == (None if infinite else max(columns, default=-1))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 40), st.integers(0, 1 << 40))
-def test_from_mask_round_trip(threshold, mask):
-    """runs -> row -> column mask gives back the bits below threshold, and
-    the threshold bit's run covers every later column."""
-    m = from_mask(mask, threshold)
-    nbits = threshold + 8
-    low = mask & ((1 << threshold) - 1)
-    tail = 0
-    if (mask >> threshold) & 1:
-        tail = ((1 << nbits) - 1) ^ ((1 << threshold) - 1)
-    assert m.column_mask(nbits) == low | tail
-    assert m.has_infinite() == bool(tail)
-    assert IntervalModule(m.summands) == m
+@settings(max_examples=300, deadline=None)
+@given(run_lists(), run_lists(), st.integers(-30, 30))
+def test_minus_matches_has_column(mine, theirs, offset):
+    """The difference keeps exactly the columns k of the row whose column
+    k + offset is not in the other row, past both rows' last endpoints,
+    and comes back canonical."""
+    row, other = IntervalModule(tuple(mine)), IntervalModule(tuple(theirs))
+    diff = row.minus(other, offset)
+    bound = 100 + abs(offset)
+    assert [diff.has_column(k) for k in range(-2, bound)] == [
+        row.has_column(k) and not other.has_column(k + offset)
+        for k in range(-2, bound)]
+    assert diff.has_infinite() == (row.has_infinite()
+                                   and not other.has_infinite())
+    assert IntervalModule(diff.summands) == diff
+    assert all(start + length < after for (start, length), (after, _)
+               in zip(diff.summands, diff.summands[1:]))
 
 
 def _column_mask_reference(m, nbits):

@@ -5,8 +5,8 @@ import pytest
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError, OversizedInstanceError
 from orbitcohom.fiber import make_type_ab
-from orbitcohom.oracle import (_turn, brute_force_classify, compare_reports,
-                               min_cap, truncate_e2)
+from orbitcohom.oracle import (_differentials, _turn, brute_force_classify,
+                               compare_reports, min_cap, truncate_e2)
 
 from helpers import cap_stable, point_ring
 
@@ -39,14 +39,14 @@ def test_turn_rejects_nonzero_composite():
     # Z/2, n = 1: on page 2 the rows 3 -> 2 -> 1 form the chain
     # (0, 3) -> (2, 2) -> (4, 1); with both coefficients set d o d != 0.
     chain = {(0, 3), (2, 2), (4, 1)}
-    assert _turn(chain, 2, {3: 1, 2: 1}) is None
+    assert _turn(chain, 2, _differentials(chain, 2, {3: 1, 2: 1})) is None
 
 
 def test_turn_kills_hit_and_hitting_cells_only():
     live = {(0, 0), (0, 3), (2, 2)}
     # (0, 3) hits (2, 2); (0, 0) is untouched
-    assert _turn(live, 2, {3: 1}) == {(0, 0)}
-    assert _turn(live, 2, {3: 0}) == live
+    assert _turn(live, 2, _differentials(live, 2, {3: 1})) == {(0, 0)}
+    assert _turn(live, 2, _differentials(live, 2, {3: 0})) == live
 
 
 def test_oracle_dims_even_even_n1():

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcohom.engine import GroupChoice
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
-from orbitcohom.oracle import (_leibniz_ok, brute_force_classify, min_cap,
-                               truncate_e2)
+from orbitcohom.oracle import (_differentials, _leibniz_ok,
+                               brute_force_classify, min_cap, truncate_e2)
 
 GOLDEN = Path(__file__).with_name("golden_oracle.json")
 U6 = Path(__file__).with_name("fiber_truncated_u6.json")
@@ -175,5 +175,5 @@ def leibniz_inputs(draw):
 @given(leibniz_inputs())
 def test_leibniz_matches_all_pairs_reference(inputs):
     tc, live, r, coeff = inputs
-    assert _leibniz_ok(tc, live, r, coeff) == reference_leibniz_ok(
-        tc, live, r, coeff)
+    d = _differentials(live, r, coeff)
+    assert _leibniz_ok(tc, live, d) == reference_leibniz_ok(tc, live, r, coeff)
