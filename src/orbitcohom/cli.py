@@ -32,6 +32,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _history_text(history) -> str:
+    """A branch's differentials per round, as in ``d3: [2], d5: zero``."""
+    return ", ".join(f"d{p.round}: {list(p.sources) if p.sources else 'zero'}"
+                     for p in history) or "none"
+
+
 def _history_doc(history) -> List[dict]:
     return [{"round": p.round, "nonzero_sources": list(p.sources)}
             for p in history]
@@ -94,13 +100,12 @@ def _emit_report_text(report: engine.ClassificationReport,
         for f in out.extension_flags:
             print(f"    extension open: {f.product} could equal "
                   + " or ".join(f.candidates))
-        steps = ", ".join(
-            f"d{r}: {list(src) if src else 'zero'}" for r, src in out.history_key())
-        print(f"    differentials: {steps if steps else 'none'}")
+        print(f"    differentials: {_history_text(out.history)}")
     if show_rejected:
         print(f"rejected branches: {len(report.rejected)}")
         for rb in report.rejected:
-            print(f"  - {rb.reason}")
+            print(f"  - differentials: {_history_text(rb.history)}")
+            print(f"    reason: {rb.reason}")
 
 
 def _load_inputs(args) -> tuple:

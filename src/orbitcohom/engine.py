@@ -24,12 +24,13 @@ The Leibniz and d o d checks hold across all columns exactly. Each row
 is a union of runs of columns that is constant beyond its last run
 endpoint, so finitely many columns represent every regime. A page that
 has a slot reads its rows as column masks once, and from them builds, also
-once, the data of its Leibniz tests and d o d chains that no pattern
-changes (``Page._scan``); a pattern only switches that data on or off by
-its sources. The zero pattern switches nothing on, so it fails no check
-and keeps every row, and a page without a slot builds no masks at all. A Leibniz
-test asks whether some pair of columns k, j with given term parities sums
-into a set of live target columns; the sumset of the runs [a, b) and
+once, the data of its Leibniz tests (each live row's runs of columns and
+each product row's target sums) and d o d chains that no pattern changes
+(``Page._scan``); a pattern only picks among that data by its sources.
+The zero pattern switches nothing on, so it fails no check and keeps every
+row, and a page without a slot builds no masks at all. A Leibniz test
+asks whether some pair of columns k, j with given term parities sums into
+a set of live target columns; the sumset of the runs [a, b) and
 [c, d) is the single run [a + c, b + d - 1), so each test costs O(runs^2)
 big-int operations, whatever n is. A page turn reads no mask: with
 e = r / step, a source row l loses each column k whose column k + e lives
@@ -203,18 +204,32 @@ def _scan_page(page: Page) -> _Scan:
     nbits = 2 * rep + 2 * e + 4
     masks = {l: row.column_mask(nbits) for l, row in rows.items()}
     rep_mask = (1 << rep) - 1
-    cols = {l: masks[l] & rep_mask for l in live}
     down = {l: mask >> e for l, mask in masks.items()}  # bit s: column s + e
 
     # Leibniz closure, columnwise: for generators u, v and all columns k, j,
     #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
     # with page products of dead classes equal to zero. A pair of generators
-    # whose target row has live classes keeps its partner masks: the
-    # columns s where t^s (u*v) lives, k where d(t^k u) does and j where
-    # d(t^j v) does, each zero unless its fiber product is nonzero and its
-    # row is a slot; a pattern switches each on when that row is a source.
+    # whose target row has live classes keeps, for each of u, v and u*v, what
+    # the check reads when that row is not and is a source, as (off, on):
+    # for u, the runs of columns k with d(t^k u) dead and live; for u*v, the
+    # target columns s where the count of terms is odd and even, split by
+    # where t^s (u*v) lives. Both depend on one row alone, so each is built
+    # once per page. A side reads the same on as off unless its fiber
+    # product is nonzero and its row is a slot.
     mult = page.fiber.mult
     slot_set = set(slots)
+    sides = {}
+    for l in live:
+        cols = masks[l] & rep_mask
+        off = (runs(cols), [])
+        sides[l] = (off, (runs(cols & ~down[l - r + 1]),
+                          runs(cols & down[l - r + 1]))
+                    if l in slot_set else off)
+    sums = {}
+    for lw in slots:
+        alive = down[lw - r + 1]
+        sums[lw] = ((0, alive), (alive & masks[lw], alive & ~masks[lw]))
+
     pairs = []
     for i, (lu, gu) in enumerate(gens):
         for lv, gv in gens[i:]:
@@ -225,14 +240,15 @@ def _scan_page(page: Page) -> _Scan:
             sum_alive = down[target]
             if not sum_alive:
                 continue
-            w_mask = masks[lw] if lw in slot_set and mult(gu, gv) else 0
-            u_mask = (down[lu - r + 1] if lu in slot_set
-                      and mult(names[lu - r + 1], gv) else 0)
-            v_mask = (down[lv - r + 1] if lv in slot_set
-                      and mult(gu, names[lv - r + 1]) else 0)
-            if w_mask or u_mask or v_mask:
-                pairs.append((lu, lv, lw, gu, gv, sum_alive, w_mask, u_mask,
-                              v_mask, cols[lu], cols[lv]))
+            w_on = lw in slot_set and mult(gu, gv)
+            u_on = lu in slot_set and mult(names[lu - r + 1], gv)
+            v_on = lv in slot_set and mult(gu, names[lv - r + 1])
+            if w_on or u_on or v_on:
+                w_off = (0, sum_alive)
+                pairs.append((lu, lv, lw, gu, gv,
+                              sums[lw] if w_on else (w_off, w_off),
+                              sides[lu] if u_on else (sides[lu][0],) * 2,
+                              sides[lv] if v_on else (sides[lv][0],) * 2))
 
     # d o d = 0 along row chains l -> l-r+1 -> l-2r+2, whose last row lives
     # whenever the middle one is a slot.
@@ -269,20 +285,12 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     if stray:
         raise PreconditionError(
             f"rows {sorted(stray)} are not differential slots of round {r}")
-    for (lu, lv, lw, gu, gv, sum_alive, w_mask, u_mask, v_mask,
-         u_cols, v_cols) in scan.pairs:
-        if lw not in sources:
-            w_mask = 0
-        if lu not in sources:
-            u_mask = 0
-        if lv not in sources:
-            v_mask = 0
-        if not (w_mask or u_mask or v_mask):
-            continue
-        u1, u0 = runs(u_cols & u_mask), runs(u_cols & ~u_mask)
-        v1, v0 = runs(v_cols & v_mask), runs(v_cols & ~v_mask)
-        odd_sum = sum_alive & w_mask    # term count is odd here ...
-        even_sum = sum_alive & ~w_mask  # ... and even here
+    for lu, lv, lw, gu, gv, w, u, v in scan.pairs:
+        odd_sum, even_sum = w[lw in sources]  # term count odd, even
+        u0, u1 = u[lu in sources]  # d(t^k u) dead, live
+        v0, v1 = v[lv in sources]
+        if not (odd_sum or u1 or v1):
+            continue  # both sides vanish on every pair of columns
         if (_sum_hit(u0, v0, odd_sum) or _sum_hit(u1, v1, odd_sum)
                 or _sum_hit(u0, v1, even_sum) or _sum_hit(u1, v0, even_sum)):
             return (f"Leibniz violation at round {r} on the product "

@@ -20,6 +20,11 @@ outcome's key (its nonzero sources per round) is therefore reached once.
 The Leibniz check skips a pair of rows when neither row nor any row of
 their fiber product has a nonzero differential: d vanishes on every cell
 involved, so both sides of the rule are empty for each of its cell pairs.
+The choices of one round share its live cells and its length, so d on a
+row is fixed by whether the row holds a source, and a row pair's verdict
+by its rows, their two flags and the rows of their product that hold one.
+Each round keeps a table from that key to the verdict, and the cells of a
+row pair are walked only the first time its key comes up.
 
 Truncation is handled by a safety margin: cells within one round-length
 of the cap see truncated differentials, so only total degrees at most
@@ -115,25 +120,60 @@ def _differentials(live: AbstractSet[Cell], r: int,
     return out
 
 
+def _by_row(live: AbstractSet[Cell]) -> Dict[int, List[int]]:
+    """The columns of the live cells on each row, ascending."""
+    columns: Dict[int, List[int]] = {}
+    for k, l in sorted(live):
+        columns.setdefault(l, []).append(k)
+    return columns
+
+
 def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
-                d: Dict[Cell, Cell]) -> bool:
+                columns: Dict[int, List[int]], d: Dict[Cell, Cell],
+                verdicts: Dict[tuple, bool]) -> bool:
     """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
     of live cells, degrees permitting, for the differential map d
-    (``_differentials``).
+    (``_differentials``) of one round on live, whose cells by row are
+    ``columns`` (``_by_row``).
 
-    Cells are walked row pair by row pair. A pair of rows (l1, l2) is
-    skipped when neither row nor any row of the fiber product l1*l2 holds a
-    source of d: d vanishes on every cell involved, so both sides are empty
-    for each of its cell pairs. For the same reason the left side sums d
-    only over the product's rows that hold one.
+    Cells are walked row pair by row pair, and the first failing pair ends
+    the check. A pair of rows (l1, l2) is skipped when neither row nor any
+    row of the fiber product l1*l2 holds a source of d: d vanishes on every
+    cell involved, so both sides are empty for each of its cell pairs.
+
+    Within a round, d on a row is all or nothing: its live cells map to
+    the live cells they hit when the row holds a source, and nowhere
+    otherwise. So a pair's verdict depends only on the two rows, whether
+    each holds a source, and which rows of their product do (``hot``).
+    ``verdicts`` maps that key to the verdict, is shared by every choice
+    of the round, and the cells of a pair are walked only on a miss.
     """
     nonzero = {l for _, l in d}
     if not nonzero:
         return True
-    columns: Dict[int, List[int]] = {}
-    for k, l in sorted(live):
-        columns.setdefault(l, []).append(k)
     rows = sorted(columns)
+    for i, l1 in enumerate(rows):
+        for l2 in rows[i:]:
+            hot = nonzero.intersection(tc.products[l1, l2])
+            on1, on2 = l1 in nonzero, l2 in nonzero
+            if not (hot or on1 or on2):
+                continue
+            key = (l1, l2, on1, on2, frozenset(hot))
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = _pair_ok(tc, live, columns, d,
+                                              l1, l2, hot)
+            if not ok:
+                return False
+    return True
+
+
+def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
+             columns: Dict[int, List[int]], d: Dict[Cell, Cell],
+             l1: int, l2: int, hot: AbstractSet[int]) -> bool:
+    """The Leibniz rule on every pair of live cells of rows l1 <= l2. The
+    left side sums d only over the product's rows in hot, those that hold a
+    source of d."""
     products, cap = tc.products, tc.cap
 
     def times(c1: Cell, c2: Cell) -> Set[Cell]:
@@ -141,33 +181,28 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
         k = c1[0] + c2[0]
         return {(k, l) for l in products[c1[1], c2[1]] if (k, l) in live}
 
-    for i, l1 in enumerate(rows):
-        for l2 in rows[i:]:
-            hot = nonzero.intersection(products[l1, l2])
-            if not hot and l1 not in nonzero and l2 not in nonzero:
+    for k1 in columns[l1]:
+        c1 = (k1, l1)
+        d1 = d.get(c1)
+        for k2 in columns[l2]:
+            if l1 == l2 and k2 < k1:
                 continue
-            for k1 in columns[l1]:
-                c1 = (k1, l1)
-                d1 = d.get(c1)
-                for k2 in columns[l2]:
-                    if l1 == l2 and k2 < k1:
-                        continue
-                    if k1 + l1 + k2 + l2 + 1 > cap:
-                        break
-                    c2 = (k2, l2)
-                    lhs: Set[Cell] = set()
-                    for l in hot:
-                        target = d.get((k1 + k2, l))
-                        if target is not None:
-                            lhs ^= {target}
-                    rhs: Set[Cell] = set()
-                    if d1 is not None:
-                        rhs ^= times(d1, c2)
-                    d2 = d.get(c2)
-                    if d2 is not None:
-                        rhs ^= times(c1, d2)
-                    if lhs != rhs:
-                        return False
+            if k1 + l1 + k2 + l2 + 1 > cap:
+                break
+            c2 = (k2, l2)
+            lhs: Set[Cell] = set()
+            for l in hot:
+                target = d.get((k1 + k2, l))
+                if target is not None:
+                    lhs ^= {target}
+            rhs: Set[Cell] = set()
+            if d1 is not None:
+                rhs ^= times(d1, c2)
+            d2 = d.get(c2)
+            if d2 is not None:
+                rhs ^= times(c1, d2)
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -233,10 +268,13 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
         usable = [l for l in slots[i] if (0, l) in live
                   and (0, l - r + 1) in live and (r, l - r + 1) in live]
         weight <<= len(slots[i]) - len(usable)
+        columns = _by_row(live)
+        verdicts: Dict[tuple, bool] = {}  # row pair verdicts of this round
         for choice in itertools.product((0, 1), repeat=len(usable)):
             coeff = dict(zip(usable, choice))
             d = _differentials(live, r, coeff)
-            turned = _turn(live, r, d) if _leibniz_ok(tc, live, d) else None
+            turned = (_turn(live, r, d)
+                      if _leibniz_ok(tc, live, columns, d, verdicts) else None)
             if turned is None:
                 rejected += weight * later[i]
                 continue

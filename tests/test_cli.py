@@ -80,6 +80,19 @@ def test_classify_show_rejected(capsys):
     assert doc["rejected"]
     assert all(rb["reason"] for rb in doc["rejected"])
 
+    # The text lists each branch by its differentials, then its reason.
+    code, out, _ = run_cli(capsys, "classify", "--n", "2", "--a", "odd",
+                           "--b", "even", "--show-rejected")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index(f"rejected branches: {len(doc['rejected'])}") + 1
+    steps = lines[start::2]
+    assert len(steps) == len(doc["rejected"]) == 13
+    assert len(set(steps)) == 13
+    assert "  - differentials: d3: zero, d5: [4, 6]" in steps
+    assert lines[start + 1::2] == [f"    reason: {rb['reason']}"
+                                   for rb in doc["rejected"]]
+
 
 def test_json_byte_deterministic(capsys):
     args = ("classify", "--n", "3", "--a", "even", "--b", "odd",

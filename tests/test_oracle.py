@@ -96,8 +96,10 @@ def test_cap_stability():
 
 
 def test_all_small_cases_agree():
+    """Engine and oracle at the smallest cap, both groups, all four (a, b),
+    n = 1..8."""
     for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
-        for n in (1, 2):
+        for n in range(1, 9):
             for a in (0, 1):
                 for b in (0, 1):
                     fiber = make_type_ab(n, a, b)

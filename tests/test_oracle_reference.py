@@ -10,9 +10,12 @@ show in the rejected counts. Rewrite it only together with an intended
 change of the oracle's output.
 
 The Leibniz check is also compared, on random live cells and coefficients,
-with a copy of the all-pairs check it replaced.
+with a copy of the all-pairs check it replaced: once per choice with a
+fresh cache of row pair verdicts, and over every choice of a round in
+turn with the one cache the round shares, as the oracle's walk does.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcohom.engine import GroupChoice
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
-from orbitcohom.oracle import (_differentials, _leibniz_ok,
+from orbitcohom.oracle import (_by_row, _differentials, _leibniz_ok,
                                brute_force_classify, min_cap, truncate_e2)
 
 GOLDEN = Path(__file__).with_name("golden_oracle.json")
@@ -176,4 +179,18 @@ def leibniz_inputs(draw):
 def test_leibniz_matches_all_pairs_reference(inputs):
     tc, live, r, coeff = inputs
     d = _differentials(live, r, coeff)
-    assert _leibniz_ok(tc, live, d) == reference_leibniz_ok(tc, live, r, coeff)
+    assert (_leibniz_ok(tc, live, _by_row(live), d, {})
+            == reference_leibniz_ok(tc, live, r, coeff))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leibniz_inputs())
+def test_a_shared_round_cache_gives_fresh_verdicts(inputs):
+    tc, live, r, _ = inputs
+    usable = [l for l in sorted(tc.names) if l - r + 1 in tc.names]
+    columns, verdicts = _by_row(live), {}
+    for choice in itertools.product((0, 1), repeat=len(usable)):
+        coeff = dict(zip(usable, choice))
+        d = _differentials(live, r, coeff)
+        assert (_leibniz_ok(tc, live, columns, d, verdicts)
+                == reference_leibniz_ok(tc, live, r, coeff)), coeff
