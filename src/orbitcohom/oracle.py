@@ -17,14 +17,14 @@ turned and recursed into once, and stands for every joint assignment that
 agrees with it there: two for each dead slot of this and earlier rounds,
 times every choice of the later rounds when the subset is rejected. Each
 outcome's key (its nonzero sources per round) is therefore reached once.
-The Leibniz check skips a pair of rows when neither row nor any row of
-their fiber product has a nonzero differential: d vanishes on every cell
-involved, so both sides of the rule are empty for each of its cell pairs.
 The choices of one round share its live cells and its length, so d on a
-row is fixed by whether the row holds a source, and a row pair's verdict
-by its rows, their two flags and the rows of their product that hold one.
-Each round keeps a table from that key to the verdict, and the cells of a
-row pair are walked only the first time its key comes up.
+row is fixed by whether the row holds a source: each round maps each
+usable row's cells once, and a choice's d is the union of its sources'
+maps. The Leibniz check skips a pair of rows when no row of the pair or of
+its product holds a source, and keeps one table per round from a row
+pair's rows, their two flags and the rows of their product holding a
+source, which fix its verdict. Within a row pair, one cell pair is checked
+for each column sum and pair of flags "d is nonzero on the cell".
 
 Truncation is handled by a safety margin: cells within one round-length
 of the cap see truncated differentials, so only total degrees at most
@@ -141,12 +141,10 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
     row of the fiber product l1*l2 holds a source of d: d vanishes on every
     cell involved, so both sides are empty for each of its cell pairs.
 
-    Within a round, d on a row is all or nothing: its live cells map to
-    the live cells they hit when the row holds a source, and nowhere
-    otherwise. So a pair's verdict depends only on the two rows, whether
-    each holds a source, and which rows of their product do (``hot``).
-    ``verdicts`` maps that key to the verdict, is shared by every choice
-    of the round, and the cells of a pair are walked only on a miss.
+    Within a round, d on a row is all or nothing, so a pair's verdict
+    depends only on its rows, whether each holds a source, and which rows
+    of their product do (``hot``). ``verdicts`` maps that key to the
+    verdict for every choice of the round; a pair is checked only on a miss.
     """
     nonzero = {l for _, l in d}
     if not nonzero:
@@ -173,7 +171,15 @@ def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
              l1: int, l2: int, hot: AbstractSet[int]) -> bool:
     """The Leibniz rule on every pair of live cells of rows l1 <= l2. The
     left side sums d only over the product's rows in hot, those that hold a
-    source of d."""
+    source of d.
+
+    For cells (k1, l1), (k2, l2) and K = k1 + k2, both sides lie in column
+    K + r: the left is d of the cells (K, l), l in hot, the right the live
+    cells there on the rows of the products (l1-r+1)*l2 and l1*(l2-r+1),
+    and the cap cut depends on K alone. So the verdict is fixed by (K, d is
+    nonzero on (k1, l1), d is nonzero on (k2, l2)), and only the first cell
+    pair of each such key is checked.
+    """
     products, cap = tc.products, tc.cap
 
     def times(c1: Cell, c2: Cell) -> Set[Cell]:
@@ -181,48 +187,48 @@ def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
         k = c1[0] + c2[0]
         return {(k, l) for l in products[c1[1], c2[1]] if (k, l) in live}
 
+    row2 = [(k2, (k2, l2) in d) for k2 in columns[l2]]
+    firsts: Dict[Tuple[int, bool, bool], Tuple[Cell, Cell]] = {}
     for k1 in columns[l1]:
-        c1 = (k1, l1)
-        d1 = d.get(c1)
-        for k2 in columns[l2]:
+        on1 = (k1, l1) in d
+        for k2, on2 in row2:
             if l1 == l2 and k2 < k1:
                 continue
             if k1 + l1 + k2 + l2 + 1 > cap:
                 break
-            c2 = (k2, l2)
-            lhs: Set[Cell] = set()
-            for l in hot:
-                target = d.get((k1 + k2, l))
-                if target is not None:
-                    lhs ^= {target}
-            rhs: Set[Cell] = set()
-            if d1 is not None:
-                rhs ^= times(d1, c2)
-            d2 = d.get(c2)
-            if d2 is not None:
-                rhs ^= times(c1, d2)
-            if lhs != rhs:
-                return False
+            key = (k1 + k2, on1, on2)
+            if key not in firsts:
+                firsts[key] = ((k1, l1), (k2, l2))
+    for c1, c2 in firsts.values():
+        lhs: Set[Cell] = set()
+        for l in hot:
+            target = d.get((c1[0] + c2[0], l))
+            if target is not None:
+                lhs ^= {target}
+        rhs: Set[Cell] = set()
+        d1 = d.get(c1)
+        if d1 is not None:
+            rhs ^= times(d1, c2)
+        d2 = d.get(c2)
+        if d2 is not None:
+            rhs ^= times(c1, d2)
+        if lhs != rhs:
+            return False
     return True
 
 
-def _turn(live: AbstractSet[Cell], r: int,
+def _turn(live: AbstractSet[Cell],
           d: Dict[Cell, Cell]) -> Optional[FrozenSet[Cell]]:
-    """Cells surviving the round-r differential map d (``_differentials``);
-    None when d o d != 0.
+    """Cells surviving the differential map d (``_differentials``) of one
+    round on live; None when d o d != 0.
 
     Every cell carries one basis element, so a cell dies exactly when it is
     hit or hits something, and a cell that does both is a nonzero composite.
     """
-    new_live: Set[Cell] = set()
-    for cell in live:
-        hit = (cell[0] - r, cell[1] + r - 1) in d
-        hits = cell in d
-        if hit and hits:
-            return None
-        if not (hit or hits):
-            new_live.add(cell)
-    return frozenset(new_live)
+    hit = set(d.values())
+    if not hit.isdisjoint(d):
+        return None
+    return frozenset(live).difference(d, hit)
 
 
 def brute_force_classify(fiber: FiberRing, group: GroupChoice,
@@ -270,15 +276,17 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
         weight <<= len(slots[i]) - len(usable)
         columns = _by_row(live)
         verdicts: Dict[tuple, bool] = {}  # row pair verdicts of this round
+        maps = {l: _differentials(live, r, {l: 1}) for l in usable}
         for choice in itertools.product((0, 1), repeat=len(usable)):
-            coeff = dict(zip(usable, choice))
-            d = _differentials(live, r, coeff)
-            turned = (_turn(live, r, d)
+            sources = tuple(itertools.compress(usable, choice))
+            d: Dict[Cell, Cell] = {}
+            for l in sources:
+                d.update(maps[l])
+            turned = (_turn(live, d)
                       if _leibniz_ok(tc, live, columns, d, verdicts) else None)
             if turned is None:
                 rejected += weight * later[i]
                 continue
-            sources = tuple(l for l in usable if coeff[l])
             walk(i + 1, turned, weight, key + ((r, sources),))
 
     walk(0, frozenset(tc.cells), 1, ())

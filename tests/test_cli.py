@@ -165,6 +165,18 @@ def test_cap_is_not_an_option(capsys, argv):
     assert "orbitcohom: error: unrecognized arguments: --cap 20" in err.splitlines()
 
 
+@pytest.mark.parametrize("argv", [["classify", "--self-check"],
+                                  ["oracle-check"]],
+                         ids=["classify", "oracle-check"])
+def test_oracle_above_its_cell_limit_exits_one(capsys, argv):
+    # n = 33 under Z/2 is the smallest n with more than MAX_CELLS cells.
+    code, out, err = run_cli(capsys, *argv, "--n", "33")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: 606 cells exceeds the oracle limit of 600"]
+
+
 @pytest.mark.parametrize("group", ["z2", "s1"])
 def test_oracle_check_runs_at_the_smallest_cap(capsys, group):
     from orbitcohom.oracle import min_cap

@@ -1,5 +1,7 @@
 """Tests for the truncated brute-force oracle."""
 
+import itertools
+
 import pytest
 
 from orbitcohom.engine import GroupChoice, classify
@@ -39,14 +41,14 @@ def test_turn_rejects_nonzero_composite():
     # Z/2, n = 1: on page 2 the rows 3 -> 2 -> 1 form the chain
     # (0, 3) -> (2, 2) -> (4, 1); with both coefficients set d o d != 0.
     chain = {(0, 3), (2, 2), (4, 1)}
-    assert _turn(chain, 2, _differentials(chain, 2, {3: 1, 2: 1})) is None
+    assert _turn(chain, _differentials(chain, 2, {3: 1, 2: 1})) is None
 
 
 def test_turn_kills_hit_and_hitting_cells_only():
     live = {(0, 0), (0, 3), (2, 2)}
     # (0, 3) hits (2, 2); (0, 0) is untouched
-    assert _turn(live, 2, _differentials(live, 2, {3: 1})) == {(0, 0)}
-    assert _turn(live, 2, _differentials(live, 2, {3: 0})) == live
+    assert _turn(live, _differentials(live, 2, {3: 1})) == {(0, 0)}
+    assert _turn(live, _differentials(live, 2, {3: 0})) == live
 
 
 def test_oracle_dims_even_even_n1():
@@ -97,14 +99,20 @@ def test_cap_stability():
 
 def test_all_small_cases_agree():
     """Engine and oracle at the smallest cap, both groups, all four (a, b),
-    n = 1..8."""
-    for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
-        for n in range(1, 9):
-            for a in (0, 1):
-                for b in (0, 1):
-                    fiber = make_type_ab(n, a, b)
-                    engine_report = classify(fiber, group)
-                    oracle_report = brute_force_classify(
-                        fiber, group, min_cap(fiber, group))
-                    assert compare_reports(engine_report, oracle_report) == [], (
-                        group, n, a, b)
+    every n the oracle accepts: n = 1..32 under Z/2 and 1..66 under the
+    circle. The next n exceeds the oracle's cell limit."""
+    pairs = [(a, b) for a in (0, 1) for b in (0, 1)]
+    for group, largest in ((GroupChoice.Z2, 32), (GroupChoice.CIRCLE, 66)):
+        for n in itertools.count(1):
+            fibers = [make_type_ab(n, a, b) for a, b in pairs]
+            try:
+                oracle_reports = [brute_force_classify(f, group,
+                                                       min_cap(f, group))
+                                  for f in fibers]
+            except OversizedInstanceError:
+                break
+            for (a, b), fiber, oracle_report in zip(pairs, fibers,
+                                                    oracle_reports):
+                assert compare_reports(classify(fiber, group),
+                                       oracle_report) == [], (group, n, a, b)
+        assert n == largest + 1, group

@@ -11,20 +11,24 @@ change of the oracle's output.
 
 The Leibniz check is also compared, on random live cells and coefficients,
 with a copy of the all-pairs check it replaced: once per choice with a
-fresh cache of row pair verdicts, and over every choice of a round in
-turn with the one cache the round shares, as the oracle's walk does.
+fresh cache of row pair verdicts, over every choice of a round in turn
+with the one cache the round shares, as the oracle's walk does, and one
+row pair at a time. The page turn is compared with a copy of the cell by
+cell turn it replaced, and each choice's differential built from per-row
+maps with the one built over all cells.
 """
 
 import itertools
 import json
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitcohom.engine import GroupChoice
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
-from orbitcohom.oracle import (_by_row, _differentials, _leibniz_ok,
-                               brute_force_classify, min_cap, truncate_e2)
+from orbitcohom.oracle import (_by_row, _differentials, _leibniz_ok, _pair_ok,
+                               _turn, brute_force_classify, min_cap,
+                               truncate_e2)
 
 GOLDEN = Path(__file__).with_name("golden_oracle.json")
 U6 = Path(__file__).with_name("fiber_truncated_u6.json")
@@ -80,9 +84,10 @@ def test_oracle_matches_golden_file():
     assert len(names) == 104
 
 
-def reference_leibniz_ok(tc, live, r, coeff) -> bool:
+def reference_leibniz_ok(tc, live, r, coeff, rows=None) -> bool:
     """The Leibniz check over all pairs of live cells, with no pair skipped
-    and every product looked up in the fiber ring."""
+    and every product looked up in the fiber ring; with ``rows`` = (l1, l2),
+    over the pairs of one cell on row l1 and one on row l2 only."""
     def cell_product(c1, c2):
         (k1, l1), (k2, l2) = c1, c2
         hits = tc.fiber.mult(tc.names[l1], tc.names[l2])
@@ -98,9 +103,11 @@ def reference_leibniz_ok(tc, live, r, coeff) -> bool:
 
     if not any(coeff.values()):
         return True
-    cells = sorted(live)
+    cells = sorted(c for c in live if rows is None or c[1] in rows)
     for i, c1 in enumerate(cells):
         for c2 in cells[i:]:
+            if rows is not None and sorted((c1[1], c2[1])) != list(rows):
+                continue
             if c1[0] + c1[1] + c2[0] + c2[1] + 1 > tc.cap:
                 continue
             product = frozenset(c for c in cell_product(c1, c2) if c in live)
@@ -194,3 +201,84 @@ def test_a_shared_round_cache_gives_fresh_verdicts(inputs):
         d = _differentials(live, r, coeff)
         assert (_leibniz_ok(tc, live, columns, d, verdicts)
                 == reference_leibniz_ok(tc, live, r, coeff)), coeff
+
+
+@st.composite
+def thinned_complexes(draw):
+    """A truncated complex with random cells removed, a round and random
+    coefficients. d then vanishes on the cells of a row whose target is
+    dead and not on the others, so two cell pairs of a row pair with the
+    same column sum can differ in whether d is nonzero on a cell."""
+    fiber = draw(st.sampled_from(FIBERS))
+    group = draw(st.sampled_from(list(GroupChoice)))
+    tc = truncate_e2(fiber, group,
+                     min_cap(fiber, group) + draw(st.integers(0, 2)))
+    rows = sorted(tc.names)
+    r = draw(st.sampled_from(sorted(
+        {l - lt + 1 for l in rows for lt in rows if lt < l})))
+    coeff = {l: draw(st.integers(0, 1)) for l in rows}
+    live = set(tc.cells) - draw(st.sets(st.sampled_from(tc.cells),
+                                         max_size=len(tc.cells) // 2))
+    return tc, live, r, coeff
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_complexes())
+def test_each_row_pair_matches_the_all_pairs_reference(inputs):
+    """``_pair_ok`` one row pair at a time: a wrong key for a cell pair's
+    verdict can hide in the whole check, where another row pair fails the
+    same choice."""
+    tc, live, r, coeff = inputs
+    columns = _by_row(live)
+    rows = sorted(columns)
+    d = _differentials(live, r, coeff)
+    nonzero = {l for _, l in d}
+    for i, l1 in enumerate(rows):
+        for l2 in rows[i:]:
+            hot = nonzero & tc.products[l1, l2]
+            assert (_pair_ok(tc, live, columns, d, l1, l2, hot)
+                    == reference_leibniz_ok(tc, live, r, coeff,
+                                            (l1, l2))), (l1, l2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_complexes())
+def test_row_maps_make_each_choice_differential(inputs):
+    """For every choice of a round, the union of its sources' row maps is
+    the differential map over all cells, as the oracle's walk builds it."""
+    tc, live, r, _ = inputs
+    usable = [l for l in sorted(tc.names) if l - r + 1 in tc.names]
+    maps = {l: _differentials(live, r, {l: 1}) for l in usable}
+    for choice in itertools.product((0, 1), repeat=len(usable)):
+        union = {}
+        for l in itertools.compress(usable, choice):
+            union.update(maps[l])
+        assert union == _differentials(live, r, dict(zip(usable, choice)))
+
+
+def reference_turn(live, r, d):
+    """The page turn cell by cell, as the oracle did it before it used set
+    operations."""
+    new_live = set()
+    for cell in live:
+        hit = (cell[0] - r, cell[1] + r - 1) in d
+        hits = cell in d
+        if hit and hits:
+            return None
+        if not (hit or hits):
+            new_live.add(cell)
+    return frozenset(new_live)
+
+
+N1 = make_type_ab(1, 0, 0)
+N1_Z2 = truncate_e2(N1, GroupChoice.Z2, min_cap(N1, GroupChoice.Z2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_complexes())
+# d(0, 3) = (2, 2) and d(2, 2) = (4, 1): d o d != 0.
+@example((N1_Z2, set(N1_Z2.cells), 2, {2: 1, 3: 1}))
+def test_turn_matches_the_per_cell_reference(inputs):
+    _, live, r, coeff = inputs
+    d = _differentials(live, r, coeff)
+    assert _turn(live, d) == reference_turn(live, r, d)
