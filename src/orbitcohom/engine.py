@@ -24,18 +24,16 @@ The Leibniz and d o d checks hold across all columns exactly. Each row
 is a union of runs of columns that is constant beyond its last run
 endpoint, so finitely many columns represent every regime. A page that
 has a slot reads its rows as column masks once, and from them builds, also
-once, the data of its Leibniz tests (each live row's runs of columns and
-each product row's target sums) and d o d chains that no pattern changes
-(``Page._scan``); a pattern only picks among that data by its sources.
-The zero pattern switches nothing on, so it fails no check and keeps every
-row, and a page without a slot builds no masks at all. A Leibniz test
-asks whether some pair of columns k, j with given term parities sums into
-a set of live target columns; the sumset of the runs [a, b) and
-[c, d) is the single run [a + c, b + d - 1), so each test costs O(runs^2)
-big-int operations, whatever n is. A page turn reads no mask: with
-e = r / step, a source row l loses each column k whose column k + e lives
-in row l - r + 1, a target row each column k whose column k - e lives in
-its source row, and every other row is kept as it is.
+once, one table per Leibniz pair of the coefficient triples on the rows of
+u, v and u*v that break it, and the d o d chains (``Page._scan``); a
+pattern only looks them up by its sources. A table entry asks whether
+some pair of columns k, j with given term parities sums into a set of live
+target columns; the sumset of the runs [a, b) and [c, d) is the single run
+[a + c, b + d - 1), so each costs O(runs^2) big-int operations, whatever n
+is. A page without a slot builds no masks at all. A page turn reads no
+mask: with e = r / step, a source row l loses each column k whose column
+k + e lives in row l - r + 1, a target row each column k whose column
+k - e lives in its source row, and every other row is kept as it is.
 """
 
 from __future__ import annotations
@@ -171,13 +169,18 @@ class _Scan(Record):
     def __init__(self, slots: Tuple[int, ...], pairs: Tuple[tuple, ...],
                  chains: Tuple[Tuple[int, int, int], ...]):
         object.__setattr__(self, "slots", slots)  # source rows of the round's slots
-        object.__setattr__(self, "pairs", pairs)  # Leibniz tests, in check order
+        object.__setattr__(self, "pairs", pairs)  # Leibniz (lu, lv, lw, table)
         object.__setattr__(self, "chains", chains)  # (l, mid, last) with d o d live
 
 
+# _BREAKS[tau]: the 8-bit set of the c = 4 c_w + 2 c_u + c_v with tau . c odd
+_BREAKS = tuple(sum(1 << c for c in range(8) if bin(tau & c).count("1") % 2)
+                for tau in range(8))
+
+
 def _scan_page(page: Page) -> _Scan:
-    """Slots, and for a page with slots the Leibniz and d o d data covering
-    every support regime, read off column masks of its rows.
+    """Slots, and for a page with slots the Leibniz tables and d o d chains
+    covering every support regime, read off column masks of its rows.
 
     Beyond the largest run endpoint shifted by the differential every
     row's support is constant, so scanning representatives up to that bound
@@ -208,47 +211,46 @@ def _scan_page(page: Page) -> _Scan:
 
     # Leibniz closure, columnwise: for generators u, v and all columns k, j,
     #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
-    # with page products of dead classes equal to zero. A pair of generators
-    # whose target row has live classes keeps, for each of u, v and u*v, what
-    # the check reads when that row is not and is a source, as (off, on):
-    # for u, the runs of columns k with d(t^k u) dead and live; for u*v, the
-    # target columns s where the count of terms is odd and even, split by
-    # where t^s (u*v) lives. Both depend on one row alone, so each is built
-    # once per page. A side reads the same on as off unless its fiber
-    # product is nonzero and its row is a slot.
-    mult = page.fiber.mult
-    slot_set = set(slots)
-    sides = {}
+    # with page products of dead classes equal to zero. Both sides lie in
+    # column k + j + e of the target row of w = u*v; where that lives, a
+    # pattern with c_x = 1 for each source row lx among lw, lu, lv needs
+    # c_w W + c_u DU + c_v DV = 0 (mod 2), where W says t^(k+j) w lives and
+    # DU, DV say d(t^k u), d(t^j v) live. So c = (c_w, c_u, c_v) breaks the
+    # pair exactly when some parity vector tau = (W, DU, DV) that occurs
+    # has an odd dot product with c, and the pair keeps the 8-bit table of
+    # those c. A side is on when its row is a slot and its fiber product is
+    # nonzero; an off side reads 0 for every c, so only the tau that are 0
+    # on off sides are tested, and none that adds no new c.
+    mult, slot_set = page.fiber.mult, set(slots)
+    whole, split = {}, {}  # (tau bit, runs of columns k): all, or by d(t^k g)
     for l in live:
         cols = masks[l] & rep_mask
-        off = (runs(cols), [])
-        sides[l] = (off, (runs(cols & ~down[l - r + 1]),
-                          runs(cols & down[l - r + 1]))
-                    if l in slot_set else off)
-    sums = {}
-    for lw in slots:
-        alive = down[lw - r + 1]
-        sums[lw] = ((0, alive), (alive & masks[lw], alive & ~masks[lw]))
+        whole[l] = ((0, runs(cols)),)
+        if l in slot_set:
+            hit = down[l - r + 1]  # d(t^k g) lives
+            split[l] = ((0, runs(cols & ~hit)), (1, runs(cols & hit)))
 
     pairs = []
     for i, (lu, gu) in enumerate(gens):
         for lv, gv in gens[i:]:
             lw = lu + lv
-            target = lw - r + 1
-            if target < 0 or target not in rows:
+            alive = down.get(lw - r + 1)  # bit s: t^s of the target lives
+            if not alive:
                 continue
-            sum_alive = down[target]
-            if not sum_alive:
-                continue
-            w_on = lw in slot_set and mult(gu, gv)
-            u_on = lu in slot_set and mult(names[lu - r + 1], gv)
-            v_on = lv in slot_set and mult(gu, names[lv - r + 1])
-            if w_on or u_on or v_on:
-                w_off = (0, sum_alive)
-                pairs.append((lu, lv, lw, gu, gv,
-                              sums[lw] if w_on else (w_off, w_off),
-                              sides[lu] if u_on else (sides[lu][0],) * 2,
-                              sides[lv] if v_on else (sides[lv][0],) * 2))
+            ws = (((0, alive & ~masks[lw]), (1, alive & masks[lw]))
+                  if lw in slot_set and mult(gu, gv) else ((0, alive),))
+            us = (split[lu] if lu in slot_set
+                  and mult(names[lu - r + 1], gv) else whole[lu])
+            vs = (split[lv] if lv in slot_set
+                  and mult(gu, names[lv - r + 1]) else whole[lv])
+            table = 0
+            for (tw, sums), (tu, left), (tv, right) in itertools.product(
+                    ws, us, vs):
+                breaks = _BREAKS[4 * tw + 2 * tu + tv]
+                if breaks & ~table and _sum_hit(left, right, sums):
+                    table |= breaks
+            if table:
+                pairs.append((lu, lv, lw, table))
 
     # d o d = 0 along row chains l -> l-r+1 -> l-2r+2, whose last row lives
     # whenever the middle one is a slot.
@@ -285,16 +287,12 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     if stray:
         raise PreconditionError(
             f"rows {sorted(stray)} are not differential slots of round {r}")
-    for lu, lv, lw, gu, gv, w, u, v in scan.pairs:
-        odd_sum, even_sum = w[lw in sources]  # term count odd, even
-        u0, u1 = u[lu in sources]  # d(t^k u) dead, live
-        v0, v1 = v[lv in sources]
-        if not (odd_sum or u1 or v1):
-            continue  # both sides vanish on every pair of columns
-        if (_sum_hit(u0, v0, odd_sum) or _sum_hit(u1, v1, odd_sum)
-                or _sum_hit(u0, v1, even_sum) or _sum_hit(u1, v0, even_sum)):
+    for lu, lv, lw, table in scan.pairs:
+        if table >> (4 * (lw in sources) + 2 * (lu in sources)
+                     + (lv in sources)) & 1:
+            names = page.fiber.names
             return (f"Leibniz violation at round {r} on the product "
-                    f"{gu}*{gv}")
+                    f"{names[lu]}*{names[lv]}")
 
     for l, mid, last in scan.chains:
         if l in sources and mid in sources:

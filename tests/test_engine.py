@@ -1,5 +1,6 @@
 """Tests for the page engine: second page, rounds, patterns, page turns."""
 
+import itertools
 import os
 import tracemalloc
 
@@ -16,7 +17,7 @@ from orbitcohom.errors import (InvalidInputError, InvariantError,
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
 from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule, runs
 
-from helpers import point_ring
+from helpers import point_ring, reference_check_pattern, truncated_polynomial
 
 
 def test_build_e2_rows_z2():
@@ -239,16 +240,63 @@ def _sweep():
 
 
 def test_patterns_on_one_page_do_not_interfere():
-    # a page builds its slot data once and every pattern reads it, so a
-    # pattern's verdict must not depend on the patterns checked before it
+    # a page builds its Leibniz tables once and every pattern reads them,
+    # so a pattern's verdict must not depend on the patterns checked before
+    # it, and each must match the four-sumset reference
     walked = _sweep()
     assert any(len(steps) > 2 for _, steps in walked)
+    # one parity vector breaks 4 of the 8 coefficient triples, two or
+    # more break 6 or 7
+    assert any(bin(table).count("1") > 4 for page, _ in walked
+               for *_, table in page._scan.pairs)
     for page, steps in walked:
         for pattern, reason, _ in steps:
             fresh = Page(fiber=page.fiber, group=page.group,
                          rounds=page.rounds, rows=page.rows)
             assert check_pattern(fresh, pattern) == reason, (page, pattern)
             assert check_pattern(page, pattern) == reason, (page, pattern)
+            assert reference_check_pattern(page, pattern) == reason, (
+                page, pattern)
+
+
+_PAGE_FIBERS = ([make_type_ab(n, a, b) for n in (1, 2, 3) for a in (0, 1)
+                 for b in (0, 1)]
+                + [truncated_polynomial(degree, k) for degree in (1, 2)
+                   for k in (3, 4, 5, 6)])
+
+
+@st.composite
+def _random_pages(draw):
+    """A page of a small fiber at one of its rounds, each row a random run
+    list or absent. Most rows start at column 0, so that generators live
+    and the round has slots."""
+    fiber = draw(st.sampled_from(_PAGE_FIBERS))
+    group = draw(st.sampled_from(
+        [g for g in GroupChoice if admissible_rounds(fiber, g)]))
+    r = draw(st.sampled_from(admissible_rounds(fiber, group)))
+    rows = {}
+    for l in sorted(fiber.names):
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        summands, start = [], draw(st.sampled_from((0, 0, 0, 1, 3)))
+        for length in draw(st.lists(st.integers(1, 2 * r), max_size=3)):
+            summands.append((start, length))
+            start += length + draw(st.integers(1, r))
+        if draw(st.booleans()):
+            summands.append((start, INFINITE))
+        rows[l] = IntervalModule(tuple(summands))
+    return Page(fiber=fiber, group=group, rounds=(r,), rows=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_pages())
+def test_every_pattern_of_a_random_page_matches_the_sumset_reference(page):
+    slots = differential_slots(page)
+    for coeffs in itertools.product((0, 1), repeat=len(slots)):
+        pattern = DifferentialPattern(
+            page.round, tuple(itertools.compress(slots, coeffs)))
+        assert check_pattern(page, pattern) == reference_check_pattern(
+            page, pattern), pattern
 
 
 def _turn_reference(page, pattern):

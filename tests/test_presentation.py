@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from orbitcohom.engine import GroupChoice, Page, classify
 from orbitcohom.errors import UnsupportedShapeError
-from orbitcohom.fiber import FiberRing, make_type_ab
+from orbitcohom.fiber import make_type_ab
 from orbitcohom.intervals import IntervalModule
 from orbitcohom.presentation import (ExtensionFlag, PoincareSeries, _flags,
                                      extract_presentation, make_presentation,
@@ -14,7 +14,7 @@ from orbitcohom.presentation import (ExtensionFlag, PoincareSeries, _flags,
                                      relation_str, tot_poincare)
 from orbitcohom.selfcheck import basis_problems, monomial_basis_elements
 
-from helpers import point_ring, same_presentation
+from helpers import point_ring, same_presentation, truncated_polynomial
 
 
 def _z2_ring(n, power, z_deg, z_len=None):
@@ -179,17 +179,6 @@ def _z_names(pres):
             if name != pres.base_generator}
 
 
-def _truncated_polynomial(degree, k):
-    """F2[u]/(u^k) with |u| = degree, its classes named 1, u1, .., u{k-1}."""
-    names = ["1"] + [f"u{i}" for i in range(1, k)]
-    products = [((names[i], names[j]),
-                 frozenset({names[i + j]}) if i + j < k else frozenset())
-                for i in range(k) for j in range(i, k)]
-    return FiberRing(basis=tuple((name, i * degree) for i, name in enumerate(names)),
-                     unit="1", products=tuple(products),
-                     top_degree=(k - 1) * degree)
-
-
 def _reference_fibers():
     for n in range(1, 25):
         for a in (0, 1):
@@ -198,7 +187,7 @@ def _reference_fibers():
     # their outcomes carry two-term relations such as z1^2 + z2
     for degree in range(1, 5):
         for k in range(2, 8):
-            yield _truncated_polynomial(degree, k)
+            yield truncated_polynomial(degree, k)
 
 
 def test_outcome_data_matches_per_degree_reference():
@@ -269,7 +258,7 @@ def _single_run_pages(draw):
     fiber: each row one run from column 0, none longer than the base row."""
     step, degree = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     k = draw(st.integers(2, 5))
-    fiber = _truncated_polynomial(degree, k)
+    fiber = truncated_polynomial(degree, k)
     base = draw(st.integers(1, 6))
     rows = {0: IntervalModule(((0, base),))}
     for i in range(1, k):
