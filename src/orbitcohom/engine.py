@@ -24,9 +24,11 @@ The Leibniz and d o d checks hold across all columns exactly. Each row
 is a union of runs of columns that is constant beyond its last run
 endpoint, so finitely many columns represent every regime. A page that
 has a slot reads its rows as column masks once, and from them builds, also
-once, one table per Leibniz pair of the coefficient triples on the rows of
-u, v and u*v that break it, and the d o d chains (``Page._scan``); a
-pattern only looks them up by its sources. A table entry asks whether
+once, one list of checks (``Page._scan``). A check is three rows, the 8-bit
+table of the coefficient triples on them that break it, and its reason: a
+Leibniz pair's rows are those of u*v, u and v, and a d o d chain
+l -> mid -> last is c_l c_mid = 0. A pattern is refused for the first
+check its sources break. A Leibniz table entry asks whether
 some pair of columns k, j with given term parities sums into a set of live
 target columns; the sumset of the runs [a, b) and [c, d) is the single run
 [a + c, b + d - 1), so each costs O(runs^2) big-int operations, whatever n
@@ -43,10 +45,16 @@ import itertools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import presentation
-from .errors import InvariantError, PreconditionError, UnsupportedShapeError
+from .errors import (InvariantError, OversizedInstanceError,
+                     PreconditionError, UnsupportedShapeError)
 from .fiber import FiberRing
 from .intervals import FREE_ROW, IntervalModule, runs
 from .record import Record
+
+# The most branches classify walks before it refuses the fiber. The tree
+# grows about x3.5-4 per fiber class, and the report keeps every branch: the
+# wedge of 12 classes (one in each degree 0..11) has 164332 under Z/2.
+MAX_BRANCHES = 200_000
 
 
 class GroupChoice(enum.Enum):
@@ -160,17 +168,14 @@ def differential_slots(page: Page) -> Tuple[int, ...]:
     return page._scan.slots
 
 
-class _Scan(Record):
+class _Scan(NamedTuple):
     """Data of a page for its current round that no pattern changes, shared
     by all its patterns. A page without slots has only the zero pattern,
     which needs none of it, so its scan holds the slots alone."""
-    __slots__ = ("slots", "pairs", "chains")
-
-    def __init__(self, slots: Tuple[int, ...], pairs: Tuple[tuple, ...],
-                 chains: Tuple[Tuple[int, int, int], ...]):
-        object.__setattr__(self, "slots", slots)  # source rows of the round's slots
-        object.__setattr__(self, "pairs", pairs)  # Leibniz (lu, lv, lw, table)
-        object.__setattr__(self, "chains", chains)  # (l, mid, last) with d o d live
+    slots: Tuple[int, ...]  # source rows of the round's slots
+    # (la, lb, lc, table, reason): sources S break the check when bit
+    # 4 [la in S] + 2 [lb in S] + [lc in S] of table is set
+    checks: Tuple[Tuple[int, int, int, int, str], ...]
 
 
 # _BREAKS[tau]: the 8-bit set of the c = 4 c_w + 2 c_u + c_v with tau . c odd
@@ -179,7 +184,7 @@ _BREAKS = tuple(sum(1 << c for c in range(8) if bin(tau & c).count("1") % 2)
 
 
 def _scan_page(page: Page) -> _Scan:
-    """Slots, and for a page with slots the Leibniz tables and d o d chains
+    """Slots, and for a page with slots its Leibniz, then d o d, checks
     covering every support regime, read off column masks of its rows.
 
     Beyond the largest run endpoint shifted by the differential every
@@ -200,7 +205,7 @@ def _scan_page(page: Page) -> _Scan:
     slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
                   and rows[l - r + 1].has_column(e))
     if not slots:
-        return _Scan(slots=slots, pairs=(), chains=())
+        return _Scan(slots, ())
 
     endpoint = max(row.max_finite_endpoint() for row in rows.values())
     rep = endpoint + 2 * e + 4
@@ -230,7 +235,7 @@ def _scan_page(page: Page) -> _Scan:
             hit = down[l - r + 1]  # d(t^k g) lives
             split[l] = ((0, runs(cols & ~hit)), (1, runs(cols & hit)))
 
-    pairs = []
+    checks = []
     for i, (lu, gu) in enumerate(gens):
         for lv, gv in gens[i:]:
             lw = lu + lv
@@ -250,16 +255,18 @@ def _scan_page(page: Page) -> _Scan:
                 if breaks & ~table and _sum_hit(left, right, sums):
                     table |= breaks
             if table:
-                pairs.append((lu, lv, lw, table))
+                checks.append((lw, lu, lv, table, "Leibniz violation at round "
+                               f"{r} on the product {gu}*{gv}"))
 
     # d o d = 0 along row chains l -> l-r+1 -> l-2r+2, whose last row lives
-    # whenever the middle one is a slot.
-    chains = []
+    # whenever the middle one is a slot: c_l c_mid = 0, which only bit 7
+    # breaks. A pattern that breaks a pair and a chain is refused for the pair.
     for l in slots:
         mid, last = l - r + 1, l - 2 * r + 2
         if mid in slot_set and masks[l] & down[mid] & (masks[last] >> (2 * e)):
-            chains.append((l, mid, last))
-    return _Scan(slots=slots, pairs=tuple(pairs), chains=tuple(chains))
+            checks.append((l, mid, mid, 1 << 7, "d o d nonzero at round "
+                           f"{r} along rows {l} -> {mid} -> {last}"))
+    return _Scan(slots, tuple(checks))
 
 
 def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
@@ -287,17 +294,10 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     if stray:
         raise PreconditionError(
             f"rows {sorted(stray)} are not differential slots of round {r}")
-    for lu, lv, lw, table in scan.pairs:
-        if table >> (4 * (lw in sources) + 2 * (lu in sources)
-                     + (lv in sources)) & 1:
-            names = page.fiber.names
-            return (f"Leibniz violation at round {r} on the product "
-                    f"{names[lu]}*{names[lv]}")
-
-    for l, mid, last in scan.chains:
-        if l in sources and mid in sources:
-            return (f"d o d nonzero at round {r} along rows "
-                    f"{l} -> {mid} -> {last}")
+    for la, lb, lc, table, reason in scan.checks:
+        if table >> (4 * (la in sources) + 2 * (lb in sources)
+                     + (lc in sources)) & 1:
+            return reason
     return None
 
 
@@ -350,7 +350,8 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
     """Depth-first enumeration of all differential branches.
 
     Outcomes are the admissible limit pages with their extracted ring data;
-    every maximal branch lands exactly once in outcomes or rejected.
+    every maximal branch lands exactly once in outcomes or rejected. A tree
+    of more than MAX_BRANCHES branches is refused.
     """
     page0 = build_e2(fiber, group)
     outcomes: List[Outcome] = []
@@ -385,6 +386,10 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
                 rejected.append(RejectedBranch(branch, r, reason))
             else:
                 dfs(next_page, branch)
+            if len(outcomes) + len(rejected) > MAX_BRANCHES:
+                raise OversizedInstanceError(
+                    f"more than {MAX_BRANCHES} branches; the fiber is too "
+                    "large to classify")
 
     dfs(page0, ())
     outcomes.sort(key=lambda o: o.history_key())

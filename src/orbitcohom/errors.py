@@ -19,7 +19,9 @@ class UnsupportedShapeError(OrbitCohomError, ValueError):
 
 
 class OversizedInstanceError(OrbitCohomError, ValueError):
-    """The brute-force oracle refuses instances beyond desk scale."""
+    """An input beyond what the package walks: more cells than the
+    brute-force oracle's ``MAX_CELLS``, or a branch tree of more than the
+    engine's ``MAX_BRANCHES`` branches."""
 
 
 class InvariantError(OrbitCohomError, RuntimeError):

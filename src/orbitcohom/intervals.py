@@ -56,9 +56,6 @@ class IntervalModule(Record):
                 return True
         return False
 
-    def has_infinite(self) -> bool:
-        return bool(self.summands) and self.summands[-1][1] is INFINITE
-
     def last_column(self) -> Optional[int]:
         """Largest supported column: None when the last run is infinite, -1
         for the zero row."""

@@ -108,7 +108,7 @@ def tot_poincare(e_inf: "Page") -> PoincareSeries:
     step = e_inf.step
     terms = []
     for l, row in e_inf.rows.items():
-        if row.has_infinite():
+        if row.last_column() is None:
             raise UnsupportedShapeError("page has an infinite row; no finite Poincare data")
         terms += [(start * step + l, step, length)
                   for start, length in row.summands]

@@ -1,7 +1,9 @@
 """Immutable records. No module of the package imports ``dataclasses``: with
 the ``inspect`` chain it loads and the methods it execs per class, it cost
-each CLI run about 28 ms of start-up. Records built per branch subclass
-``Record``; the others are ``typing.NamedTuple``."""
+each CLI run about 28 ms of start-up. Records built per branch that must
+equal only records of their own type, or that hold a private cache,
+subclass ``Record``; the others, the per-page ``engine._Scan`` among them,
+are ``typing.NamedTuple``, which builds faster."""
 
 
 class Record:

@@ -177,6 +177,27 @@ def test_oracle_above_its_cell_limit_exits_one(capsys, argv):
         "error: 606 cells exceeds the oracle limit of 600"]
 
 
+def test_classify_refuses_a_tree_of_more_than_max_branches(capsys,
+                                                           monkeypatch):
+    # the truncated-u6 fiber has 58 branches under Z/2; a bound one lower
+    # must refuse it in the library and exit 1 with one line in the CLI
+    fiber = orbitcohom.load_fiber(FIBER_U6)
+    report = engine.classify(fiber, engine.GroupChoice.Z2)
+    total = len(report.outcomes) + len(report.rejected)
+    monkeypatch.setattr(engine, "MAX_BRANCHES", total)
+    assert engine.classify(fiber, engine.GroupChoice.Z2) == report
+    monkeypatch.setattr(engine, "MAX_BRANCHES", total - 1)
+    message = (f"more than {total - 1} branches; the fiber is too large to "
+               "classify")
+    with pytest.raises(orbitcohom.OversizedInstanceError, match=message):
+        engine.classify(fiber, engine.GroupChoice.Z2)
+    code, out, err = run_cli(capsys, "classify", "--fiber", FIBER_U6,
+                             "--group", "z2", "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("group", ["z2", "s1"])
 def test_oracle_check_runs_at_the_smallest_cap(capsys, group):
     from orbitcohom.oracle import min_cap

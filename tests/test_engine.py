@@ -245,10 +245,17 @@ def test_patterns_on_one_page_do_not_interfere():
     # it, and each must match the four-sumset reference
     walked = _sweep()
     assert any(len(steps) > 2 for _, steps in walked)
+    checks = [check for page, _ in walked for check in page._scan.checks]
     # one parity vector breaks 4 of the 8 coefficient triples, two or
     # more break 6 or 7
-    assert any(bin(table).count("1") > 4 for page, _ in walked
-               for *_, table in page._scan.pairs)
+    assert any(bin(table).count("1") > 4 for *_, table, _ in checks)
+    # a d o d chain l -> mid -> last is the check c_l c_mid = 0 on the rows
+    # (l, mid, mid); some patterns are refused for one, and those that also
+    # break a Leibniz pair must be refused for the pair, as the reference is
+    assert any(lb == lc and table == 1 << 7 and reason.startswith("d o d")
+               for _, lb, lc, table, reason in checks)
+    assert any(reason and reason.startswith("d o d")
+               for _, steps in walked for _, reason, _ in steps)
     for page, steps in walked:
         for pattern, reason, _ in steps:
             fresh = Page(fiber=page.fiber, group=page.group,

@@ -16,14 +16,14 @@ def test_free_module_dimensions():
     assert FREE_ROW.summands == ((0, INFINITE),)
     assert all(FREE_ROW.has_column(k) for k in range(20))
     assert not FREE_ROW.has_column(-1)
-    assert FREE_ROW.has_infinite() and FREE_ROW.last_column() is None
+    assert FREE_ROW.last_column() is None
 
 
 def test_finite_interval():
     m = IntervalModule(((0, 4),))
     assert [m.has_column(k) for k in range(6)] == [True] * 4 + [False] * 2
     assert m.last_column() == 3
-    assert not m.has_infinite() and m.summands
+    assert m.last_column() is not None and m.summands
 
 
 def test_step_two_support():
@@ -38,7 +38,7 @@ def test_step_two_support():
 
 def test_zero_module():
     m = IntervalModule(())
-    assert not m.summands and not m.has_infinite()
+    assert not m.summands and m.last_column() is not None
     assert m.last_column() == -1
     assert not m.has_column(0)
     assert m.max_finite_endpoint() == 0 and m.column_mask(8) == 0
@@ -121,7 +121,7 @@ def test_dimension_matches_direct_enumeration(summands):
             expected[k] = True
     assert [m.has_column(k) for k in range(bound)] == expected
     infinite = any(length is INFINITE for _, length in summands)
-    assert m.has_infinite() == infinite
+    assert (m.last_column() is None) == infinite
     columns = [k for k in range(bound) if expected[k]]
     assert m.last_column() == (None if infinite else max(columns, default=-1))
 
@@ -138,8 +138,8 @@ def test_minus_matches_has_column(mine, theirs, offset):
     assert [diff.has_column(k) for k in range(-2, bound)] == [
         row.has_column(k) and not other.has_column(k + offset)
         for k in range(-2, bound)]
-    assert diff.has_infinite() == (row.has_infinite()
-                                   and not other.has_infinite())
+    assert (diff.last_column() is None) == (row.last_column() is None
+                                            and other.last_column() is not None)
     assert IntervalModule(diff.summands) == diff
     assert all(start + length < after for (start, length), (after, _)
                in zip(diff.summands, diff.summands[1:]))
