@@ -2,13 +2,14 @@
 
 The oracle works on an explicit truncated cell model of the second page:
 one cell per (base degree, fiber class) with total degree under a cap.
-It counts every joint generator-level coefficient assignment across all
-rounds (``engine.admissible_rounds``), checks the Leibniz rule cell by
+Row l is a slot of round r when the generator cell (0, l) has a cell
+(r, l - r + 1) to hit. The oracle counts every joint generator-level
+coefficient assignment across all rounds, checks the Leibniz rule cell by
 cell on actual basis products, takes homology cell by cell (a cell
 survives when it is neither hit nor hits; an assignment with d o d != 0
-is rejected), and reports surviving
-dimensions per total degree. Nothing here shares interval or bitmask
-machinery with the engine, so agreement is meaningful evidence.
+is rejected), and reports surviving dimensions per total degree. It takes
+only the input type ``GroupChoice`` from the engine, so agreement is
+meaningful evidence.
 
 The assignments are walked round by round. In each round only the slots
 whose source generator, target generator and target class are all live
@@ -18,13 +19,14 @@ agrees with it there: two for each dead slot of this and earlier rounds,
 times every choice of the later rounds when the subset is rejected. Each
 outcome's key (its nonzero sources per round) is therefore reached once.
 The choices of one round share its live cells and its length, so d on a
-row is fixed by whether the row holds a source: each round maps each
-usable row's cells once, and a choice's d is the union of its sources'
-maps. The Leibniz check skips a pair of rows when no row of the pair or of
-its product holds a source, and keeps one table per round from a row
-pair's rows, their two flags and the rows of their product holding a
-source, which fix its verdict. Within a row pair, one cell pair is checked
-for each column sum and pair of flags "d is nonzero on the cell".
+row is fixed by whether the row holds a source: each round maps the live
+cells of each usable row once, and a choice's d is the union of its
+sources' maps. The Leibniz check skips a pair of rows when no row of the
+pair or of its product holds a source, and keeps one table per round from
+a row pair's rows, their two flags and the rows of their product holding a
+source, which fix its verdict. Within a row pair, the rule is checked once
+for each column sum and pair of flags "d is nonzero on the cell", which
+fix both of its sides.
 
 Truncation is handled by a safety margin: cells within one round-length
 of the cap see truncated differentials, so only total degrees at most
@@ -37,7 +39,7 @@ import itertools
 from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
                     Set, Tuple)
 
-from .engine import GroupChoice, admissible_rounds
+from .engine import GroupChoice
 from .errors import (InvalidInputError, OversizedInstanceError,
                      UnsupportedShapeError)
 from .fiber import FiberRing
@@ -76,10 +78,20 @@ class OracleReport(NamedTuple):
     rejected_assignments: int
 
 
+def _slots(fiber: FiberRing, group: GroupChoice) -> Dict[int, List[int]]:
+    """Each round r >= 2 with a slot, mapped to its slots: the rows l whose
+    generator cell (0, l) has a cell (r, l - r + 1) to hit. Cells lie only
+    in the columns that are multiples of the step."""
+    rows = sorted(fiber.names)
+    slots = {r: [l for l in rows if l - r + 1 in fiber.names]
+             for r in range(2, rows[-1] + 2, group.step)}
+    return {r: ls for r, ls in slots.items() if ls}
+
+
 def min_cap(fiber: FiberRing, group: GroupChoice) -> int:
     """Smallest truncation degree the oracle accepts for this input."""
-    rounds = admissible_rounds(fiber, group)
-    return fiber.top_degree + (max(rounds) if rounds else 0) + group.step
+    return (fiber.top_degree + max(_slots(fiber, group), default=0)
+            + group.step)
 
 
 def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComplex:
@@ -107,19 +119,6 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
                             cells=cells, names=names, products=products)
 
 
-def _differentials(live: AbstractSet[Cell], r: int,
-                   coeff: Dict[int, int]) -> Dict[Cell, Cell]:
-    """Each live cell whose round-r differential is nonzero, mapped to the
-    live cell it hits."""
-    out: Dict[Cell, Cell] = {}
-    for k, l in live:
-        if coeff.get(l, 0):
-            target = (k + r, l - r + 1)
-            if target in live:
-                out[k, l] = target
-    return out
-
-
 def _by_row(live: AbstractSet[Cell]) -> Dict[int, List[int]]:
     """The columns of the live cells on each row, ascending."""
     columns: Dict[int, List[int]] = {}
@@ -129,12 +128,11 @@ def _by_row(live: AbstractSet[Cell]) -> Dict[int, List[int]]:
 
 
 def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
-                columns: Dict[int, List[int]], d: Dict[Cell, Cell],
+                columns: Dict[int, List[int]], d: Dict[Cell, Cell], r: int,
                 verdicts: Dict[tuple, bool]) -> bool:
     """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
-    of live cells, degrees permitting, for the differential map d
-    (``_differentials``) of one round on live, whose cells by row are
-    ``columns`` (``_by_row``).
+    of live cells, degrees permitting, for the differential map d of round
+    r (cell -> the cell it hits) on live, by row ``columns`` (``_by_row``).
 
     Cells are walked row pair by row pair, and the first failing pair ends
     the check. A pair of rows (l1, l2) is skipped when neither row nor any
@@ -159,7 +157,7 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
             key = (l1, l2, on1, on2, frozenset(hot))
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = _pair_ok(tc, live, columns, d,
+                ok = verdicts[key] = _pair_ok(tc, live, columns, d, r,
                                               l1, l2, hot)
             if not ok:
                 return False
@@ -167,7 +165,7 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
 
 
 def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
-             columns: Dict[int, List[int]], d: Dict[Cell, Cell],
+             columns: Dict[int, List[int]], d: Dict[Cell, Cell], r: int,
              l1: int, l2: int, hot: AbstractSet[int]) -> bool:
     """The Leibniz rule on every pair of live cells of rows l1 <= l2. The
     left side sums d only over the product's rows in hot, those that hold a
@@ -175,20 +173,13 @@ def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
 
     For cells (k1, l1), (k2, l2) and K = k1 + k2, both sides lie in column
     K + r: the left is d of the cells (K, l), l in hot, the right the live
-    cells there on the rows of the products (l1-r+1)*l2 and l1*(l2-r+1),
-    and the cap cut depends on K alone. So the verdict is fixed by (K, d is
-    nonzero on (k1, l1), d is nonzero on (k2, l2)), and only the first cell
-    pair of each such key is checked.
+    cells there on the rows of the product (l1-r+1)*l2 when d is nonzero on
+    (k1, l1), plus those of l1*(l2-r+1) when d is nonzero on (k2, l2), and
+    the cap cut depends on K alone. So the rule is checked once per key.
     """
     products, cap = tc.products, tc.cap
-
-    def times(c1: Cell, c2: Cell) -> Set[Cell]:
-        """Product of two cells, as its set of live cells."""
-        k = c1[0] + c2[0]
-        return {(k, l) for l in products[c1[1], c2[1]] if (k, l) in live}
-
     row2 = [(k2, (k2, l2) in d) for k2 in columns[l2]]
-    firsts: Dict[Tuple[int, bool, bool], Tuple[Cell, Cell]] = {}
+    keys: Set[Tuple[int, bool, bool]] = set()
     for k1 in columns[l1]:
         on1 = (k1, l1) in d
         for k2, on2 in row2:
@@ -196,22 +187,16 @@ def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
                 continue
             if k1 + l1 + k2 + l2 + 1 > cap:
                 break
-            key = (k1 + k2, on1, on2)
-            if key not in firsts:
-                firsts[key] = ((k1, l1), (k2, l2))
-    for c1, c2 in firsts.values():
-        lhs: Set[Cell] = set()
-        for l in hot:
-            target = d.get((c1[0] + c2[0], l))
-            if target is not None:
-                lhs ^= {target}
+            keys.add((k1 + k2, on1, on2))
+    for k, on1, on2 in keys:
+        lhs = {d[k, l] for l in hot if (k, l) in d}
         rhs: Set[Cell] = set()
-        d1 = d.get(c1)
-        if d1 is not None:
-            rhs ^= times(d1, c2)
-        d2 = d.get(c2)
-        if d2 is not None:
-            rhs ^= times(c1, d2)
+        if on1:
+            rhs ^= {(k + r, l) for l in products[l1 - r + 1, l2]
+                    if (k + r, l) in live}
+        if on2:
+            rhs ^= {(k + r, l) for l in products[l1, l2 - r + 1]
+                    if (k + r, l) in live}
         if lhs != rhs:
             return False
     return True
@@ -219,8 +204,8 @@ def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
 
 def _turn(live: AbstractSet[Cell],
           d: Dict[Cell, Cell]) -> Optional[FrozenSet[Cell]]:
-    """Cells surviving the differential map d (``_differentials``) of one
-    round on live; None when d o d != 0.
+    """Cells surviving the differential map d (cell -> the cell it hits) of
+    one round on live; None when d o d != 0.
 
     Every cell carries one basis element, so a cell dies exactly when it is
     hit or hits something, and a cell that does both is a nonzero composite.
@@ -237,20 +222,20 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
 
     Every choice of nonzero generator differentials for every round is
     counted, walked round by round: a round's choices are the subsets of
-    its usable slots, those whose source generator, target generator and
-    target class are live (as in ``engine.differential_slots``). A subset stands
-    for 2^(dead slots) choices of its round, so each subset is checked
-    and turned once. A rejected subset counts its weight times every
-    choice of the later rounds as rejected assignments. An outcome is keyed
-    by its nonzero sources per round, matching the branch bookkeeping of
-    the engine, and each key is reached by exactly one walk.
+    its usable slots (``_slots``), those whose source generator, target
+    generator and target class are live. A subset stands for 2^(dead
+    slots) choices of its round, so each subset is checked and turned once.
+    A rejected subset counts its weight times every choice of the later
+    rounds as rejected assignments. An outcome is keyed by its nonzero
+    sources per round, the engine's history key, and each key is reached
+    by exactly one walk.
     """
     tc = truncate_e2(fiber, group, cap)
-    rounds = admissible_rounds(fiber, group)
-    slots = [[l for l in sorted(tc.names) if 0 <= l - r + 1 < l
-              and l - r + 1 in tc.names] for r in rounds]
+    slots = _slots(fiber, group)
+    rounds = tuple(slots)
     # Joint choices of the rounds after round i.
-    later = [2 ** sum(map(len, slots[i + 1:])) for i in range(len(rounds))]
+    later = [2 ** sum(len(slots[r]) for r in rounds[i + 1:])
+             for i in range(len(rounds))]
     # Survival is faithful below cap - (number of rounds): truncation
     # errors start at the cap edge and descend one degree per round.
     survival_top = cap - len(rounds)
@@ -271,19 +256,20 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
             outcomes.append(OracleOutcome(key, dict(sorted(dims.items()))))
             return
         r = rounds[i]
-        usable = [l for l in slots[i] if (0, l) in live
+        usable = [l for l in slots[r] if (0, l) in live
                   and (0, l - r + 1) in live and (r, l - r + 1) in live]
-        weight <<= len(slots[i]) - len(usable)
+        weight <<= len(slots[r]) - len(usable)
         columns = _by_row(live)
         verdicts: Dict[tuple, bool] = {}  # row pair verdicts of this round
-        maps = {l: _differentials(live, r, {l: 1}) for l in usable}
+        maps = {l: {(k, l): (k + r, l - r + 1) for k in columns[l]
+                    if (k + r, l - r + 1) in live} for l in usable}
         for choice in itertools.product((0, 1), repeat=len(usable)):
             sources = tuple(itertools.compress(usable, choice))
             d: Dict[Cell, Cell] = {}
             for l in sources:
                 d.update(maps[l])
-            turned = (_turn(live, d)
-                      if _leibniz_ok(tc, live, columns, d, verdicts) else None)
+            ok = _leibniz_ok(tc, live, columns, d, r, verdicts)
+            turned = _turn(live, d) if ok else None
             if turned is None:
                 rejected += weight * later[i]
                 continue

@@ -1,7 +1,7 @@
-"""Helpers that only the tests use: the one-class ring and truncated
-polynomial rings, a comparison of presentations up to renaming, the
-oracle's cap-stability check, and a reference for the engine's pattern
-check."""
+"""Helpers that only the tests use: the one-class ring, truncated
+polynomial rings and wedges, a comparison of presentations up to renaming,
+the oracle's cap-stability check, a reference for the oracle's
+differential maps, and one for the engine's pattern check."""
 
 import itertools
 from typing import Dict, List, Optional
@@ -28,6 +28,17 @@ def truncated_polynomial(degree: int, k: int) -> FiberRing:
     return FiberRing(basis=tuple((name, i * degree) for i, name in enumerate(names)),
                      unit="1", products=tuple(products),
                      top_degree=(k - 1) * degree)
+
+
+def wedge(classes: int) -> FiberRing:
+    """One class in each degree 0..classes-1, with no products but the
+    unit's."""
+    names = ["1"] + [f"x{i}" for i in range(1, classes)]
+    return FiberRing(basis=tuple((name, i) for i, name in enumerate(names)),
+                     unit="1",
+                     products=tuple((("1", name), frozenset({name}))
+                                    for name in names),
+                     top_degree=classes - 1)
 
 
 def same_presentation(p1: RingPresentation, p2: RingPresentation) -> bool:
@@ -78,6 +89,19 @@ def cap_stable(fiber: FiberRing, group: GroupChoice, cap: int) -> List[str]:
                 problems.append(
                     f"outcome {key}: degree {deg} changed with the cap")
     return problems
+
+
+def differentials(live, r: int, coeff: Dict[int, int]) -> Dict:
+    """The oracle's differential map of round r on the live cells, read off
+    all of them: each cell (k, l) with coeff[l] = 1 whose target
+    (k + r, l - r + 1) is live, mapped to that target."""
+    out = {}
+    for k, l in live:
+        if coeff.get(l, 0):
+            target = (k + r, l - r + 1)
+            if target in live:
+                out[k, l] = target
+    return out
 
 
 def reference_check_pattern(page: Page,

@@ -1,16 +1,19 @@
 """Tests for the truncated brute-force oracle."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+from orbitcohom import oracle
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError, OversizedInstanceError
 from orbitcohom.fiber import make_type_ab
-from orbitcohom.oracle import (_differentials, _turn, brute_force_classify,
-                               compare_reports, min_cap, truncate_e2)
+from orbitcohom.oracle import (_turn, brute_force_classify, compare_reports,
+                               min_cap, truncate_e2)
 
-from helpers import cap_stable, point_ring
+from helpers import cap_stable, differentials, point_ring
 
 
 def test_cell_counts():
@@ -41,14 +44,14 @@ def test_turn_rejects_nonzero_composite():
     # Z/2, n = 1: on page 2 the rows 3 -> 2 -> 1 form the chain
     # (0, 3) -> (2, 2) -> (4, 1); with both coefficients set d o d != 0.
     chain = {(0, 3), (2, 2), (4, 1)}
-    assert _turn(chain, _differentials(chain, 2, {3: 1, 2: 1})) is None
+    assert _turn(chain, differentials(chain, 2, {3: 1, 2: 1})) is None
 
 
 def test_turn_kills_hit_and_hitting_cells_only():
     live = {(0, 0), (0, 3), (2, 2)}
     # (0, 3) hits (2, 2); (0, 0) is untouched
-    assert _turn(live, _differentials(live, 2, {3: 1})) == {(0, 0)}
-    assert _turn(live, _differentials(live, 2, {3: 0})) == live
+    assert _turn(live, differentials(live, 2, {3: 1})) == {(0, 0)}
+    assert _turn(live, differentials(live, 2, {3: 0})) == live
 
 
 def test_oracle_dims_even_even_n1():
@@ -116,3 +119,20 @@ def test_all_small_cases_agree():
                 assert compare_reports(classify(fiber, group),
                                        oracle_report) == [], (group, n, a, b)
         assert n == largest + 1, group
+
+
+def test_the_oracle_takes_only_the_group_type_from_the_engine():
+    """The oracle is the engine's independent check, so it derives its
+    rounds and slots from its own cells and imports from the engine only
+    the input type."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_engine = "engine" in (node.module or "").split(".")
+            taken.update(alias.name for alias in node.names
+                         if from_engine or alias.name == "engine")
+        elif isinstance(node, ast.Import):
+            taken.update(alias.name for alias in node.names
+                         if "engine" in alias.name.split("."))
+    assert taken == {"GroupChoice"}

@@ -13,9 +13,11 @@ The Leibniz check is also compared, on random live cells and coefficients,
 with a copy of the all-pairs check it replaced: once per choice with a
 fresh cache of row pair verdicts, over every choice of a round in turn
 with the one cache the round shares, as the oracle's walk does, and one
-row pair at a time. The page turn is compared with a copy of the cell by
-cell turn it replaced, and each choice's differential built from per-row
-maps with the one built over all cells.
+row pair at a time. The claim that lets it check one key per column sum
+is tested on the reference, cell pair by cell pair. The page turn is
+compared with a copy of the cell by cell turn it replaced, and each
+choice's differential built from per-row maps with the one built over all
+cells. The rounds the oracle reads off its cells are the engine's.
 """
 
 import itertools
@@ -24,11 +26,12 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from orbitcohom.engine import GroupChoice
+from orbitcohom.engine import GroupChoice, admissible_rounds
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
-from orbitcohom.oracle import (_by_row, _differentials, _leibniz_ok, _pair_ok,
-                               _turn, brute_force_classify, min_cap,
-                               truncate_e2)
+from orbitcohom.oracle import (_by_row, _leibniz_ok, _pair_ok, _slots, _turn,
+                               brute_force_classify, min_cap, truncate_e2)
+
+from helpers import differentials, wedge
 
 GOLDEN = Path(__file__).with_name("golden_oracle.json")
 U6 = Path(__file__).with_name("fiber_truncated_u6.json")
@@ -61,6 +64,21 @@ def cases():
             yield f"{group.value} u6 |u|={degree} cap={cap}", fiber, group, cap
 
 
+def test_the_oracle_rounds_are_the_engine_rounds():
+    """The oracle reads its rounds off its own cells. They must still be
+    the engine's: the benchmark worker sizes the oracle's cap from
+    ``admissible_rounds``, and the CLI from ``min_cap``."""
+    fibers = ([fiber for _, fiber, _, _ in cases()]
+              + [make_type_ab(n, a, b) for n in range(1, 41) for a in (0, 1)
+                 for b in (0, 1)]
+              + [scaled_u6(degree) for degree in range(1, 5)]
+              + [wedge(classes) for classes in range(2, 11)])
+    for fiber in fibers:
+        for group in GroupChoice:
+            assert (tuple(_slots(fiber, group))
+                    == admissible_rounds(fiber, group)), (fiber, group)
+
+
 def report_doc(report) -> dict:
     """The oracle report as JSON data, dims as ordered [degree, dim] pairs."""
     return {
@@ -84,10 +102,9 @@ def test_oracle_matches_golden_file():
     assert len(names) == 104
 
 
-def reference_leibniz_ok(tc, live, r, coeff, rows=None) -> bool:
-    """The Leibniz check over all pairs of live cells, with no pair skipped
-    and every product looked up in the fiber ring; with ``rows`` = (l1, l2),
-    over the pairs of one cell on row l1 and one on row l2 only."""
+def reference_pair_ok(tc, live, r, coeff, c1, c2) -> bool:
+    """The Leibniz rule on the one pair of live cells (c1, c2), every
+    product looked up in the fiber ring; a pair above the cap holds."""
     def cell_product(c1, c2):
         (k1, l1), (k2, l2) = c1, c2
         hits = tc.fiber.mult(tc.names[l1], tc.names[l2])
@@ -101,6 +118,24 @@ def reference_leibniz_ok(tc, live, r, coeff, rows=None) -> bool:
             return frozenset({target})
         return frozenset()
 
+    if c1[0] + c1[1] + c2[0] + c2[1] + 1 > tc.cap:
+        return True
+    product = frozenset(c for c in cell_product(c1, c2) if c in live)
+    lhs = frozenset()
+    for c in product:
+        lhs ^= differential(c)
+    rhs = frozenset()
+    for d1 in differential(c1):
+        rhs ^= frozenset(c for c in cell_product(d1, c2) if c in live)
+    for d2 in differential(c2):
+        rhs ^= frozenset(c for c in cell_product(c1, d2) if c in live)
+    return lhs == rhs
+
+
+def reference_leibniz_ok(tc, live, r, coeff, rows=None) -> bool:
+    """The Leibniz check over all pairs of live cells, with no pair skipped
+    (``reference_pair_ok`` on each); with ``rows`` = (l1, l2), over the
+    pairs of one cell on row l1 and one on row l2 only."""
     if not any(coeff.values()):
         return True
     cells = sorted(c for c in live if rows is None or c[1] in rows)
@@ -108,18 +143,7 @@ def reference_leibniz_ok(tc, live, r, coeff, rows=None) -> bool:
         for c2 in cells[i:]:
             if rows is not None and sorted((c1[1], c2[1])) != list(rows):
                 continue
-            if c1[0] + c1[1] + c2[0] + c2[1] + 1 > tc.cap:
-                continue
-            product = frozenset(c for c in cell_product(c1, c2) if c in live)
-            lhs = frozenset()
-            for c in product:
-                lhs ^= differential(c)
-            rhs = frozenset()
-            for d1 in differential(c1):
-                rhs ^= frozenset(c for c in cell_product(d1, c2) if c in live)
-            for d2 in differential(c2):
-                rhs ^= frozenset(c for c in cell_product(c1, d2) if c in live)
-            if lhs != rhs:
+            if not reference_pair_ok(tc, live, r, coeff, c1, c2):
                 return False
     return True
 
@@ -185,8 +209,8 @@ def leibniz_inputs(draw):
 @given(leibniz_inputs())
 def test_leibniz_matches_all_pairs_reference(inputs):
     tc, live, r, coeff = inputs
-    d = _differentials(live, r, coeff)
-    assert (_leibniz_ok(tc, live, _by_row(live), d, {})
+    d = differentials(live, r, coeff)
+    assert (_leibniz_ok(tc, live, _by_row(live), d, r, {})
             == reference_leibniz_ok(tc, live, r, coeff))
 
 
@@ -198,8 +222,8 @@ def test_a_shared_round_cache_gives_fresh_verdicts(inputs):
     columns, verdicts = _by_row(live), {}
     for choice in itertools.product((0, 1), repeat=len(usable)):
         coeff = dict(zip(usable, choice))
-        d = _differentials(live, r, coeff)
-        assert (_leibniz_ok(tc, live, columns, d, verdicts)
+        d = differentials(live, r, coeff)
+        assert (_leibniz_ok(tc, live, columns, d, r, verdicts)
                 == reference_leibniz_ok(tc, live, r, coeff)), coeff
 
 
@@ -231,29 +255,54 @@ def test_each_row_pair_matches_the_all_pairs_reference(inputs):
     tc, live, r, coeff = inputs
     columns = _by_row(live)
     rows = sorted(columns)
-    d = _differentials(live, r, coeff)
+    d = differentials(live, r, coeff)
     nonzero = {l for _, l in d}
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
             hot = nonzero & tc.products[l1, l2]
-            assert (_pair_ok(tc, live, columns, d, l1, l2, hot)
+            assert (_pair_ok(tc, live, columns, d, r, l1, l2, hot)
                     == reference_leibniz_ok(tc, live, r, coeff,
                                             (l1, l2))), (l1, l2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(thinned_complexes())
+def test_a_key_fixes_the_verdict_of_a_cell_pair(inputs):
+    """Any two live cell pairs (k1, l1), (k2, l2) of a row pair with the
+    same k1 + k2 and the same two flags "d is nonzero on the cell" get the
+    same verdict from the reference, so ``_pair_ok`` may check each such
+    key once, on no cell pair in particular."""
+    tc, live, r, coeff = inputs
+    d = differentials(live, r, coeff)
+    columns = _by_row(live)
+    rows = sorted(columns)
+    for i, l1 in enumerate(rows):
+        for l2 in rows[i:]:
+            verdicts = {}
+            for c1, c2 in itertools.product(
+                    [(k, l1) for k in columns[l1]],
+                    [(k, l2) for k in columns[l2]]):
+                ok = reference_pair_ok(tc, live, r, coeff, c1, c2)
+                key = (c1[0] + c2[0], c1 in d, c2 in d)
+                assert verdicts.setdefault(key, ok) == ok, (c1, c2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_complexes())
 def test_row_maps_make_each_choice_differential(inputs):
-    """For every choice of a round, the union of its sources' row maps is
-    the differential map over all cells, as the oracle's walk builds it."""
+    """For every choice of a round, the union of its sources' row maps, each
+    read off its row's live columns as the oracle's walk builds it, is the
+    differential map over all cells."""
     tc, live, r, _ = inputs
     usable = [l for l in sorted(tc.names) if l - r + 1 in tc.names]
-    maps = {l: _differentials(live, r, {l: 1}) for l in usable}
+    columns = _by_row(live)
+    maps = {l: {(k, l): (k + r, l - r + 1) for k in columns.get(l, ())
+                if (k + r, l - r + 1) in live} for l in usable}
     for choice in itertools.product((0, 1), repeat=len(usable)):
         union = {}
         for l in itertools.compress(usable, choice):
             union.update(maps[l])
-        assert union == _differentials(live, r, dict(zip(usable, choice)))
+        assert union == differentials(live, r, dict(zip(usable, choice)))
 
 
 def reference_turn(live, r, d):
@@ -280,5 +329,5 @@ N1_Z2 = truncate_e2(N1, GroupChoice.Z2, min_cap(N1, GroupChoice.Z2))
 @example((N1_Z2, set(N1_Z2.cells), 2, {2: 1, 3: 1}))
 def test_turn_matches_the_per_cell_reference(inputs):
     _, live, r, coeff = inputs
-    d = _differentials(live, r, coeff)
+    d = differentials(live, r, coeff)
     assert _turn(live, d) == reference_turn(live, r, d)
