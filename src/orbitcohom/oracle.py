@@ -1,15 +1,15 @@
 """Independent brute-force check of the classification engine.
 
 The oracle works on an explicit truncated cell model of the second page:
-one cell per (base degree, fiber class) with total degree under a cap.
-Row l is a slot of round r when the generator cell (0, l) has a cell
-(r, l - r + 1) to hit. The oracle counts every joint generator-level
-coefficient assignment across all rounds, checks the Leibniz rule cell by
-cell on actual basis products, takes homology cell by cell (a cell
-survives when it is neither hit nor hits; an assignment with d o d != 0
-is rejected), and reports surviving dimensions per total degree. It takes
-only the input type ``GroupChoice`` from the engine, so agreement is
-meaningful evidence.
+one cell per (base degree k, fiber class l) with total degree under a cap,
+held row by row as each fiber degree l's set of live columns k. Row l is a
+slot of round r when the generator cell (0, l) has a cell (r, l - r + 1)
+to hit. The oracle counts every joint generator-level coefficient
+assignment across all rounds, checks the Leibniz rule on actual basis
+products, takes homology row by row (a cell survives when it is neither
+hit nor hits; an assignment with d o d != 0 is rejected), and reports
+surviving dimensions per total degree. It takes only the input type
+``GroupChoice`` from the engine, so agreement is meaningful evidence.
 
 The assignments are walked round by round. In each round only the slots
 whose source generator, target generator and target class are all live
@@ -19,9 +19,11 @@ agrees with it there: two for each dead slot of this and earlier rounds,
 times every choice of the later rounds when the subset is rejected. Each
 outcome's key (its nonzero sources per round) is therefore reached once.
 The choices of one round share its live cells and its length, so d on a
-row is fixed by whether the row holds a source: each round maps the live
-cells of each usable row once, and a choice's d is the union of its
-sources' maps. The Leibniz check skips a pair of rows when no row of the
+row is fixed by whether the row holds a source: each round reads once, for
+each usable row l, the set of its live columns k whose target
+(k + r, l - r + 1) is live, and a choice's d maps each of its sources to
+that set. A page turn removes, row by row, the columns that hit and those
+that are hit. The Leibniz check skips a pair of rows when no row of the
 pair or of its product holds a source, and keeps one table per round from
 a row pair's rows, their two flags and the rows of their product holding a
 source, which fix its verdict. Within a row pair, the rule is checked once
@@ -46,7 +48,7 @@ from .fiber import FiberRing
 
 MAX_CELLS = 600
 
-Cell = Tuple[int, int]  # (base degree k, fiber degree l)
+Rows = Dict[int, AbstractSet[int]]  # fiber degree l -> columns k
 HistoryKey = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
@@ -55,7 +57,7 @@ class TruncatedComplex(NamedTuple):
     group: GroupChoice
     cap: int
     margin: int
-    cells: Tuple[Cell, ...]
+    rows: Dict[int, FrozenSet[int]]  # fiber degree -> columns of its cells
     names: Dict[int, str]  # fiber degree -> basis element name
     # (l1, l2) -> fiber degrees of the basis elements in the product of the
     # elements on rows l1 and l2
@@ -110,29 +112,20 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
     if count > MAX_CELLS:
         raise OversizedInstanceError(
             f"{count} cells exceeds the oracle limit of {MAX_CELLS}")
-    cells = tuple((k, l) for l in sorted(names)
-                  for k in range(0, cap - l + 1, step))
+    rows = {l: frozenset(range(0, cap - l + 1, step)) for l in names}
     products = {(l1, l2): frozenset(fiber.degrees[name]
                                     for name in fiber.mult(u1, u2))
                 for l1, u1 in names.items() for l2, u2 in names.items()}
     return TruncatedComplex(fiber=fiber, group=group, cap=cap, margin=margin,
-                            cells=cells, names=names, products=products)
+                            rows=rows, names=names, products=products)
 
 
-def _by_row(live: AbstractSet[Cell]) -> Dict[int, List[int]]:
-    """The columns of the live cells on each row, ascending."""
-    columns: Dict[int, List[int]] = {}
-    for k, l in sorted(live):
-        columns.setdefault(l, []).append(k)
-    return columns
-
-
-def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
-                columns: Dict[int, List[int]], d: Dict[Cell, Cell], r: int,
+def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int,
                 verdicts: Dict[tuple, bool]) -> bool:
     """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
-    of live cells, degrees permitting, for the differential map d of round
-    r (cell -> the cell it hits) on live, by row ``columns`` (``_by_row``).
+    of live cells, degrees permitting, for the differential d of round r on
+    live: d[l] holds the columns k of source row l on which d is nonzero,
+    and each hits (k + r, l - r + 1).
 
     Cells are walked row pair by row pair, and the first failing pair ends
     the check. A pair of rows (l1, l2) is skipped when neither row nor any
@@ -144,44 +137,43 @@ def _leibniz_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
     of their product do (``hot``). ``verdicts`` maps that key to the
     verdict for every choice of the round; a pair is checked only on a miss.
     """
-    nonzero = {l for _, l in d}
-    if not nonzero:
+    if not d:
         return True
-    rows = sorted(columns)
+    rows = sorted(l for l, columns in live.items() if columns)
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
-            hot = nonzero.intersection(tc.products[l1, l2])
-            on1, on2 = l1 in nonzero, l2 in nonzero
+            hot = d.keys() & tc.products[l1, l2]
+            on1, on2 = l1 in d, l2 in d
             if not (hot or on1 or on2):
                 continue
             key = (l1, l2, on1, on2, frozenset(hot))
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = _pair_ok(tc, live, columns, d, r,
-                                              l1, l2, hot)
+                ok = verdicts[key] = _pair_ok(tc, live, d, r, l1, l2, hot)
             if not ok:
                 return False
     return True
 
 
-def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
-             columns: Dict[int, List[int]], d: Dict[Cell, Cell], r: int,
+def _pair_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int,
              l1: int, l2: int, hot: AbstractSet[int]) -> bool:
     """The Leibniz rule on every pair of live cells of rows l1 <= l2. The
     left side sums d only over the product's rows in hot, those that hold a
     source of d.
 
     For cells (k1, l1), (k2, l2) and K = k1 + k2, both sides lie in column
-    K + r: the left is d of the cells (K, l), l in hot, the right the live
-    cells there on the rows of the product (l1-r+1)*l2 when d is nonzero on
-    (k1, l1), plus those of l1*(l2-r+1) when d is nonzero on (k2, l2), and
-    the cap cut depends on K alone. So the rule is checked once per key.
+    K + r, as sets of rows there: the left is the rows l - r + 1, l in hot,
+    with K in d[l], the right the live rows of the product (l1-r+1)*l2 when
+    d is nonzero on (k1, l1), plus those of l1*(l2-r+1) when d is nonzero
+    on (k2, l2), and the cap cut depends on K alone. So the rule is checked
+    once per key.
     """
     products, cap = tc.products, tc.cap
-    row2 = [(k2, (k2, l2) in d) for k2 in columns[l2]]
+    d1, d2 = d.get(l1, ()), d.get(l2, ())
+    row2 = [(k2, k2 in d2) for k2 in sorted(live[l2])]
     keys: Set[Tuple[int, bool, bool]] = set()
-    for k1 in columns[l1]:
-        on1 = (k1, l1) in d
+    for k1 in live[l1]:
+        on1 = k1 in d1
         for k2, on2 in row2:
             if l1 == l2 and k2 < k1:
                 continue
@@ -189,31 +181,31 @@ def _pair_ok(tc: TruncatedComplex, live: AbstractSet[Cell],
                 break
             keys.add((k1 + k2, on1, on2))
     for k, on1, on2 in keys:
-        lhs = {d[k, l] for l in hot if (k, l) in d}
-        rhs: Set[Cell] = set()
+        lhs = {l - r + 1 for l in hot if k in d[l]}
+        rhs: Set[int] = set()
         if on1:
-            rhs ^= {(k + r, l) for l in products[l1 - r + 1, l2]
-                    if (k + r, l) in live}
+            rhs ^= {l for l in products[l1 - r + 1, l2] if k + r in live[l]}
         if on2:
-            rhs ^= {(k + r, l) for l in products[l1, l2 - r + 1]
-                    if (k + r, l) in live}
+            rhs ^= {l for l in products[l1, l2 - r + 1] if k + r in live[l]}
         if lhs != rhs:
             return False
     return True
 
 
-def _turn(live: AbstractSet[Cell],
-          d: Dict[Cell, Cell]) -> Optional[FrozenSet[Cell]]:
-    """Cells surviving the differential map d (cell -> the cell it hits) of
-    one round on live; None when d o d != 0.
+def _turn(live: Rows, d: Rows, r: int) -> Optional[Rows]:
+    """The live columns of each row surviving the differential d of round r
+    (source row l -> the columns k of its cells hitting (k + r, l - r + 1))
+    on live; None when d o d != 0.
 
     Every cell carries one basis element, so a cell dies exactly when it is
     hit or hits something, and a cell that does both is a nonzero composite.
     """
-    hit = set(d.values())
-    if not hit.isdisjoint(d):
+    hit = {l - r + 1: {k + r for k in columns} for l, columns in d.items()}
+    if any(not hit[l].isdisjoint(columns)
+           for l, columns in d.items() if l in hit):
         return None
-    return frozenset(live).difference(d, hit)
+    return {l: columns.difference(d.get(l, ()), hit.get(l, ()))
+            for l, columns in live.items()}
 
 
 def brute_force_classify(fiber: FiberRing, group: GroupChoice,
@@ -242,40 +234,38 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     outcomes: List[OracleOutcome] = []
     rejected = 0
 
-    def walk(i: int, live: FrozenSet[Cell], weight: int,
-             key: HistoryKey) -> None:
+    def walk(i: int, live: Rows, weight: int, key: HistoryKey) -> None:
         nonlocal rejected
         if i == len(rounds):
-            if any(fiber.top_degree < k + l <= survival_top for k, l in live):
+            degrees = [k + l for l, columns in live.items() for k in columns]
+            if any(fiber.top_degree < t <= survival_top for t in degrees):
                 rejected += weight
                 return
             dims: Dict[int, int] = {}
-            for k, l in live:
-                if k + l <= tc.reliable_degree:
-                    dims[k + l] = dims.get(k + l, 0) + 1
+            for t in degrees:
+                if t <= tc.reliable_degree:
+                    dims[t] = dims.get(t, 0) + 1
             outcomes.append(OracleOutcome(key, dict(sorted(dims.items()))))
             return
         r = rounds[i]
-        usable = [l for l in slots[r] if (0, l) in live
-                  and (0, l - r + 1) in live and (r, l - r + 1) in live]
+        usable = [l for l in slots[r]
+                  if 0 in live[l] and {0, r} <= live[l - r + 1]]
         weight <<= len(slots[r]) - len(usable)
-        columns = _by_row(live)
         verdicts: Dict[tuple, bool] = {}  # row pair verdicts of this round
-        maps = {l: {(k, l): (k + r, l - r + 1) for k in columns[l]
-                    if (k + r, l - r + 1) in live} for l in usable}
+        # each usable row's columns whose target is live
+        hits = {l: {k for k in live[l] if k + r in live[l - r + 1]}
+                for l in usable}
         for choice in itertools.product((0, 1), repeat=len(usable)):
             sources = tuple(itertools.compress(usable, choice))
-            d: Dict[Cell, Cell] = {}
-            for l in sources:
-                d.update(maps[l])
-            ok = _leibniz_ok(tc, live, columns, d, r, verdicts)
-            turned = _turn(live, d) if ok else None
+            d = {l: hits[l] for l in sources}
+            ok = _leibniz_ok(tc, live, d, r, verdicts)
+            turned = _turn(live, d, r) if ok else None
             if turned is None:
                 rejected += weight * later[i]
                 continue
             walk(i + 1, turned, weight, key + ((r, sources),))
 
-    walk(0, frozenset(tc.cells), 1, ())
+    walk(0, tc.rows, 1, ())
     return OracleReport(complex=tc, rounds=rounds,
                         outcomes=tuple(sorted(outcomes, key=lambda o: o.key)),
                         rejected_assignments=rejected)

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: the one-class ring, truncated
 polynomial rings and wedges, a comparison of presentations up to renaming,
 the oracle's cap-stability check, a reference for the oracle's
-differential maps, and one for the engine's pattern check."""
+differential maps, an adapter between cells and the oracle's rows, and a
+reference for the engine's pattern check."""
 
 import itertools
 from typing import Dict, List, Optional
@@ -102,6 +103,21 @@ def differentials(live, r: int, coeff: Dict[int, int]) -> Dict:
             if target in live:
                 out[k, l] = target
     return out
+
+
+def by_row(cells, rows=()) -> Dict[int, set]:
+    """The oracle's row form of a set of cells, or of the cell map from
+    ``differentials`` (its sources): each fiber degree l of a cell (k, l),
+    and each of ``rows``, mapped to the set of columns k of its cells."""
+    out = {l: set() for l in rows}
+    for k, l in cells:
+        out.setdefault(l, set()).add(k)
+    return out
+
+
+def cells_of(rows) -> tuple:
+    """The cells (k, l) of a row form, row by row, columns ascending."""
+    return tuple((k, l) for l in sorted(rows) for k in sorted(rows[l]))
 
 
 def reference_check_pattern(page: Page,

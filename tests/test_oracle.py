@@ -13,19 +13,21 @@ from orbitcohom.fiber import make_type_ab
 from orbitcohom.oracle import (_turn, brute_force_classify, compare_reports,
                                min_cap, truncate_e2)
 
-from helpers import cap_stable, differentials, point_ring
+from helpers import by_row, cap_stable, cells_of, differentials, point_ring
 
 
 def test_cell_counts():
     tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.Z2, 8)
-    assert len(tc.cells) == 30  # 9 + 8 + 7 + 6 lattice points on rows 0..3
+    # 9 + 8 + 7 + 6 lattice points on rows 0..3
+    assert sum(map(len, tc.rows.values())) == 30
     tc = truncate_e2(point_ring(), GroupChoice.Z2, 4)
-    assert len(tc.cells) == 5
+    assert sum(map(len, tc.rows.values())) == 5
 
 
 def test_circle_cells_have_even_columns():
     tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.CIRCLE, 12)
-    assert tc.cells and all(k % 2 == 0 for k, _ in tc.cells)
+    assert any(tc.rows.values())
+    assert all(k % 2 == 0 for columns in tc.rows.values() for k in columns)
 
 
 def test_cap_too_small_rejected():
@@ -44,14 +46,19 @@ def test_turn_rejects_nonzero_composite():
     # Z/2, n = 1: on page 2 the rows 3 -> 2 -> 1 form the chain
     # (0, 3) -> (2, 2) -> (4, 1); with both coefficients set d o d != 0.
     chain = {(0, 3), (2, 2), (4, 1)}
-    assert _turn(chain, differentials(chain, 2, {3: 1, 2: 1})) is None
+    d = differentials(chain, 2, {3: 1, 2: 1})
+    assert _turn(by_row(chain), by_row(d), 2) is None
 
 
 def test_turn_kills_hit_and_hitting_cells_only():
     live = {(0, 0), (0, 3), (2, 2)}
+
+    def turned(coeff):
+        d = differentials(live, 2, coeff)
+        return set(cells_of(_turn(by_row(live), by_row(d), 2)))
     # (0, 3) hits (2, 2); (0, 0) is untouched
-    assert _turn(live, differentials(live, 2, {3: 1})) == {(0, 0)}
-    assert _turn(live, differentials(live, 2, {3: 0})) == live
+    assert turned({3: 1}) == {(0, 0)}
+    assert turned({3: 0}) == live
 
 
 def test_oracle_dims_even_even_n1():

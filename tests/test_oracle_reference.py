@@ -16,8 +16,10 @@ with the one cache the round shares, as the oracle's walk does, and one
 row pair at a time. The claim that lets it check one key per column sum
 is tested on the reference, cell pair by cell pair. The page turn is
 compared with a copy of the cell by cell turn it replaced, and each
-choice's differential built from per-row maps with the one built over all
-cells. The rounds the oracle reads off its cells are the engine's.
+choice's differential built from per-row column sets with the one built
+over all cells. The rounds the oracle reads off its cells are the engine's.
+The references stay per cell; the oracle holds its cells by row, and the
+tests hand it their cells in that form through ``helpers.by_row``.
 """
 
 import itertools
@@ -28,10 +30,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbitcohom.engine import GroupChoice, admissible_rounds
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
-from orbitcohom.oracle import (_by_row, _leibniz_ok, _pair_ok, _slots, _turn,
+from orbitcohom.oracle import (_leibniz_ok, _pair_ok, _slots, _turn,
                                brute_force_classify, min_cap, truncate_e2)
 
-from helpers import differentials, wedge
+from helpers import by_row, cells_of, differentials, wedge
 
 GOLDEN = Path(__file__).with_name("golden_oracle.json")
 U6 = Path(__file__).with_name("fiber_truncated_u6.json")
@@ -176,20 +178,20 @@ def leibniz_inputs(draw):
     group = draw(st.sampled_from(list(GroupChoice)))
     tc = truncate_e2(fiber, group,
                      min_cap(fiber, group) + draw(st.integers(0, 2)))
-    rows = sorted(tc.names)
+    rows, cells = sorted(tc.names), cells_of(tc.rows)
     coeff = {l: draw(st.integers(0, 1)) for l in rows}
     if draw(st.integers(0, 3)) == 0:
         r = draw(st.sampled_from(sorted(
             {l - lt + 1 for l in rows for lt in rows if lt < l} or {2})))
-        live = set(tc.cells)
-        live -= draw(st.sets(st.sampled_from(tc.cells), max_size=4))
+        live = set(cells)
+        live -= draw(st.sets(st.sampled_from(cells), max_size=4))
         return tc, live, r, coeff
     all_pairs = [(l1, l2) for l1 in rows for l2 in rows if l1 <= l2]
     pairs = [(l1, l2) for l1, l2 in all_pairs if 0 not in (l1, l2)
              and _times(tc, (0, l1), (0, l2))]
     l1, l2 = draw(st.sampled_from(pairs or all_pairs))
-    c1 = (draw(st.sampled_from([k for k, l in tc.cells if l == l1])), l1)
-    c2 = (draw(st.sampled_from([k for k, l in tc.cells if l == l2])), l2)
+    c1 = (draw(st.sampled_from([k for k, l in cells if l == l1])), l1)
+    c2 = (draw(st.sampled_from([k for k, l in cells if l == l2])), l2)
     if l1 == l2 and draw(st.booleans()):
         c2 = c1
     product = _times(tc, c1, c2)
@@ -200,7 +202,7 @@ def leibniz_inputs(draw):
     def d(c):
         return (c[0] + r, c[1] - r + 1)
     live = ({c1, c2, d(c1), d(c2)} | product | {d(c) for c in product}
-            | _times(tc, d(c1), c2) | _times(tc, c1, d(c2))) & set(tc.cells)
+            | _times(tc, d(c1), c2) | _times(tc, c1, d(c2))) & set(cells)
     live -= draw(st.sets(st.sampled_from(sorted(live)), max_size=1))
     return tc, live, r, coeff
 
@@ -210,7 +212,7 @@ def leibniz_inputs(draw):
 def test_leibniz_matches_all_pairs_reference(inputs):
     tc, live, r, coeff = inputs
     d = differentials(live, r, coeff)
-    assert (_leibniz_ok(tc, live, _by_row(live), d, r, {})
+    assert (_leibniz_ok(tc, by_row(live, tc.rows), by_row(d), r, {})
             == reference_leibniz_ok(tc, live, r, coeff))
 
 
@@ -219,11 +221,11 @@ def test_leibniz_matches_all_pairs_reference(inputs):
 def test_a_shared_round_cache_gives_fresh_verdicts(inputs):
     tc, live, r, _ = inputs
     usable = [l for l in sorted(tc.names) if l - r + 1 in tc.names]
-    columns, verdicts = _by_row(live), {}
+    columns, verdicts = by_row(live, tc.rows), {}
     for choice in itertools.product((0, 1), repeat=len(usable)):
         coeff = dict(zip(usable, choice))
         d = differentials(live, r, coeff)
-        assert (_leibniz_ok(tc, live, columns, d, r, verdicts)
+        assert (_leibniz_ok(tc, columns, by_row(d), r, verdicts)
                 == reference_leibniz_ok(tc, live, r, coeff)), coeff
 
 
@@ -241,8 +243,9 @@ def thinned_complexes(draw):
     r = draw(st.sampled_from(sorted(
         {l - lt + 1 for l in rows for lt in rows if lt < l})))
     coeff = {l: draw(st.integers(0, 1)) for l in rows}
-    live = set(tc.cells) - draw(st.sets(st.sampled_from(tc.cells),
-                                         max_size=len(tc.cells) // 2))
+    cells = cells_of(tc.rows)
+    live = set(cells) - draw(st.sets(st.sampled_from(cells),
+                                     max_size=len(cells) // 2))
     return tc, live, r, coeff
 
 
@@ -253,14 +256,13 @@ def test_each_row_pair_matches_the_all_pairs_reference(inputs):
     verdict can hide in the whole check, where another row pair fails the
     same choice."""
     tc, live, r, coeff = inputs
-    columns = _by_row(live)
+    columns = by_row(live, tc.rows)
     rows = sorted(columns)
-    d = differentials(live, r, coeff)
-    nonzero = {l for _, l in d}
+    d = by_row(differentials(live, r, coeff))
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
-            hot = nonzero & tc.products[l1, l2]
-            assert (_pair_ok(tc, live, columns, d, r, l1, l2, hot)
+            hot = d.keys() & tc.products[l1, l2]
+            assert (_pair_ok(tc, columns, d, r, l1, l2, hot)
                     == reference_leibniz_ok(tc, live, r, coeff,
                                             (l1, l2))), (l1, l2)
 
@@ -274,7 +276,7 @@ def test_a_key_fixes_the_verdict_of_a_cell_pair(inputs):
     key once, on no cell pair in particular."""
     tc, live, r, coeff = inputs
     d = differentials(live, r, coeff)
-    columns = _by_row(live)
+    columns = by_row(live)
     rows = sorted(columns)
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
@@ -290,19 +292,18 @@ def test_a_key_fixes_the_verdict_of_a_cell_pair(inputs):
 @settings(max_examples=300, deadline=None)
 @given(thinned_complexes())
 def test_row_maps_make_each_choice_differential(inputs):
-    """For every choice of a round, the union of its sources' row maps, each
-    read off its row's live columns as the oracle's walk builds it, is the
+    """For every choice of a round, its sources' column sets, each read off
+    its row's live columns as the oracle's walk builds it, are the
     differential map over all cells."""
     tc, live, r, _ = inputs
     usable = [l for l in sorted(tc.names) if l - r + 1 in tc.names]
-    columns = _by_row(live)
-    maps = {l: {(k, l): (k + r, l - r + 1) for k in columns.get(l, ())
-                if (k + r, l - r + 1) in live} for l in usable}
+    columns = by_row(live, tc.rows)
+    hits = {l: {k for k in columns[l] if k + r in columns[l - r + 1]}
+            for l in usable}
     for choice in itertools.product((0, 1), repeat=len(usable)):
-        union = {}
-        for l in itertools.compress(usable, choice):
-            union.update(maps[l])
-        assert union == differentials(live, r, dict(zip(usable, choice)))
+        d = {l: hits[l] for l in itertools.compress(usable, choice)
+             if hits[l]}
+        assert d == by_row(differentials(live, r, dict(zip(usable, choice))))
 
 
 def reference_turn(live, r, d):
@@ -326,8 +327,10 @@ N1_Z2 = truncate_e2(N1, GroupChoice.Z2, min_cap(N1, GroupChoice.Z2))
 @settings(max_examples=300, deadline=None)
 @given(thinned_complexes())
 # d(0, 3) = (2, 2) and d(2, 2) = (4, 1): d o d != 0.
-@example((N1_Z2, set(N1_Z2.cells), 2, {2: 1, 3: 1}))
+@example((N1_Z2, set(cells_of(N1_Z2.rows)), 2, {2: 1, 3: 1}))
 def test_turn_matches_the_per_cell_reference(inputs):
-    _, live, r, coeff = inputs
+    tc, live, r, coeff = inputs
     d = differentials(live, r, coeff)
-    assert _turn(live, d) == reference_turn(live, r, d)
+    expected = reference_turn(live, r, d)
+    assert _turn(by_row(live, tc.rows), by_row(d), r) == (
+        None if expected is None else by_row(expected, tc.rows))
