@@ -31,8 +31,9 @@ l -> mid -> last is c_l c_mid = 0. A pattern is refused for the first
 check its sources break. A Leibniz table entry asks whether
 some pair of columns k, j with given term parities sums into a set of live
 target columns; the sumset of the runs [a, b) and [c, d) is the single run
-[a + c, b + d - 1), so each costs O(runs^2) big-int operations, whatever n
-is. A page without a slot builds no masks at all. A page turn reads no
+[a + c, b + d - 1), so each costs O(runs^2) big-int operations: as many
+whatever n is, but each as wide as the masks, which grow with the degrees.
+A page without a slot builds no masks at all. A page turn reads no
 mask: with e = r / step, a source row l loses each column k whose column
 k + e lives in row l - r + 1, a target row each column k whose column
 k - e lives in its source row, and every other row is kept as it is.

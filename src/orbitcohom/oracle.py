@@ -58,7 +58,6 @@ class TruncatedComplex(NamedTuple):
     cap: int
     margin: int
     rows: Dict[int, FrozenSet[int]]  # fiber degree -> columns of its cells
-    names: Dict[int, str]  # fiber degree -> basis element name
     # (l1, l2) -> fiber degrees of the basis elements in the product of the
     # elements on rows l1 and l2
     products: Dict[Tuple[int, int], FrozenSet[int]]
@@ -117,7 +116,7 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
                                     for name in fiber.mult(u1, u2))
                 for l1, u1 in names.items() for l2, u2 in names.items()}
     return TruncatedComplex(fiber=fiber, group=group, cap=cap, margin=margin,
-                            rows=rows, names=names, products=products)
+                            rows=rows, products=products)
 
 
 def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int,
@@ -137,6 +136,8 @@ def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int,
     of their product do (``hot``). ``verdicts`` maps that key to the
     verdict for every choice of the round; a pair is checked only on a miss.
     """
+    # With no source every pair is skipped, but walking the pairs for each
+    # round's empty choice costs 4-8 % of an oracle check at n <= 5.
     if not d:
         return True
     rows = sorted(l for l, columns in live.items() if columns)

@@ -116,44 +116,38 @@ def tot_poincare(e_inf: "Page") -> PoincareSeries:
 
 
 def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[ExtensionFlag]]:
-    """Presentation of the total ring of an admissible limit page, and its
-    extension flags.
+    """Presentation and extension flags of an admissible limit page's ring.
 
-    Supports pages whose rows are single intervals based at column 0 (the
-    shapes the classification produces); anything else is an
-    unsupported-shape error. Each row is read once, as its length.
+    One pass over the rows by rising degree reads each row as its length
+    and checks the shapes the classification produces; any other page is
+    an unsupported-shape error naming the row at fault. The rules:
+    - the page has the unit row 0;
+    - each row is one finite run of columns starting at column 0;
+    - no fiber row is longer than the base row 0.
     """
     step, rows = e_inf.step, e_inf.rows
     if 0 not in rows:
         raise UnsupportedShapeError("unit row is missing from the page")
-
-    fiber_rows = sorted(l for l in rows if l > 0)
     length: Dict[int, int] = {}  # row l is alive in columns 0..length[l] - 1
-    for l in [0] + fiber_rows:
+    for l in sorted(rows):
         summands = rows[l].summands
-        if len(summands) != 1 or summands[0][1] is None:
-            raise UnsupportedShapeError("row is not a single finite interval")
-        start, length[l] = summands[0]
-        if start != 0:
-            raise UnsupportedShapeError(f"row {l} does not start at column 0" if l
-                                        else "base row does not start at column 0")
+        if len(summands) != 1 or summands[0][0] != 0 or summands[0][1] is None:
+            raise UnsupportedShapeError(f"row {l} is not one finite run from column 0")
+        length[l] = summands[0][1]
+        if length[l] > length[0]:
+            raise UnsupportedShapeError(
+                f"row {l} outlives the base row; not generated by x and z")
 
-    x_name = "x" if length[0] > 1 else None
+    x_name = "x" if length[0] > 1 else None  # if elided, every row is column 0 alone
     generators: List[Tuple[str, int]] = [(x_name, step)] if x_name else []
     relations: List[Relation] = [(((x_name, length[0]),),)] if x_name else []
     # (monomial, total degree, filtration) of each product that vanishes
     vanishing: List[Tuple[Monomial, int, int]] = []
-    z_names: Dict[int, str] = {}
-    for i, l in enumerate(fiber_rows):
-        name = z_names[l] = "z" if len(fiber_rows) == 1 else f"z{i + 1}"
+    z_names = {l: "z" if len(length) == 2 else f"z{i}"
+               for i, l in enumerate(length) if l}  # fiber rows, ascending
+    for l, name in z_names.items():
         generators.append((name, l))
-        if x_name is None and length[l] != 1:
-            raise UnsupportedShapeError(
-                f"row {l} extends past column 0 but the base generator is elided")
-        if length[l] > length[0]:
-            raise UnsupportedShapeError(
-                f"row {l} outlives the base row; not generated by x and z")
-        elif length[l] < length[0]:
+        if length[l] < length[0]:
             # z*x^length[0] = 0 follows from x^length[0] = 0. For l < |x|,
             # z goes first in the relation, but the product is never flagged:
             # a candidate row lies below l by a multiple of |x|.
@@ -162,7 +156,7 @@ def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[Extensio
 
     # Products of the fiber-row generators, induced from the starting page.
     names = e_inf.fiber.names
-    for li, lj in itertools.combinations_with_replacement(fiber_rows, 2):
+    for li, lj in itertools.combinations_with_replacement(z_names, 2):
         mono = ((z_names[li], 2),) if li == lj else (
             (z_names[li], 1), (z_names[lj], 1))
         if e_inf.fiber.mult(names[li], names[lj]) and li + lj in length:

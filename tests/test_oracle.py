@@ -100,6 +100,15 @@ def test_compare_reports_detects_planted_mismatch():
     problems = compare_reports(engine_report, empty)
     assert any("engine-only outcome" in p for p in problems)
 
+    # plant an engine outcome twice, and drop the engine's outcomes
+    doubled = engine_report._replace(outcomes=engine_report.outcomes * 2)
+    assert compare_reports(doubled, oracle_report) == [
+        "engine outcomes have duplicate history keys"]
+    none = engine_report._replace(outcomes=())
+    assert oracle_report.outcomes
+    assert compare_reports(none, oracle_report) == [
+        f"oracle-only outcome {o.key}" for o in oracle_report.outcomes]
+
 
 def test_cap_stability():
     fiber = make_type_ab(1, 0, 1)

@@ -109,7 +109,7 @@ def reference_pair_ok(tc, live, r, coeff, c1, c2) -> bool:
     product looked up in the fiber ring; a pair above the cap holds."""
     def cell_product(c1, c2):
         (k1, l1), (k2, l2) = c1, c2
-        hits = tc.fiber.mult(tc.names[l1], tc.names[l2])
+        hits = tc.fiber.mult(tc.fiber.names[l1], tc.fiber.names[l2])
         out = {(k1 + k2, tc.fiber.degrees[name]) for name in hits}
         return frozenset(c for c in out if c[0] + c[1] <= tc.cap)
 
@@ -156,9 +156,9 @@ FIBERS = ([make_type_ab(n, a, b) for n in (1, 2) for a in (0, 1)
 
 def _times(tc, c1, c2):
     """Cells of the product of two cells, read off the fiber ring."""
-    if c1[1] not in tc.names or c2[1] not in tc.names:
+    if c1[1] not in tc.fiber.names or c2[1] not in tc.fiber.names:
         return set()
-    hits = tc.fiber.mult(tc.names[c1[1]], tc.names[c2[1]])
+    hits = tc.fiber.mult(tc.fiber.names[c1[1]], tc.fiber.names[c2[1]])
     return {(c1[0] + c2[0], tc.fiber.degrees[name]) for name in hits}
 
 
@@ -178,7 +178,7 @@ def leibniz_inputs(draw):
     group = draw(st.sampled_from(list(GroupChoice)))
     tc = truncate_e2(fiber, group,
                      min_cap(fiber, group) + draw(st.integers(0, 2)))
-    rows, cells = sorted(tc.names), cells_of(tc.rows)
+    rows, cells = sorted(tc.fiber.names), cells_of(tc.rows)
     coeff = {l: draw(st.integers(0, 1)) for l in rows}
     if draw(st.integers(0, 3)) == 0:
         r = draw(st.sampled_from(sorted(
@@ -220,7 +220,7 @@ def test_leibniz_matches_all_pairs_reference(inputs):
 @given(leibniz_inputs())
 def test_a_shared_round_cache_gives_fresh_verdicts(inputs):
     tc, live, r, _ = inputs
-    usable = [l for l in sorted(tc.names) if l - r + 1 in tc.names]
+    usable = [l for l in sorted(tc.fiber.names) if l - r + 1 in tc.fiber.names]
     columns, verdicts = by_row(live, tc.rows), {}
     for choice in itertools.product((0, 1), repeat=len(usable)):
         coeff = dict(zip(usable, choice))
@@ -239,7 +239,7 @@ def thinned_complexes(draw):
     group = draw(st.sampled_from(list(GroupChoice)))
     tc = truncate_e2(fiber, group,
                      min_cap(fiber, group) + draw(st.integers(0, 2)))
-    rows = sorted(tc.names)
+    rows = sorted(tc.fiber.names)
     r = draw(st.sampled_from(sorted(
         {l - lt + 1 for l in rows for lt in rows if lt < l})))
     coeff = {l: draw(st.integers(0, 1)) for l in rows}
@@ -296,7 +296,7 @@ def test_row_maps_make_each_choice_differential(inputs):
     its row's live columns as the oracle's walk builds it, are the
     differential map over all cells."""
     tc, live, r, _ = inputs
-    usable = [l for l in sorted(tc.names) if l - r + 1 in tc.names]
+    usable = [l for l in sorted(tc.fiber.names) if l - r + 1 in tc.fiber.names]
     columns = by_row(live, tc.rows)
     hits = {l: {k for k in columns[l] if k + r in columns[l - r + 1]}
             for l in usable}

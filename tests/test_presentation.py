@@ -276,6 +276,40 @@ def test_extracted_flags_match_reference_on_hand_built_pages(page):
                                             pres.base_generator)
 
 
+# Pages that break a shape rule of extraction, each with a row above the
+# lowest faulty one, and the message, which names that lowest faulty row.
+_NOT_ONE_RUN = "row {} is not one finite run from column 0"
+_OUTLIVES = "row {} outlives the base row; not generated by x and z"
+_UNSUPPORTED_PAGES = {
+    "no-unit-row": ({1: ((0, 2),)}, "unit row is missing from the page"),
+    "base-two-runs": ({0: ((0, 1), (2, 1)), 2: ((0, 1),)}, _NOT_ONE_RUN.format(0)),
+    "base-infinite": ({0: ((0, None),), 2: ((0, 1),)}, _NOT_ONE_RUN.format(0)),
+    "base-past-column-0": ({0: ((1, 2),), 2: ((0, 1),)}, _NOT_ONE_RUN.format(0)),
+    "fiber-two-runs": ({0: ((0, 3),), 2: ((0, 1), (2, 1)), 3: ((0, 1),)},
+                       _NOT_ONE_RUN.format(2)),
+    "fiber-infinite": ({0: ((0, 3),), 2: ((0, None),), 3: ((0, 1),)},
+                       _NOT_ONE_RUN.format(2)),
+    "fiber-past-column-0": ({0: ((0, 3),), 2: ((1, 2),), 3: ((0, 1),)},
+                            _NOT_ONE_RUN.format(2)),
+    "outlives-base": ({0: ((0, 3),), 1: ((0, 3),), 3: ((0, 4),), 4: ((0, 4),)},
+                      _OUTLIVES.format(3)),
+    # x is elided on a base row of column 0 alone
+    "outlives-base-x-elided": ({0: ((0, 1),), 1: ((0, 1),), 3: ((0, 2),),
+                                4: ((0, 2),)}, _OUTLIVES.format(3)),
+}
+
+
+@pytest.mark.parametrize("rows,message", _UNSUPPORTED_PAGES.values(),
+                         ids=_UNSUPPORTED_PAGES.keys())
+def test_extraction_refuses_each_unsupported_shape_naming_its_row(rows, message):
+    page = Page(fiber=truncated_polynomial(1, 5), group=GroupChoice.Z2,
+                rounds=(), rows={l: IntervalModule(runs)
+                                 for l, runs in rows.items()})
+    with pytest.raises(UnsupportedShapeError) as refused:
+        extract_presentation(page)
+    assert str(refused.value) == message
+
+
 def test_tot_poincare_rejects_infinite_rows():
     page = Page(fiber=point_ring(), group=GroupChoice.Z2, rounds=(),
                 rows={0: IntervalModule(((0, 2), (4, None)))})
