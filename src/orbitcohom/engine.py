@@ -226,7 +226,9 @@ def _scan_page(page: Page) -> _Scan:
     # has an odd dot product with c, and the pair keeps the 8-bit table of
     # those c. A side is on when its row is a slot and its fiber product is
     # nonzero; an off side reads 0 for every c, so only the tau that are 0
-    # on off sides are tested, and none that adds no new c.
+    # on off sides are tested, and none that adds no new c a pattern can
+    # give: no pattern gives c_w != c_v when u is the unit, or c_u != c_v
+    # when u = v.
     mult, slot_set = page.fiber.mult, set(slots)
     whole, split = {}, {}  # (tau bit, runs of columns k): all, or by d(t^k g)
     for l in live:
@@ -249,11 +251,12 @@ def _scan_page(page: Page) -> _Scan:
                   and mult(names[lu - r + 1], gv) else whole[lu])
             vs = (split[lv] if lv in slot_set
                   and mult(gu, names[lv - r + 1]) else whole[lv])
+            reach = (0xA5 if lu == 0 else 0xFF) & (0x99 if lu == lv else 0xFF)
             table = 0
             for (tw, sums), (tu, left), (tv, right) in itertools.product(
                     ws, us, vs):
                 breaks = _BREAKS[4 * tw + 2 * tu + tv]
-                if breaks & ~table and _sum_hit(left, right, sums):
+                if breaks & reach & ~table and _sum_hit(left, right, sums):
                     table |= breaks
             if table:
                 checks.append((lw, lu, lv, table, "Leibniz violation at round "

@@ -1,7 +1,6 @@
 """Helpers that only the tests use: the one-class ring, truncated
-polynomial rings and wedges, a comparison of presentations up to renaming,
-the oracle's cap-stability check, a reference for the oracle's
-differential maps, an adapter between cells and the oracle's rows, and a
+polynomial rings, wedges and products of two spheres, a comparison of
+presentations up to renaming, the oracle's cap-stability check, and a
 reference for the engine's pattern check."""
 
 import itertools
@@ -31,15 +30,24 @@ def truncated_polynomial(degree: int, k: int) -> FiberRing:
                      top_degree=(k - 1) * degree)
 
 
-def wedge(classes: int) -> FiberRing:
-    """One class in each degree 0..classes-1, with no products but the
-    unit's."""
-    names = ["1"] + [f"x{i}" for i in range(1, classes)]
-    return FiberRing(basis=tuple((name, i) for i, name in enumerate(names)),
-                     unit="1",
+def wedge(degrees) -> FiberRing:
+    """The unit and one class in each of the positive degrees, with no
+    products but the unit's."""
+    basis = [("1", 0)] + [(f"x{d}", d) for d in degrees]
+    return FiberRing(basis=tuple(basis), unit="1",
                      products=tuple((("1", name), frozenset({name}))
-                                    for name in names),
-                     top_degree=classes - 1)
+                                    for name, _ in basis),
+                     top_degree=basis[-1][1])
+
+
+def sphere_product(p: int, q: int) -> FiberRing:
+    """H*(S^p x S^q; F2) for 0 < p < q: classes 1, x, y, xy of degrees 0,
+    p, q, p + q, with x^2 = y^2 = 0."""
+    basis = (("1", 0), ("x", p), ("y", q), ("xy", p + q))
+    units = tuple((("1", name), frozenset({name})) for name, _ in basis)
+    return FiberRing(basis=basis, unit="1",
+                     products=units + ((("x", "y"), frozenset({"xy"})),),
+                     top_degree=p + q)
 
 
 def same_presentation(p1: RingPresentation, p2: RingPresentation) -> bool:
@@ -90,34 +98,6 @@ def cap_stable(fiber: FiberRing, group: GroupChoice, cap: int) -> List[str]:
                 problems.append(
                     f"outcome {key}: degree {deg} changed with the cap")
     return problems
-
-
-def differentials(live, r: int, coeff: Dict[int, int]) -> Dict:
-    """The oracle's differential map of round r on the live cells, read off
-    all of them: each cell (k, l) with coeff[l] = 1 whose target
-    (k + r, l - r + 1) is live, mapped to that target."""
-    out = {}
-    for k, l in live:
-        if coeff.get(l, 0):
-            target = (k + r, l - r + 1)
-            if target in live:
-                out[k, l] = target
-    return out
-
-
-def by_row(cells, rows=()) -> Dict[int, set]:
-    """The oracle's row form of a set of cells, or of the cell map from
-    ``differentials`` (its sources): each fiber degree l of a cell (k, l),
-    and each of ``rows``, mapped to the set of columns k of its cells."""
-    out = {l: set() for l in rows}
-    for k, l in cells:
-        out.setdefault(l, set()).add(k)
-    return out
-
-
-def cells_of(rows) -> tuple:
-    """The cells (k, l) of a row form, row by row, columns ascending."""
-    return tuple((k, l) for l in sorted(rows) for k in sorted(rows[l]))
 
 
 def reference_check_pattern(page: Page,

@@ -10,10 +10,10 @@ from orbitcohom import oracle
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError, OversizedInstanceError
 from orbitcohom.fiber import make_type_ab
-from orbitcohom.oracle import (_turn, brute_force_classify, compare_reports,
-                               min_cap, truncate_e2)
+from orbitcohom.oracle import (brute_force_classify, compare_reports, min_cap,
+                               truncate_e2)
 
-from helpers import by_row, cap_stable, cells_of, differentials, point_ring
+from helpers import cap_stable, point_ring
 
 
 def test_cell_counts():
@@ -42,23 +42,13 @@ def test_oversized_instance_rejected():
         truncate_e2(fiber, GroupChoice.Z2, min_cap(fiber, GroupChoice.Z2))
 
 
-def test_turn_rejects_nonzero_composite():
-    # Z/2, n = 1: on page 2 the rows 3 -> 2 -> 1 form the chain
-    # (0, 3) -> (2, 2) -> (4, 1); with both coefficients set d o d != 0.
-    chain = {(0, 3), (2, 2), (4, 1)}
-    d = differentials(chain, 2, {3: 1, 2: 1})
-    assert _turn(by_row(chain), by_row(d), 2) is None
-
-
-def test_turn_kills_hit_and_hitting_cells_only():
-    live = {(0, 0), (0, 3), (2, 2)}
-
-    def turned(coeff):
-        d = differentials(live, 2, coeff)
-        return set(cells_of(_turn(by_row(live), by_row(d), 2)))
-    # (0, 3) hits (2, 2); (0, 0) is untouched
-    assert turned({3: 1}) == {(0, 0)}
-    assert turned({3: 0}) == live
+def test_no_outcome_has_a_nonzero_composite():
+    # Z/2, type (0, 1), n = 1: on page 2 every row is a slot, and with all
+    # of them sources the chain (0, 3) -> (2, 2) -> (4, 1) has d o d != 0.
+    # The Leibniz rule admits that choice, so only the d o d test refuses it.
+    report = brute_force_classify(make_type_ab(1, 0, 1), GroupChoice.Z2, 8)
+    assert report.outcomes
+    assert all(o.key[0] != (2, (1, 2, 3)) for o in report.outcomes)
 
 
 def test_oracle_dims_even_even_n1():
