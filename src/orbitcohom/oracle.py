@@ -2,14 +2,15 @@
 
 The oracle works on an explicit truncated cell model of the second page:
 one cell per (base degree k, fiber class l) with total degree under a cap,
-held row by row as each fiber degree l's set of live columns k. Row l is a
-slot of round r when the generator cell (0, l) has a cell (r, l - r + 1)
-to hit. The oracle counts every joint generator-level coefficient
-assignment across all rounds, checks the Leibniz rule on actual basis
-products, takes homology row by row (a cell survives when it is neither
-hit nor hits; an assignment with d o d != 0 is rejected), and reports
-surviving dimensions per total degree. It takes only the input type
-``GroupChoice`` from the engine, so agreement is meaningful evidence.
+held row by row as each fiber degree l's bitmask of live columns (bit k
+is column k). Row l is a slot of round r when the generator cell (0, l)
+has a cell (r, l - r + 1) to hit. The oracle counts every joint
+generator-level coefficient assignment across all rounds, checks the
+Leibniz rule on actual basis products, takes homology row by row (a cell
+survives when it is neither hit nor hits; an assignment with d o d != 0
+is rejected), and reports surviving dimensions per total degree. It
+takes only the input type ``GroupChoice`` from the engine, so agreement
+is meaningful evidence.
 
 The assignments are walked round by round. In each round only the slots
 whose source generator, target generator and target class are all live
@@ -19,16 +20,18 @@ agrees with it there: two for each dead slot of this and earlier rounds,
 times every choice of the later rounds when the subset is rejected. Each
 outcome's key (its nonzero sources per round) is therefore reached once.
 The choices of one round share its live cells and its length, so d on a
-row is fixed by whether the row holds a source: each round reads once, for
-each usable row l, the set of its live columns k whose target
-(k + r, l - r + 1) is live, and a choice's d maps each of its sources to
-that set. A page turn removes, row by row, the columns that hit and those
-that are hit. The Leibniz check skips a pair of rows when no row of the
-pair or of its product holds a source, and keeps one table per round from
-a row pair's rows, their two flags and the rows of their product holding a
-source, which fix its verdict. Within a row pair, the rule is checked once
-for each column sum and pair of flags "d is nonzero on the cell", which
-fix both of its sides.
+row is fixed by whether the row holds a source: d maps each source row l
+to the mask of its live columns k whose target (k + r, l - r + 1) is
+live, and a page turn clears, row by row, the columns that hit and those
+that are hit.
+
+The Leibniz rule for cells (k1, l1), (k2, l2) is fixed by K = k1 + k2 and
+whether d is nonzero on each cell. So for a row pair and each flag pair,
+the column sums K are the sumset of the two rows' columns with those
+flags, one shift per column of the left one, and the rule is one AND per
+target row of that sumset against the columns K where the two sides
+differ. No cap cut is needed: both sides lie in total degree
+K + l1 + l2 + 1, which holds no cell above the cap.
 
 Truncation is handled by a safety margin: cells within one round-length
 of the cap see truncated differentials, so only total degrees at most
@@ -38,17 +41,16 @@ cap - margin are reported or compared.
 from __future__ import annotations
 
 import itertools
-from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .engine import GroupChoice
 from .errors import (InvalidInputError, OversizedInstanceError,
                      UnsupportedShapeError)
 from .fiber import FiberRing
 
-MAX_CELLS = 600
+MAX_CELLS = 2316
 
-Rows = Dict[int, AbstractSet[int]]  # fiber degree l -> columns k
+Rows = Dict[int, int]  # fiber degree l -> mask of columns k, bit k
 HistoryKey = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
@@ -57,7 +59,7 @@ class TruncatedComplex(NamedTuple):
     group: GroupChoice
     cap: int
     margin: int
-    rows: Dict[int, FrozenSet[int]]  # fiber degree -> columns of its cells
+    rows: Rows  # fiber degree -> mask of the columns of its cells
     # (l1, l2) -> fiber degrees of the basis elements in the product of the
     # elements on rows l1 and l2
     products: Dict[Tuple[int, int], FrozenSet[int]]
@@ -111,7 +113,8 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
     if count > MAX_CELLS:
         raise OversizedInstanceError(
             f"{count} cells exceeds the oracle limit of {MAX_CELLS}")
-    rows = {l: frozenset(range(0, cap - l + 1, step)) for l in names}
+    rows = {l: sum(1 << k for k in range(0, cap - l + 1, step))
+            for l in names}
     products = {(l1, l2): frozenset(fiber.degrees[name]
                                     for name in fiber.mult(u1, u2))
                 for l1, u1 in names.items() for l2, u2 in names.items()}
@@ -119,93 +122,75 @@ def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComp
                             rows=rows, products=products)
 
 
-def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int,
-                verdicts: Dict[tuple, bool]) -> bool:
+def _columns(mask: int) -> List[int]:
+    """The columns k of a row mask, bit k set, in rising order. The mask's
+    binary digits are read from the lowest; its "0b" prefix holds no 1."""
+    return [k for k, digit in enumerate(reversed(bin(mask))) if digit == "1"]
+
+
+def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int) -> bool:
     """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
-    of live cells, degrees permitting, for the differential d of round r on
-    live: d[l] holds the columns k of source row l on which d is nonzero,
-    and each hits (k + r, l - r + 1).
+    of live cells, for the differential d of round r on live: d[l] masks
+    the columns k of source row l on which d is nonzero, and each hits
+    (k + r, l - r + 1).
 
-    Cells are walked row pair by row pair, and the first failing pair ends
-    the check. A pair of rows (l1, l2) is skipped when neither row nor any
-    row of the fiber product l1*l2 holds a source of d: d vanishes on every
-    cell involved, so both sides are empty for each of its cell pairs.
-
-    Within a round, d on a row is all or nothing, so a pair's verdict
-    depends only on its rows, whether each holds a source, and which rows
-    of their product do (``hot``). ``verdicts`` maps that key to the
-    verdict for every choice of the round; a pair is checked only on a miss.
+    A pair of rows l1 <= l2 is skipped when neither row nor any row of the
+    fiber product l1*l2 (``hot``) holds a source of d: d vanishes on every
+    cell involved. For cells (k1, l1), (k2, l2) and K = k1 + k2, both sides
+    lie in column K + r, as sets of rows m there. The left holds m when
+    K is in d[m + r - 1], m + r - 1 in hot; the right, when K + r is live
+    in row m, once for each side whose cell d is nonzero on and whose
+    product (l1 - r + 1)*l2 or l1*(l2 - r + 1) holds m. So each row m
+    gives a mask of the K where the sides differ, and for each flag pair
+    the rule holds when the sumset of the two rows' columns with those
+    flags misses all of them.
     """
-    # With no source every pair is skipped, but walking the pairs for each
-    # round's empty choice costs 4-8 % of an oracle check at n <= 5.
-    if not d:
+    if not d:  # every pair is skipped
         return True
+    products = tc.products
     rows = sorted(l for l, columns in live.items() if columns)
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
-            hot = d.keys() & tc.products[l1, l2]
-            on1, on2 = l1 in d, l2 in d
-            if not (hot or on1 or on2):
+            hot = d.keys() & products[l1, l2]
+            d1, d2 = d.get(l1, 0), d.get(l2, 0)
+            if not (hot or d1 or d2):
                 continue
-            key = (l1, l2, on1, on2, frozenset(hot))
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = verdicts[key] = _pair_ok(tc, live, d, r, l1, l2, hot)
-            if not ok:
-                return False
-    return True
-
-
-def _pair_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int,
-             l1: int, l2: int, hot: AbstractSet[int]) -> bool:
-    """The Leibniz rule on every pair of live cells of rows l1 <= l2. The
-    left side sums d only over the product's rows in hot, those that hold a
-    source of d.
-
-    For cells (k1, l1), (k2, l2) and K = k1 + k2, both sides lie in column
-    K + r, as sets of rows there: the left is the rows l - r + 1, l in hot,
-    with K in d[l], the right the live rows of the product (l1-r+1)*l2 when
-    d is nonzero on (k1, l1), plus those of l1*(l2-r+1) when d is nonzero
-    on (k2, l2), and the cap cut depends on K alone. So the rule is checked
-    once per key.
-    """
-    products, cap = tc.products, tc.cap
-    d1, d2 = d.get(l1, ()), d.get(l2, ())
-    row2 = [(k2, k2 in d2) for k2 in sorted(live[l2])]
-    keys: Set[Tuple[int, bool, bool]] = set()
-    for k1 in live[l1]:
-        on1 = k1 in d1
-        for k2, on2 in row2:
-            if l1 == l2 and k2 < k1:
-                continue
-            if k1 + l1 + k2 + l2 + 1 > cap:
-                break
-            keys.add((k1 + k2, on1, on2))
-    for k, on1, on2 in keys:
-        lhs = {l - r + 1 for l in hot if k in d[l]}
-        rhs: Set[int] = set()
-        if on1:
-            rhs ^= {l for l in products[l1 - r + 1, l2] if k + r in live[l]}
-        if on2:
-            rhs ^= {l for l in products[l1, l2 - r + 1] if k + r in live[l]}
-        if lhs != rhs:
-            return False
+            lhs = {l - r + 1: d[l] for l in hot}
+            # each flag's columns of the row, and the product rows that
+            # the right side holds when d is nonzero on the row's cell
+            ones = ((live[l1] & ~d1, ()),
+                    (d1, products.get((l1 - r + 1, l2), ())))
+            twos = ((live[l2] & ~d2, ()),
+                    (d2, products.get((l1, l2 - r + 1), ())))
+            for (left, targets1), (right, targets2) in itertools.product(
+                    ones, twos):
+                if not (left and right):
+                    continue
+                differ = dict(lhs)
+                for m in itertools.chain(targets1, targets2):
+                    differ[m] = differ.get(m, 0) ^ live[m] >> r
+                if not any(differ.values()):
+                    continue
+                sums = 0
+                for k in _columns(left):
+                    sums |= right << k
+                if any(sums & columns for columns in differ.values()):
+                    return False
     return True
 
 
 def _turn(live: Rows, d: Rows, r: int) -> Optional[Rows]:
     """The live columns of each row surviving the differential d of round r
-    (source row l -> the columns k of its cells hitting (k + r, l - r + 1))
-    on live; None when d o d != 0.
+    (source row l -> the mask of the columns k of its cells hitting
+    (k + r, l - r + 1)) on live; None when d o d != 0.
 
     Every cell carries one basis element, so a cell dies exactly when it is
     hit or hits something, and a cell that does both is a nonzero composite.
     """
-    hit = {l - r + 1: {k + r for k in columns} for l, columns in d.items()}
-    if any(not hit[l].isdisjoint(columns)
-           for l, columns in d.items() if l in hit):
+    hit = {l - r + 1: columns << r for l, columns in d.items()}
+    if any(hit[l] & columns for l, columns in d.items() if l in hit):
         return None
-    return {l: columns.difference(d.get(l, ()), hit.get(l, ()))
+    return {l: columns & ~d.get(l, 0) & ~hit.get(l, 0)
             for l, columns in live.items()}
 
 
@@ -238,7 +223,8 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     def walk(i: int, live: Rows, weight: int, key: HistoryKey) -> None:
         nonlocal rejected
         if i == len(rounds):
-            degrees = [k + l for l, columns in live.items() for k in columns]
+            degrees = [k + l for l, columns in live.items()
+                       for k in _columns(columns)]
             if any(fiber.top_degree < t <= survival_top for t in degrees):
                 rejected += weight
                 return
@@ -249,17 +235,16 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
             outcomes.append(OracleOutcome(key, dict(sorted(dims.items()))))
             return
         r = rounds[i]
+        ends = 1 | 1 << r  # the target row's generator and target class
         usable = [l for l in slots[r]
-                  if 0 in live[l] and {0, r} <= live[l - r + 1]]
+                  if live[l] & 1 and live[l - r + 1] & ends == ends]
         weight <<= len(slots[r]) - len(usable)
-        verdicts: Dict[tuple, bool] = {}  # row pair verdicts of this round
         # each usable row's columns whose target is live
-        hits = {l: {k for k in live[l] if k + r in live[l - r + 1]}
-                for l in usable}
+        hits = {l: live[l] & live[l - r + 1] >> r for l in usable}
         for choice in itertools.product((0, 1), repeat=len(usable)):
             sources = tuple(itertools.compress(usable, choice))
             d = {l: hits[l] for l in sources}
-            ok = _leibniz_ok(tc, live, d, r, verdicts)
+            ok = _leibniz_ok(tc, live, d, r)
             turned = _turn(live, d, r) if ok else None
             if turned is None:
                 rejected += weight * later[i]

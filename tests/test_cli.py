@@ -169,12 +169,12 @@ def test_cap_is_not_an_option(capsys, argv):
                                   ["oracle-check"]],
                          ids=["classify", "oracle-check"])
 def test_oracle_above_its_cell_limit_exits_one(capsys, argv):
-    # n = 33 under Z/2 is the smallest n with more than MAX_CELLS cells.
-    code, out, err = run_cli(capsys, *argv, "--n", "33")
+    # n = 129 under Z/2 is the smallest n with more than MAX_CELLS cells.
+    code, out, err = run_cli(capsys, *argv, "--n", "129")
     assert code == 1
     assert out == ""
     assert err.splitlines() == [
-        "error: 606 cells exceeds the oracle limit of 600"]
+        "error: 2334 cells exceeds the oracle limit of 2316"]
 
 
 def test_classify_refuses_a_tree_of_more_than_max_branches(capsys,
