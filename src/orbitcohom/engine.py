@@ -33,10 +33,11 @@ some pair of columns k, j with given term parities sums into a set of live
 target columns; the sumset of the runs [a, b) and [c, d) is the single run
 [a + c, b + d - 1), so each costs O(runs^2) big-int operations: as many
 whatever n is, but each as wide as the masks, which grow with the degrees.
-A page without a slot builds no masks at all. A page turn reads no
-mask: with e = r / step, a source row l loses each column k whose column
-k + e lives in row l - r + 1, a target row each column k whose column
-k - e lives in its source row, and every other row is kept as it is.
+A page without a slot builds no masks at all, and the zero pattern costs
+no check and no turn. A page turn reads no mask: with e = r / step, a
+source row l loses each column k whose column k + e lives in row
+l - r + 1, a target row each column k whose column k - e lives in its
+source row, and every other row is kept as it is.
 """
 
 from __future__ import annotations
@@ -309,9 +310,14 @@ def branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str],
                                            Optional[Page]]]:
     """One step: each pattern of the page's round, in binary order over its
     slots, with its first violated constraint (None when consistent) and
-    the homology of the page under it (None when inconsistent)."""
+    the homology of the page under it (None when inconsistent). The zero
+    pattern costs no check and no turn: its page holds the same rows."""
     slots = differential_slots(page)
-    for coeffs in itertools.product((0, 1), repeat=len(slots)):
+    # The zero pattern reads bit 0 of every check's table, and no table sets
+    # it: no _BREAKS entry holds c = 0, and the d o d table is 1 << 7.
+    yield DifferentialPattern(page.round, ()), None, _child(page, page.rows)
+    for coeffs in itertools.islice(
+            itertools.product((0, 1), repeat=len(slots)), 1, None):
         pattern = DifferentialPattern(page.round,
                                       tuple(itertools.compress(slots, coeffs)))
         reason = check_pattern(page, pattern)
@@ -321,22 +327,24 @@ def branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str],
 def _turn(page: Page, pattern: DifferentialPattern) -> Page:
     """Homology of the page under a pattern that passed check_pattern: each
     row the pattern sources or targets is a difference of the old page's
-    rows, and every other row is kept as it is."""
+    rows, and every other row is kept as it is, in its place."""
     r, rows = pattern.round, page.rows
     e = r // page.step
-    sources = set(pattern.sources)
-    new_rows: Dict[int, IntervalModule] = {}
-    for l, row in sorted(rows.items()):
-        if l in sources:  # t^k g hits t^(k+e) of row l - r + 1 while that lives
-            row = row.minus(rows[l - r + 1], e)
-        if l + r - 1 in sources:  # t^k g is hit while t^(k-e) of the source lives
-            row = row.minus(rows[l + r - 1], -e)
-        if row.summands:
-            new_rows[l] = row
-    if 0 not in new_rows or not new_rows[0].has_column(0):
-        raise InvariantError(f"the unit class did not survive round {r}")
-    return Page(fiber=page.fiber, group=page.group, rounds=page.rounds[1:],
-                rows=new_rows)
+    new_rows = dict(rows)
+    for l in pattern.sources:
+        mid = l - r + 1  # t^k g hits t^(k+e) of row mid while both live
+        new_rows[l] = new_rows[l].minus(rows[mid], e)
+        new_rows[mid] = new_rows[mid].minus(rows[l], -e)
+    return _child(page, {l: row for l, row in new_rows.items()
+                         if row.summands})
+
+
+def _child(page: Page, rows: Dict[int, IntervalModule]) -> Page:
+    """The next round's page with these rows, in which the unit must live."""
+    if 0 not in rows or not rows[0].has_column(0):
+        raise InvariantError(
+            f"the unit class did not survive round {page.round}")
+    return Page(page.fiber, page.group, page.rounds[1:], rows)
 
 
 def is_free_admissible(page: Page) -> bool:

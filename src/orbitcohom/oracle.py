@@ -28,7 +28,7 @@ that are hit.
 The Leibniz rule for cells (k1, l1), (k2, l2) is fixed by K = k1 + k2 and
 whether d is nonzero on each cell. So for a row pair and each flag pair,
 the column sums K are the sumset of the two rows' columns with those
-flags, one shift per column of the left one, and the rule is one AND per
+flags, one shift per column of the sparser one, and the rule is one AND per
 target row of that sumset against the columns K where the two sides
 differ. No cap cut is needed: both sides lie in total degree
 K + l1 + l2 + 1, which holds no cell above the cap.
@@ -99,22 +99,30 @@ def min_cap(fiber: FiberRing, group: GroupChoice) -> int:
 
 def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComplex:
     """Finite cell model of the second page up to total degree cap."""
+    return _truncate(fiber, group, cap, _slots(fiber, group))
+
+
+def _truncate(fiber: FiberRing, group: GroupChoice, cap: int,
+              slots: Dict[int, List[int]]) -> TruncatedComplex:
+    """``truncate_e2`` on the input's ``_slots``."""
     names = fiber.names
     if len(names) != len(fiber.basis):
         raise UnsupportedShapeError(
             "oracle needs at most one basis element per degree")
-    lowest = min_cap(fiber, group)
+    lowest = fiber.top_degree + max(slots, default=0) + group.step  # min_cap
     if cap < lowest:
         raise InvalidInputError(f"cap {cap} too small; need at least {lowest}")
     margin = lowest - fiber.top_degree
     step = group.step
     # Count before building, so a huge cap is refused without allocating.
-    count = sum(len(range(0, cap - l + 1, step)) for l in names)
+    columns = {l: len(range(0, cap - l + 1, step)) for l in names}
+    count = sum(columns.values())
     if count > MAX_CELLS:
         raise OversizedInstanceError(
             f"{count} cells exceeds the oracle limit of {MAX_CELLS}")
-    rows = {l: sum(1 << k for k in range(0, cap - l + 1, step))
-            for l in names}
+    # m columns 0, step, ..., (m - 1) step: a geometric sum of 2^step
+    rows = {l: ((1 << step * m) - 1) // ((1 << step) - 1)
+            for l, m in columns.items()}
     products = {(l1, l2): frozenset(fiber.degrees[name]
                                     for name in fiber.mult(u1, u2))
                 for l1, u1 in names.items() for l2, u2 in names.items()}
@@ -143,11 +151,13 @@ def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int) -> bool:
     product (l1 - r + 1)*l2 or l1*(l2 - r + 1) holds m. So each row m
     gives a mask of the K where the sides differ, and for each flag pair
     the rule holds when the sumset of the two rows' columns with those
-    flags misses all of them.
+    flags misses all of them. The sumset is symmetric, so it is formed by
+    shifting the denser class by each column of the sparser one.
     """
     if not d:  # every pair is skipped
         return True
     products = tc.products
+    above = {m: columns >> r for m, columns in live.items()}  # bit K: K + r
     rows = sorted(l for l, columns in live.items() if columns)
     for i, l1 in enumerate(rows):
         for l2 in rows[i:]:
@@ -168,9 +178,11 @@ def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int) -> bool:
                     continue
                 differ = dict(lhs)
                 for m in itertools.chain(targets1, targets2):
-                    differ[m] = differ.get(m, 0) ^ live[m] >> r
+                    differ[m] = differ.get(m, 0) ^ above[m]
                 if not any(differ.values()):
                     continue
+                if left.bit_count() > right.bit_count():
+                    left, right = right, left
                 sums = 0
                 for k in _columns(left):
                     sums |= right << k
@@ -208,8 +220,8 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     sources per round, the engine's history key, and each key is reached
     by exactly one walk.
     """
-    tc = truncate_e2(fiber, group, cap)
     slots = _slots(fiber, group)
+    tc = _truncate(fiber, group, cap, slots)
     rounds = tuple(slots)
     # Joint choices of the rounds after round i.
     later = [2 ** sum(len(slots[r]) for r in rounds[i + 1:])
@@ -241,7 +253,10 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
         weight <<= len(slots[r]) - len(usable)
         # each usable row's columns whose target is live
         hits = {l: live[l] & live[l - r + 1] >> r for l in usable}
-        for choice in itertools.product((0, 1), repeat=len(usable)):
+        # The empty choice passes the Leibniz rule and turns no cell.
+        walk(i + 1, live, weight, key + ((r, ()),))
+        for choice in itertools.islice(
+                itertools.product((0, 1), repeat=len(usable)), 1, None):
             sources = tuple(itertools.compress(usable, choice))
             d = {l: hits[l] for l in sources}
             ok = _leibniz_ok(tc, live, d, r)

@@ -178,6 +178,10 @@ def test_criterion_5_index_bounds():
     within = set(even_odd) <= {2, 6}
     _info("even/odd candidates within {n, 3n}", within,
           f"candidates {even_odd}; engine enumerates a candidate superset")
+    realized = {2, 4} <= set(even_odd)
+    _info("even/odd candidates include the realized indices n and 2n",
+          realized, f"candidates {even_odd}; RP^n x S^2n has index n and "
+          "S^n x RP^2n index 2n")
 
 
 def _alive(row, k, step):

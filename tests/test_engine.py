@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from orbitcohom.engine import (GroupChoice, admissible_rounds, branches,
                                build_e2, check_pattern, classify,
                                differential_slots, DifferentialPattern,
-                               is_free_admissible, Page, _sum_hit)
+                               is_free_admissible, Page, _BREAKS, _sum_hit,
+                               _turn)
 from orbitcohom.errors import (InvalidInputError, InvariantError,
                                PreconditionError, UnsupportedShapeError)
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
@@ -359,6 +360,21 @@ def test_every_turn_of_the_sweep_matches_a_column_reference():
     assert any(pattern.sources for _, pattern, _ in turned)
     for page, pattern, nxt in turned:
         assert nxt.rows == _turn_reference(page, pattern), (page, pattern)
+
+
+def test_the_zero_pattern_needs_no_check_and_no_turn():
+    """branches hands the zero pattern its page without check_pattern or
+    _turn. On every page of the sweep that must be what they give: the
+    pattern reads bit 0 of every table, which no _BREAKS entry sets (the
+    d o d table is 1 << 7), and it turns no row."""
+    assert not any(table & 1 for table in _BREAKS)
+    for page, steps in _sweep():
+        zero = DifferentialPattern(page.round, ())
+        assert check_pattern(page, zero) is None, page
+        pattern, reason, child = steps[0]
+        assert (pattern, reason) == (zero, None)
+        turned = _turn(page, zero)
+        assert (child.rows, child.rounds) == (turned.rows, turned.rounds)
 
 
 def test_slotless_page_builds_no_masks(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from orbitcohom import oracle
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError, OversizedInstanceError
-from orbitcohom.fiber import make_type_ab
+from orbitcohom.fiber import load_fiber, make_type_ab
 from orbitcohom.oracle import (brute_force_classify, compare_reports, min_cap,
                                truncate_e2)
 
@@ -34,6 +34,41 @@ def test_circle_cells_have_even_columns():
     assert any(tc.rows.values())
     odd = sum(1 << k for k in range(1, 13, 2))  # columns 1, 3, ..., 11
     assert not any(columns & odd for columns in tc.rows.values())
+
+
+def _shortcut_fibers():
+    """Type (a, b) at n = 1..8 and the truncated-u6 fiber."""
+    u6 = Path(__file__).with_name("fiber_truncated_u6.json")
+    return [*(make_type_ab(n, a, b) for n in range(1, 9) for a in (0, 1)
+              for b in (0, 1)), load_fiber(str(u6))]
+
+
+@pytest.mark.parametrize("group", list(GroupChoice))
+def test_rows_in_closed_form_are_the_per_cell_masks(group):
+    for fiber in _shortcut_fibers():
+        low = min_cap(fiber, group)
+        for cap in range(low, low + 4):
+            assert truncate_e2(fiber, group, cap).rows == {
+                l: sum(1 << k for k in range(0, cap - l + 1, group.step))
+                for l in fiber.names}, (fiber, cap)
+
+
+def test_the_empty_choice_keeps_its_page(monkeypatch):
+    """The walk hands the empty choice its live rows, with no turn: on
+    every page the walk turns, the turn under d = 0 keeps every cell."""
+    turn, turned = oracle._turn, []
+
+    def recorded(live, d, r):
+        turned.append((live, r))
+        return turn(live, d, r)
+
+    monkeypatch.setattr(oracle, "_turn", recorded)
+    for fiber in _shortcut_fibers():
+        for group in GroupChoice:
+            brute_force_classify(fiber, group, min_cap(fiber, group))
+    assert turned
+    for live, r in turned:
+        assert turn(live, {}, r) == live
 
 
 def test_cap_too_small_rejected():
