@@ -33,7 +33,6 @@ __all__ = [
     "FiberRing", "load_fiber", "make_type_ab",
     "FREE_ROW", "INFINITE", "IntervalModule",
     "OracleReport", "brute_force_classify", "compare_reports", "min_cap",
-    "truncate_e2",
     "ExtensionFlag", "RingPresentation", "extract_presentation",
     "presentation_str", "tot_poincare",
     "basis_problems",
@@ -42,7 +41,7 @@ __all__ = [
 # Name -> module, imported on first use: only oracle-check and --self-check
 # need these, and every other command would pay for their import.
 _LAZY = {**dict.fromkeys(("OracleReport", "brute_force_classify",
-                          "compare_reports", "min_cap", "truncate_e2"), "oracle"),
+                          "compare_reports", "min_cap"), "oracle"),
          "basis_problems": "selfcheck"}
 
 

@@ -23,16 +23,18 @@ A page carries only its remaining rounds, the current one first.
 The Leibniz and d o d checks hold across all columns exactly. Each row
 is a union of runs of columns that is constant beyond its last run
 endpoint, so finitely many columns represent every regime. A page that
-has a slot reads its rows as column masks once, and from them builds, also
-once, one list of checks (``Page._scan``). A check is three rows, the 8-bit
-table of the coefficient triples on them that break it, and its reason: a
-Leibniz pair's rows are those of u*v, u and v, and a d o d chain
-l -> mid -> last is c_l c_mid = 0. A pattern is refused for the first
-check its sources break. A Leibniz table entry asks whether
+has a slot builds, once, one list of checks (``Page._scan``). A check is
+three rows, the 8-bit table of the coefficient triples on them that break
+it, and its reason: a Leibniz pair's rows are those of u*v, u and v, and a
+d o d chain l -> mid -> last is c_l c_mid = 0. A pattern is refused for the
+first check its sources break. A Leibniz table entry asks whether
 some pair of columns k, j with given term parities sums into a set of live
-target columns; the sumset of the runs [a, b) and [c, d) is the single run
-[a + c, b + d - 1), so each costs O(runs^2) big-int operations: as many
-whatever n is, but each as wide as the masks, which grow with the degrees.
+target columns; the sumset of the runs (a, m) and (c, n), as (start,
+length), is the single run (a + c, m + n - 1), so each costs O(runs^2)
+big-int operations: as many whatever n is, but each as wide as the masks,
+which grow with the degrees. A row's own runs are its summands; masks are
+built only where two rows meet: the sides of a source row split by its
+live targets, the target columns of a product, and a d o d chain.
 A page without a slot builds no masks at all, and the zero pattern costs
 no check and no turn. A page turn reads no mask: with e = r / step, a
 source row l loses each column k whose column k + e lives in row
@@ -50,7 +52,7 @@ from . import presentation
 from .errors import (InvariantError, OversizedInstanceError,
                      PreconditionError, UnsupportedShapeError)
 from .fiber import FiberRing
-from .intervals import FREE_ROW, IntervalModule, runs
+from .intervals import FREE_ROW, INFINITE, IntervalModule, runs
 from .record import Record
 
 # The most branches classify walks before it refuses the fiber. The tree
@@ -187,7 +189,8 @@ _BREAKS = tuple(sum(1 << c for c in range(8) if bin(tau & c).count("1") % 2)
 
 def _scan_page(page: Page) -> _Scan:
     """Slots, and for a page with slots its Leibniz, then d o d, checks
-    covering every support regime, read off column masks of its rows.
+    covering every support regime, read off its rows' runs, and off column
+    masks where two rows meet.
 
     Beyond the largest run endpoint shifted by the differential every
     row's support is constant, so scanning representatives up to that bound
@@ -233,10 +236,11 @@ def _scan_page(page: Page) -> _Scan:
     mult, slot_set = page.fiber.mult, set(slots)
     whole, split = {}, {}  # (tau bit, runs of columns k): all, or by d(t^k g)
     for l in live:
-        cols = masks[l] & rep_mask
-        whole[l] = ((0, runs(cols)),)
+        # every finite run ends below rep, so only the infinite one is cut
+        whole[l] = ((0, [(start, rep - start if length is INFINITE else length)
+                         for start, length in rows[l].summands]),)
         if l in slot_set:
-            hit = down[l - r + 1]  # d(t^k g) lives
+            cols, hit = masks[l] & rep_mask, down[l - r + 1]  # d(t^k g) lives
             split[l] = ((0, runs(cols & ~hit)), (1, runs(cols & hit)))
 
     checks = []
@@ -278,12 +282,12 @@ def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
              sums: int) -> bool:
     """True when some k in the runs left and j in the runs right have k + j in sums.
 
-    The sumset of the runs [a, b) and [c, d) is the single run
-    [a + c, b + d - 1), so the test costs one big-int operation per pair.
+    The sumset of the runs (a, m) and (c, n), as (start, length), is the
+    single run (a + c, m + n - 1): one big-int operation per pair.
     """
-    for a, b in left:
-        for c, d in right:
-            if (sums >> (a + c)) & ((1 << (b + d - 1 - a - c)) - 1):
+    for a, m in left:
+        for c, n in right:
+            if (sums >> (a + c)) & ((1 << (m + n - 1)) - 1):
                 return True
     return False
 

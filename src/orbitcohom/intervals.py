@@ -9,9 +9,10 @@ what the freeness filter needs. A row knows columns only: the degree of
 column k is k times the degree of t, which the page's group gives.
 
 A page turn is a difference of rows, ``minus``: one merge over two run
-lists, so it costs O(runs) whatever the columns. The engine's checks still
-read a row as a bitmask of columns (bit k for column k), in which a run is
-one block of set bits; ``runs`` lists the blocks of a mask.
+lists, so it costs O(runs) whatever the columns. Where the engine's checks
+meet two rows they read them as bitmasks of columns (bit k for column k),
+in which a run is one block of set bits; ``runs`` lists the blocks of a
+mask in summand form, (start, length).
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ FREE_ROW = IntervalModule(((0, INFINITE),))
 
 
 def runs(mask: int) -> List[Tuple[int, int]]:
-    """Maximal runs of set bits of a nonnegative mask, as [start, end) pairs.
+    """Maximal runs of set bits of a nonnegative mask, as (start, length)
+    pairs, the form of ``IntervalModule.summands``.
 
     Adding the lowest set bit carries through the lowest run and lands on
     the first clear bit above it, so each run costs a few big-int operations.
@@ -114,7 +116,8 @@ def runs(mask: int) -> List[Tuple[int, int]]:
     while mask:
         low = mask & -mask
         top = mask + low
-        out.append((low.bit_length() - 1, (top & -top).bit_length() - 1))
+        start = low.bit_length() - 1
+        out.append((start, (top & -top).bit_length() - 1 - start))
         mask &= top
     return out
 

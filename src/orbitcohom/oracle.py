@@ -97,39 +97,6 @@ def min_cap(fiber: FiberRing, group: GroupChoice) -> int:
             + group.step)
 
 
-def truncate_e2(fiber: FiberRing, group: GroupChoice, cap: int) -> TruncatedComplex:
-    """Finite cell model of the second page up to total degree cap."""
-    return _truncate(fiber, group, cap, _slots(fiber, group))
-
-
-def _truncate(fiber: FiberRing, group: GroupChoice, cap: int,
-              slots: Dict[int, List[int]]) -> TruncatedComplex:
-    """``truncate_e2`` on the input's ``_slots``."""
-    names = fiber.names
-    if len(names) != len(fiber.basis):
-        raise UnsupportedShapeError(
-            "oracle needs at most one basis element per degree")
-    lowest = fiber.top_degree + max(slots, default=0) + group.step  # min_cap
-    if cap < lowest:
-        raise InvalidInputError(f"cap {cap} too small; need at least {lowest}")
-    margin = lowest - fiber.top_degree
-    step = group.step
-    # Count before building, so a huge cap is refused without allocating.
-    columns = {l: len(range(0, cap - l + 1, step)) for l in names}
-    count = sum(columns.values())
-    if count > MAX_CELLS:
-        raise OversizedInstanceError(
-            f"{count} cells exceeds the oracle limit of {MAX_CELLS}")
-    # m columns 0, step, ..., (m - 1) step: a geometric sum of 2^step
-    rows = {l: ((1 << step * m) - 1) // ((1 << step) - 1)
-            for l, m in columns.items()}
-    products = {(l1, l2): frozenset(fiber.degrees[name]
-                                    for name in fiber.mult(u1, u2))
-                for l1, u1 in names.items() for l2, u2 in names.items()}
-    return TruncatedComplex(fiber=fiber, group=group, cap=cap, margin=margin,
-                            rows=rows, products=products)
-
-
 def _columns(mask: int) -> List[int]:
     """The columns k of a row mask, bit k set, in rising order. The mask's
     binary digits are read from the lowest; its "0b" prefix holds no 1."""
@@ -154,8 +121,6 @@ def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int) -> bool:
     flags misses all of them. The sumset is symmetric, so it is formed by
     shifting the denser class by each column of the sparser one.
     """
-    if not d:  # every pair is skipped
-        return True
     products = tc.products
     above = {m: columns >> r for m, columns in live.items()}  # bit K: K + r
     rows = sorted(l for l, columns in live.items() if columns)
@@ -219,9 +184,33 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     rounds as rejected assignments. An outcome is keyed by its nonzero
     sources per round, the engine's history key, and each key is reached
     by exactly one walk.
+
+    The walk runs on the finite cell model of the second page up to total
+    degree cap, the report's ``complex``.
     """
     slots = _slots(fiber, group)
-    tc = _truncate(fiber, group, cap, slots)
+    names, step = fiber.names, group.step
+    if len(names) != len(fiber.basis):
+        raise UnsupportedShapeError(
+            "oracle needs at most one basis element per degree")
+    lowest = fiber.top_degree + max(slots, default=0) + step  # min_cap
+    if cap < lowest:
+        raise InvalidInputError(f"cap {cap} too small; need at least {lowest}")
+    # Count before building, so a huge cap is refused without allocating.
+    columns = {l: len(range(0, cap - l + 1, step)) for l in names}
+    count = sum(columns.values())
+    if count > MAX_CELLS:
+        raise OversizedInstanceError(
+            f"{count} cells exceeds the oracle limit of {MAX_CELLS}")
+    # m columns 0, step, ..., (m - 1) step: a geometric sum of 2^step
+    rows = {l: ((1 << step * m) - 1) // ((1 << step) - 1)
+            for l, m in columns.items()}
+    products = {(l1, l2): frozenset(fiber.degrees[name]
+                                    for name in fiber.mult(u1, u2))
+                for l1, u1 in names.items() for l2, u2 in names.items()}
+    tc = TruncatedComplex(fiber=fiber, group=group, cap=cap,
+                          margin=lowest - fiber.top_degree, rows=rows,
+                          products=products)
     rounds = tuple(slots)
     # Joint choices of the rounds after round i.
     later = [2 ** sum(len(slots[r]) for r in rounds[i + 1:])
@@ -266,7 +255,7 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
                 continue
             walk(i + 1, turned, weight, key + ((r, sources),))
 
-    walk(0, tc.rows, 1, ())
+    walk(0, rows, 1, ())
     return OracleReport(complex=tc, rounds=rounds,
                         outcomes=tuple(sorted(outcomes, key=lambda o: o.key)),
                         rejected_assignments=rejected)

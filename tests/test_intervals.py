@@ -168,8 +168,21 @@ def test_runs_match_bit_scan(mask):
             j = i
             while (mask >> j) & 1:
                 j += 1
-            expected.append((i, j))
+            expected.append((i, j - i))
             i = j
         else:
             i += 1
     assert runs(mask) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_lists(), st.integers(1, 30))
+def test_a_rows_mask_reads_back_as_its_summands(summands, above):
+    """Above the last endpoint, the runs of a row's mask are its summands
+    with the infinite last run cut at the mask's width: the page scan reads
+    a row's own runs straight from its summands on this identity."""
+    m = IntervalModule(tuple(summands))
+    nbits = m.max_finite_endpoint() + above
+    assert runs(m.column_mask(nbits)) == [
+        (start, nbits - start if length is INFINITE else length)
+        for start, length in m.summands]

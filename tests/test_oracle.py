@@ -10,8 +10,7 @@ from orbitcohom import oracle
 from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.errors import InvalidInputError, OversizedInstanceError
 from orbitcohom.fiber import load_fiber, make_type_ab
-from orbitcohom.oracle import (brute_force_classify, compare_reports, min_cap,
-                               truncate_e2)
+from orbitcohom.oracle import brute_force_classify, compare_reports, min_cap
 
 from helpers import cap_stable, point_ring
 
@@ -22,15 +21,16 @@ def cell_count(tc):
 
 
 def test_cell_counts():
-    tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.Z2, 8)
+    tc = brute_force_classify(make_type_ab(1, 0, 0), GroupChoice.Z2, 8).complex
     # 9 + 8 + 7 + 6 lattice points on rows 0..3
     assert cell_count(tc) == 30
-    tc = truncate_e2(point_ring(), GroupChoice.Z2, 4)
+    tc = brute_force_classify(point_ring(), GroupChoice.Z2, 4).complex
     assert cell_count(tc) == 5
 
 
 def test_circle_cells_have_even_columns():
-    tc = truncate_e2(make_type_ab(1, 0, 0), GroupChoice.CIRCLE, 12)
+    tc = brute_force_classify(make_type_ab(1, 0, 0), GroupChoice.CIRCLE,
+                              12).complex
     assert any(tc.rows.values())
     odd = sum(1 << k for k in range(1, 13, 2))  # columns 1, 3, ..., 11
     assert not any(columns & odd for columns in tc.rows.values())
@@ -48,7 +48,7 @@ def test_rows_in_closed_form_are_the_per_cell_masks(group):
     for fiber in _shortcut_fibers():
         low = min_cap(fiber, group)
         for cap in range(low, low + 4):
-            assert truncate_e2(fiber, group, cap).rows == {
+            assert brute_force_classify(fiber, group, cap).complex.rows == {
                 l: sum(1 << k for k in range(0, cap - l + 1, group.step))
                 for l in fiber.names}, (fiber, cap)
 
@@ -74,13 +74,15 @@ def test_the_empty_choice_keeps_its_page(monkeypatch):
 def test_cap_too_small_rejected():
     fiber = make_type_ab(1, 0, 0)
     with pytest.raises(InvalidInputError):
-        truncate_e2(fiber, GroupChoice.Z2, min_cap(fiber, GroupChoice.Z2) - 1)
+        brute_force_classify(fiber, GroupChoice.Z2,
+                             min_cap(fiber, GroupChoice.Z2) - 1)
 
 
 def test_oversized_instance_rejected():
     fiber = make_type_ab(200, 0, 0)
     with pytest.raises(OversizedInstanceError):
-        truncate_e2(fiber, GroupChoice.Z2, min_cap(fiber, GroupChoice.Z2))
+        brute_force_classify(fiber, GroupChoice.Z2,
+                             min_cap(fiber, GroupChoice.Z2))
 
 
 def test_no_outcome_has_a_nonzero_composite():
@@ -163,7 +165,7 @@ def test_all_small_cases_agree():
                                    oracle_report) == [], (group, n, a, b)
         fiber = make_type_ab(largest + 1, 0, 0)
         with pytest.raises(OversizedInstanceError):
-            truncate_e2(fiber, group, min_cap(fiber, group))
+            brute_force_classify(fiber, group, min_cap(fiber, group))
 
 
 def test_the_oracle_takes_only_the_group_type_from_the_engine():

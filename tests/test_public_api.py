@@ -4,6 +4,7 @@ library examples."""
 import contextlib
 import io
 import re
+import tokenize
 from pathlib import Path
 
 import orbitcohom
@@ -33,12 +34,19 @@ def test_lazy_names_are_the_selfcheck_module_functions():
     assert orbitcohom.basis_problems is orbitcohom.selfcheck.basis_problems
 
 
-def _used(name, text):
-    """Whether name occurs in text outside the lines that define it."""
+def _used(name, text, code):
+    """Whether name occurs in text outside the lines that define it; in
+    Python code only as a code token, not in a docstring or comment."""
     word = re.escape(name)
     definition = re.compile(rf"\s*(?:def|class)\s+{word}\b|{word}\s*[:=]")
-    return any(re.search(rf"\b{word}\b", line)
-               for line in text.splitlines() if not definition.match(line))
+    if code:
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        lines = [token.line for token in tokens
+                 if token.type == tokenize.NAME and token.string == name]
+    else:
+        lines = [line for line in text.splitlines()
+                 if re.search(rf"\b{word}\b", line)]
+    return any(not definition.match(line) for line in lines)
 
 
 def test_every_exported_name_is_used_outside_its_definition():
@@ -46,13 +54,14 @@ def test_every_exported_name_is_used_outside_its_definition():
     the README or used by the benchmark; one that only the tests use
     belongs under tests/."""
     package = Path(orbitcohom.__file__).parent
-    texts = [path.read_text() for path in sorted(package.glob("*.py"))
+    paths = [path for path in sorted(package.glob("*.py"))
              if path.name != "__init__.py"]
-    texts.append(README.read_text())
-    texts += [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*"))
+    paths.append(README)
+    paths += [path for path in sorted((ROOT / "perfbench").rglob("*"))
               if path.suffix in (".py", ".md")]
+    texts = [(path.read_text(), path.suffix == ".py") for path in paths]
     unused = [name for name in orbitcohom.__all__
-              if not any(_used(name, text) for text in texts)]
+              if not any(_used(name, text, code) for text, code in texts)]
     assert unused == []
 
 
