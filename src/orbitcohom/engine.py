@@ -34,19 +34,20 @@ length), is the single run (a + c, m + n - 1), so each costs O(runs^2)
 big-int operations: as many whatever n is, but each as wide as the masks,
 which grow with the degrees. A row's own runs are its summands; masks are
 built only where two rows meet: the sides of a source row split by its
-live targets, the target columns of a product, and a d o d chain.
-A page without a slot builds no masks at all, and the zero pattern costs
-no check and no turn. A page turn reads no mask: with e = r / step, a
-source row l loses each column k whose column k + e lives in row
-l - r + 1, a target row each column k whose column k - e lives in its
-source row, and every other row is kept as it is.
+live targets, the target columns of a product, and a d o d chain. A pair
+with no slot among its rows is skipped: its only parity triple, 0, breaks
+no pattern. A page without a slot builds no masks at all, and the zero
+pattern costs no check and no turn. A page turn reads no mask: with
+e = r / step, a source row l loses each column k whose column k + e lives
+in row l - r + 1, a target row each column k whose column k - e lives in
+its source row, and every other row is kept as it is.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import presentation
 from .errors import (InvariantError, OversizedInstanceError,
@@ -177,6 +178,7 @@ class _Scan(NamedTuple):
     by all its patterns. A page without slots has only the zero pattern,
     which needs none of it, so its scan holds the slots alone."""
     slots: Tuple[int, ...]  # source rows of the round's slots
+    slot_set: FrozenSet[int]  # the same rows, for membership and subset tests
     # (la, lb, lc, table, reason): sources S break the check when bit
     # 4 [la in S] + 2 [lb in S] + [lc in S] of table is set
     checks: Tuple[Tuple[int, int, int, int, str], ...]
@@ -190,7 +192,8 @@ _BREAKS = tuple(sum(1 << c for c in range(8) if bin(tau & c).count("1") % 2)
 def _scan_page(page: Page) -> _Scan:
     """Slots, and for a page with slots its Leibniz, then d o d, checks
     covering every support regime, read off its rows' runs, and off column
-    masks where two rows meet.
+    masks where two rows meet. A product pair none of whose rows u, v, u*v
+    is a slot is skipped: no pattern has a nonzero coefficient there.
 
     Beyond the largest run endpoint shifted by the differential every
     row's support is constant, so scanning representatives up to that bound
@@ -209,8 +212,9 @@ def _scan_page(page: Page) -> _Scan:
     live = {l for l, _ in gens}
     slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
                   and rows[l - r + 1].has_column(e))
+    slot_set = frozenset(slots)
     if not slots:
-        return _Scan(slots, ())
+        return _Scan(slots, slot_set, ())
 
     endpoint = max(row.max_finite_endpoint() for row in rows.values())
     rep = endpoint + 2 * e + 4
@@ -232,8 +236,9 @@ def _scan_page(page: Page) -> _Scan:
     # nonzero; an off side reads 0 for every c, so only the tau that are 0
     # on off sides are tested, and none that adds no new c a pattern can
     # give: no pattern gives c_w != c_v when u is the unit, or c_u != c_v
-    # when u = v.
-    mult, slot_set = page.fiber.mult, set(slots)
+    # when u = v. A pair none of whose rows is a slot has only tau = 0,
+    # whose _BREAKS entry is empty, so it is skipped.
+    mult = page.fiber.mult
     whole, split = {}, {}  # (tau bit, runs of columns k): all, or by d(t^k g)
     for l in live:
         # every finite run ends below rep, so only the infinite one is cut
@@ -247,6 +252,8 @@ def _scan_page(page: Page) -> _Scan:
     for i, (lu, gu) in enumerate(gens):
         for lv, gv in gens[i:]:
             lw = lu + lv
+            if lu not in slot_set and lv not in slot_set and lw not in slot_set:
+                continue
             alive = down.get(lw - r + 1)  # bit s: t^s of the target lives
             if not alive:
                 continue
@@ -275,7 +282,7 @@ def _scan_page(page: Page) -> _Scan:
         if mid in slot_set and masks[l] & down[mid] & (masks[last] >> (2 * e)):
             checks.append((l, mid, mid, 1 << 7, "d o d nonzero at round "
                            f"{r} along rows {l} -> {mid} -> {last}"))
-    return _Scan(slots, tuple(checks))
+    return _Scan(slots, slot_set, tuple(checks))
 
 
 def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
@@ -299,10 +306,9 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
         raise PreconditionError("pattern round does not match page round")
     scan = page._scan
     sources = set(pattern.sources)
-    stray = sources.difference(scan.slots)
-    if stray:
-        raise PreconditionError(
-            f"rows {sorted(stray)} are not differential slots of round {r}")
+    if not sources <= scan.slot_set:
+        raise PreconditionError(f"rows {sorted(sources - scan.slot_set)} "
+                                f"are not differential slots of round {r}")
     for la, lb, lc, table, reason in scan.checks:
         if table >> (4 * (la in sources) + 2 * (lb in sources)
                      + (lc in sources)) & 1:
@@ -316,14 +322,13 @@ def branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str],
     slots, with its first violated constraint (None when consistent) and
     the homology of the page under it (None when inconsistent). The zero
     pattern costs no check and no turn: its page holds the same rows."""
-    slots = differential_slots(page)
+    r, slots = page.round, differential_slots(page)
     # The zero pattern reads bit 0 of every check's table, and no table sets
     # it: no _BREAKS entry holds c = 0, and the d o d table is 1 << 7.
-    yield DifferentialPattern(page.round, ()), None, _child(page, page.rows)
+    yield DifferentialPattern(r, ()), None, _child(page, page.rows)
     for coeffs in itertools.islice(
             itertools.product((0, 1), repeat=len(slots)), 1, None):
-        pattern = DifferentialPattern(page.round,
-                                      tuple(itertools.compress(slots, coeffs)))
+        pattern = DifferentialPattern(r, tuple(itertools.compress(slots, coeffs)))
         reason = check_pattern(page, pattern)
         yield pattern, reason, _turn(page, pattern) if reason is None else None
 
@@ -367,48 +372,52 @@ def classify(fiber: FiberRing, group: GroupChoice) -> ClassificationReport:
 
     Outcomes are the admissible limit pages with their extracted ring data;
     every maximal branch lands exactly once in outcomes or rejected. A tree
-    of more than MAX_BRANCHES branches is refused.
+    of more than MAX_BRANCHES branches is refused. Nothing refers back to
+    the walk, so a report and its pages are freed when their last reference
+    goes, as are the branches of a refused walk.
     """
-    page0 = build_e2(fiber, group)
     outcomes: List[Outcome] = []
     rejected: List[RejectedBranch] = []
-
-    def dfs(page: Page, history: Tuple[DifferentialPattern, ...]):
-        r = page.round
-        if r is None:
-            if is_free_admissible(page):
-                pres, flags = presentation.extract_presentation(page)
-                # x^m != 0 exactly when t^m survives on the base row (the
-                # edge map), so the index is the row's last live column,
-                # which is its degree under Z/2, where t has degree 1.
-                index = (page.rows[0].last_column()
-                         if group is GroupChoice.Z2 else None)
-                outcomes.append(Outcome(
-                    history=history,
-                    e_inf=page,
-                    poincare=presentation.tot_poincare(page),
-                    presentation=pres,
-                    extension_flags=tuple(flags),
-                    index=index,
-                ))
-            else:
-                rejected.append(RejectedBranch(
-                    history, None,
-                    "survival: classes persist to infinity or above the top degree"))
-            return
-        for pattern, reason, next_page in branches(page):
-            branch = history + (pattern,)
-            if reason is not None:
-                rejected.append(RejectedBranch(branch, r, reason))
-            else:
-                dfs(next_page, branch)
-            if len(outcomes) + len(rejected) > MAX_BRANCHES:
-                raise OversizedInstanceError(
-                    f"more than {MAX_BRANCHES} branches; the fiber is too "
-                    "large to classify")
-
-    dfs(page0, ())
+    _walk(build_e2(fiber, group), (), outcomes, rejected)
     outcomes.sort(key=lambda o: o.history_key())
     return ClassificationReport(
         fiber=fiber, group=group,
         outcomes=tuple(outcomes), rejected=tuple(rejected))
+
+
+def _walk(page: Page, history: Tuple[DifferentialPattern, ...],
+          outcomes: List[Outcome], rejected: List[RejectedBranch]) -> None:
+    """Append every maximal branch below page, reached by history, to
+    outcomes or rejected, in depth-first order."""
+    r = page.round
+    if r is None:
+        if is_free_admissible(page):
+            pres, flags = presentation.extract_presentation(page)
+            # x^m != 0 exactly when t^m survives on the base row (the
+            # edge map), so the index is the row's last live column,
+            # which is its degree under Z/2, where t has degree 1.
+            index = (page.rows[0].last_column()
+                     if page.group is GroupChoice.Z2 else None)
+            outcomes.append(Outcome(
+                history=history,
+                e_inf=page,
+                poincare=presentation.tot_poincare(page),
+                presentation=pres,
+                extension_flags=tuple(flags),
+                index=index,
+            ))
+        else:
+            rejected.append(RejectedBranch(
+                history, None,
+                "survival: classes persist to infinity or above the top degree"))
+        return
+    for pattern, reason, next_page in branches(page):
+        branch = history + (pattern,)
+        if reason is not None:
+            rejected.append(RejectedBranch(branch, r, reason))
+        else:
+            _walk(next_page, branch, outcomes, rejected)
+        if len(outcomes) + len(rejected) > MAX_BRANCHES:
+            raise OversizedInstanceError(
+                f"more than {MAX_BRANCHES} branches; the fiber is too "
+                "large to classify")

@@ -15,7 +15,7 @@ is meaningful evidence.
 The assignments are walked round by round. In each round only the slots
 whose source generator, target generator and target class are all live
 can carry a differential. Each subset of those usable slots is checked,
-turned and recursed into once, and stands for every joint assignment that
+turned and walked into once, and stands for every joint assignment that
 agrees with it there: two for each dead slot of this and earlier rounds,
 times every choice of the later rounds when the subset is rejected. Each
 outcome's key (its nonzero sources per round) is therefore reached once.
@@ -220,21 +220,23 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     survival_top = cap - len(rounds)
     outcomes: List[OracleOutcome] = []
     rejected = 0
-
-    def walk(i: int, live: Rows, weight: int, key: HistoryKey) -> None:
-        nonlocal rejected
+    # Walks still to take, on an explicit stack: a nested function calling
+    # itself through its closure would be a cycle holding every outcome.
+    stack = [(0, rows, 1, ())]
+    while stack:
+        i, live, weight, key = stack.pop()
         if i == len(rounds):
             degrees = [k + l for l, columns in live.items()
                        for k in _columns(columns)]
             if any(fiber.top_degree < t <= survival_top for t in degrees):
                 rejected += weight
-                return
+                continue
             dims: Dict[int, int] = {}
             for t in degrees:
                 if t <= tc.reliable_degree:
                     dims[t] = dims.get(t, 0) + 1
             outcomes.append(OracleOutcome(key, dict(sorted(dims.items()))))
-            return
+            continue
         r = rounds[i]
         ends = 1 | 1 << r  # the target row's generator and target class
         usable = [l for l in slots[r]
@@ -243,7 +245,7 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
         # each usable row's columns whose target is live
         hits = {l: live[l] & live[l - r + 1] >> r for l in usable}
         # The empty choice passes the Leibniz rule and turns no cell.
-        walk(i + 1, live, weight, key + ((r, ()),))
+        stack.append((i + 1, live, weight, key + ((r, ()),)))
         for choice in itertools.islice(
                 itertools.product((0, 1), repeat=len(usable)), 1, None):
             sources = tuple(itertools.compress(usable, choice))
@@ -253,9 +255,8 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
             if turned is None:
                 rejected += weight * later[i]
                 continue
-            walk(i + 1, turned, weight, key + ((r, sources),))
+            stack.append((i + 1, turned, weight, key + ((r, sources),)))
 
-    walk(0, rows, 1, ())
     return OracleReport(complex=tc, rounds=rounds,
                         outcomes=tuple(sorted(outcomes, key=lambda o: o.key)),
                         rejected_assignments=rejected)

@@ -53,24 +53,22 @@ def monomial_basis_elements(pres: RingPresentation,
 
     out: List[Tuple[int, Monomial]] = []
 
-    def divisible(exps: List[int], zero: Tuple[int, ...]) -> bool:
+    def divisible(exps: Tuple[int, ...], zero: Tuple[int, ...]) -> bool:
         return all(e >= z for e, z in zip(exps, zero))
 
-    def walk(i: int, exps: List[int], degree: int):
-        if i == len(gens):
+    # Exponent prefixes still to extend, on an explicit stack: a nested
+    # function calling itself through its closure would be a cycle.
+    stack = [((), 0)]
+    while stack:
+        exps, degree = stack.pop()
+        if len(exps) == len(gens):
             if not any(divisible(exps, z) for z in zero_vectors):
                 mono = tuple((name, e) for (name, _), e in zip(gens, exps) if e)
                 out.append((degree, mono))
-            return
-        name, d = gens[i]
-        e = 0
-        while degree + d * e <= max_degree:
-            exps.append(e)
-            walk(i + 1, exps, degree + d * e)
-            exps.pop()
-            e += 1
-
-    walk(0, [], 0)
+            continue
+        d = gens[len(exps)][1]
+        stack.extend((exps + (e,), degree + d * e)
+                     for e in range((max_degree - degree) // d + 1))
     out.sort()
     return out
 

@@ -1,8 +1,10 @@
 """Helpers that only the tests use: the one-class ring, truncated
 polynomial rings, wedges and products of two spheres, a comparison of
-presentations up to renaming, the oracle's cap-stability check, and a
-reference for the engine's pattern check."""
+presentations up to renaming, the oracle's cap-stability check, a
+reference for the engine's pattern check, and a count of the objects
+that only the cyclic garbage collector frees."""
 
+import gc
 import itertools
 from typing import Dict, List, Optional
 
@@ -12,6 +14,18 @@ from orbitcohom.fiber import FiberRing
 from orbitcohom.intervals import runs
 from orbitcohom.oracle import brute_force_classify
 from orbitcohom.presentation import RingPresentation
+
+
+def cyclic_garbage(calls) -> int:
+    """The number of objects left by calls() that reference counting does
+    not free: the collector is off while calls() runs, then collects."""
+    gc.collect()
+    gc.disable()
+    try:
+        calls()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def point_ring() -> FiberRing:

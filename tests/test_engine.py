@@ -13,12 +13,15 @@ from orbitcohom.engine import (GroupChoice, admissible_rounds, branches,
                                differential_slots, DifferentialPattern,
                                is_free_admissible, Page, _BREAKS, _sum_hit,
                                _turn)
+from orbitcohom import engine
 from orbitcohom.errors import (InvalidInputError, InvariantError,
-                               PreconditionError, UnsupportedShapeError)
+                               OversizedInstanceError, PreconditionError,
+                               UnsupportedShapeError)
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
 from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule, runs
 
-from helpers import point_ring, reference_check_pattern, truncated_polynomial
+from helpers import (cyclic_garbage, point_ring, reference_check_pattern,
+                     truncated_polynomial)
 
 
 def test_build_e2_rows_z2():
@@ -194,7 +197,8 @@ def test_pattern_naming_a_non_slot_source_is_refused(source):
     # row 0 has no target at round 3; row 99 is not a row at all
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
     pattern = DifferentialPattern(3, (source,))
-    with pytest.raises(PreconditionError, match="not differential slots"):
+    message = rf"^rows \[{source}\] are not differential slots of round 3$"
+    with pytest.raises(PreconditionError, match=message):
         check_pattern(page, pattern)
 
 
@@ -568,3 +572,30 @@ def test_odd_odd_index_is_n():
 def test_circle_outcomes_have_no_index():
     report = classify(make_type_ab(3, 0, 0), GroupChoice.CIRCLE)
     assert all(o.index is None for o in report.outcomes)
+
+
+def test_classify_leaves_no_reference_cycle():
+    # a report, its pages and its walk are freed by reference counting
+    fibers = [make_type_ab(n, a, b) for n in range(1, 7)
+              for a in (0, 1) for b in (0, 1)]
+    fibers.append(load_fiber(os.path.join(os.path.dirname(__file__),
+                                          "fiber_truncated_u6.json")))
+
+    def calls():
+        for fiber in fibers:
+            for group in GroupChoice:
+                classify(fiber, group)
+
+    assert cyclic_garbage(calls) == 0
+
+
+def test_a_refused_walk_leaves_no_reference_cycle(monkeypatch):
+    # the branches walked before the refusal are freed with its traceback
+    monkeypatch.setattr(engine, "MAX_BRANCHES", 5)
+    fiber = make_type_ab(4, 1, 1)
+
+    def calls():
+        with pytest.raises(OversizedInstanceError):
+            classify(fiber, GroupChoice.Z2)
+
+    assert cyclic_garbage(calls) == 0

@@ -12,7 +12,7 @@ from orbitcohom.errors import InvalidInputError, OversizedInstanceError
 from orbitcohom.fiber import load_fiber, make_type_ab
 from orbitcohom.oracle import brute_force_classify, compare_reports, min_cap
 
-from helpers import cap_stable, point_ring
+from helpers import cap_stable, cyclic_garbage, point_ring
 
 
 def cell_count(tc):
@@ -183,3 +183,16 @@ def test_the_oracle_takes_only_the_group_type_from_the_engine():
             taken.update(alias.name for alias in node.names
                          if "engine" in alias.name.split("."))
     assert taken == {"GroupChoice"}
+
+
+def test_the_oracle_leaves_no_reference_cycle():
+    # its walk and every outcome it holds are freed by reference counting
+    fibers = [make_type_ab(n, a, b) for n in range(1, 6)
+              for a in (0, 1) for b in (0, 1)]
+
+    def calls():
+        for fiber in fibers:
+            for group in GroupChoice:
+                brute_force_classify(fiber, group, min_cap(fiber, group))
+
+    assert cyclic_garbage(calls) == 0
