@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or input error, 2 failed self-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -21,15 +22,6 @@ from typing import List, Optional
 from . import __version__, engine, presentation
 from .errors import OrbitCohomError
 from .fiber import load_fiber, make_type_ab, normalize_parity
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with status 1, not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _history_text(history) -> str:
@@ -243,10 +235,13 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="orbitcohom",
-                     description="orbit-space cohomology classification for "
-                                 "free Z/2 and circle actions")
+    """The CLI's parser, built once per process: its actions and subparsers
+    refer to each other, so each build would leave a cycle to collect."""
+    parser = argparse.ArgumentParser(
+        prog="orbitcohom", description="orbit-space cohomology classification "
+                                       "for free Z/2 and circle actions")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -277,11 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error; usage errors exit 1 here
+        code = int(exc.code or 0)
+        return 1 if code == 2 else code
     try:
         code = args.func(args)
         sys.stdout.flush()

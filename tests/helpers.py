@@ -1,17 +1,16 @@
 """Helpers that only the tests use: the one-class ring, truncated
 polynomial rings, wedges and products of two spheres, a comparison of
 presentations up to renaming, the oracle's cap-stability check, a
-reference for the engine's pattern check, and a count of the objects
+column-by-column reference for the engine's step, and a count of the objects
 that only the cyclic garbage collector frees."""
 
 import gc
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from orbitcohom.engine import (DifferentialPattern, GroupChoice, Page,
-                               _sum_hit, differential_slots)
+from orbitcohom.engine import DifferentialPattern, GroupChoice, Page
 from orbitcohom.fiber import FiberRing
-from orbitcohom.intervals import runs
+from orbitcohom.intervals import INFINITE, IntervalModule
 from orbitcohom.oracle import brute_force_classify
 from orbitcohom.presentation import RingPresentation
 
@@ -114,59 +113,99 @@ def cap_stable(fiber: FiberRing, group: GroupChoice, cap: int) -> List[str]:
     return problems
 
 
-def reference_check_pattern(page: Page,
-                            pattern: DifferentialPattern) -> Optional[str]:
-    """The engine's pattern check as four sumset tests per Leibniz pair.
+def reference_branches(page: Page) -> List[Tuple[DifferentialPattern,
+                                                  Optional[str],
+                                                  Optional[Page]]]:
+    """The engine's step, column by column: each pattern of the page's
+    round, in binary order over its slots, with its first violated
+    constraint (None when consistent) and the page it turns to (None when
+    refused). It reads the rows through ``has_column`` and ``summands`` and
+    the fiber through its names and products, and nothing else of the
+    engine.
 
-    For generators u, v of a page and w = u*v, each of the three rows is
-    read as (off, on), the data of the test when the row is not and is a
-    source: for u and v, the runs of columns k with d(t^k g) dead and live;
-    for w, the live target columns s where the term d(t^s w) is there
-    (odd) and not there (even). A row reads the same on as off unless it
-    is a slot and its fiber product is nonzero. The pattern breaks the
-    pair when some pair of columns with an even number of live terms
-    d(t^k u), d(t^j v) sums into an odd target column, or one with an odd
-    number into an even one. Then the d o d chains."""
-    r, step, rows, names = page.round, page.step, page.rows, page.fiber.names
-    sources, slots = set(pattern.sources), set(differential_slots(page))
+    With e = r / step, a source l maps t^k g_l to t^(k+e) g_(l-r+1) while
+    both live. The constraints, in order: the Leibniz rule on each pair of
+    generators u <= v, then d o d = 0 along each chain of two sources.
+    Every row is all live or all dead from the largest run endpoint on, so
+    a witness column past it can move down to it, and the columns up to
+    there decide each constraint; a turned row is constant from that
+    endpoint + e on, so that column gives its tail."""
+    r, step, rows, fiber = page.round, page.step, page.rows, page.fiber
+    names, mult = fiber.names, fiber.mult
     e = r // step
-    gens = [(l, names[l]) for l in sorted(rows) if rows[l].has_column(0)]
-    endpoint = max((row.max_finite_endpoint() for row in rows.values()),
-                   default=0)
-    rep = endpoint + 2 * e + 4
-    nbits = 2 * rep + 2 * e + 4
-    masks = {l: row.column_mask(nbits) for l, row in rows.items()}
-    down = {l: mask >> e for l, mask in masks.items()}
-    mult = page.fiber.mult
+    end = max((start + (length or 0) for row in rows.values()
+               for start, length in row.summands), default=0)
 
-    def side(l, on):  # (d(t^k g) dead, d(t^k g) live) runs of columns k
-        cols = masks[l] & ((1 << rep) - 1)
-        if on and l in sources:
-            return runs(cols & ~down[l - r + 1]), runs(cols & down[l - r + 1])
-        return runs(cols), []
+    def live(l, shift=0, top=end):
+        """The columns k <= top with column k + shift live in row l."""
+        return {k for k in range(top + 1)
+                if l in rows and rows[l].has_column(k + shift)}
 
-    for i, (lu, gu) in enumerate(gens):
-        for lv, gv in gens[i:]:
-            lw = lu + lv
-            alive = down.get(lw - r + 1, 0)
-            if not alive:
-                continue
-            if lw in slots and mult(gu, gv) and lw in sources:
-                odd_sum, even_sum = alive & masks[lw], alive & ~masks[lw]
+    gens = [l for l in sorted(rows) if rows[l].has_column(0)]
+    slots = [l for l in gens if r % step == 0 and l - r + 1 in gens
+             and rows[l - r + 1].has_column(e)]
+
+    def violation(sources):
+        def hit(l, partner):
+            """Columns k at which d(t^k g_l) times the partner is live."""
+            if l in sources and mult(names[l - r + 1], partner):
+                return live(l - r + 1, e)
+            return set()
+
+        # d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v), all in
+        # column k + j + e of row l_u + l_v - r + 1, zero where that is dead
+        for i, lu in enumerate(gens):
+            for lv in gens[i:]:
+                lw, gu, gv = lu + lv, names[lu], names[lv]
+                du, dv = hit(lu, gv), hit(lv, gu)
+                # the sums k + j at which an even or an odd number of the
+                # right side's two terms live
+                even, odd = set(), set()
+                for k in live(lu):
+                    for j in live(lv):
+                        (odd if (k in du) != (j in dv) else even).add(k + j)
+                # the sums at which the left side, d(t^(k+j) u*v), lives
+                left = (live(lw, 0, 2 * end)
+                        if lw in sources and mult(gu, gv) else set())
+                target = live(lw - r + 1, e, 2 * end)
+                if target & left & even or (target - left) & odd:
+                    return (f"Leibniz violation at round {r} on the product "
+                            f"{gu}*{gv}")
+        for l in slots:
+            mid, last = l - r + 1, l - 2 * r + 2
+            if (l in sources and mid in sources
+                    and live(l) & live(mid, e) & live(last, 2 * e)):
+                return (f"d o d nonzero at round {r} along rows "
+                        f"{l} -> {mid} -> {last}")
+        return None
+
+    def turned(l, sources):
+        """Row l after the pattern: t^k g_l dies when it maps to a live
+        class or is hit by one."""
+        top = end + e
+        cols = (live(l, 0, top) - (live(l - r + 1, e, top) if l in sources
+                                   else set())
+                - (live(l + r - 1, -e, top) if l + r - 1 in sources
+                   else set()))
+        summands = []
+        for k in sorted(cols):
+            if summands and sum(summands[-1]) == k:
+                summands[-1][1] += 1
             else:
-                odd_sum, even_sum = 0, alive
-            u0, u1 = side(lu, lu in slots and mult(names[lu - r + 1], gv))
-            v0, v1 = side(lv, lv in slots and mult(gu, names[lv - r + 1]))
-            if (_sum_hit(u0, v0, odd_sum) or _sum_hit(u1, v1, odd_sum)
-                    or _sum_hit(u0, v1, even_sum)
-                    or _sum_hit(u1, v0, even_sum)):
-                return (f"Leibniz violation at round {r} on the product "
-                        f"{gu}*{gv}")
+                summands.append([k, 1])
+        if top in cols:
+            summands[-1][1] = INFINITE
+        return IntervalModule(tuple(map(tuple, summands)))
 
-    for l in sorted(slots):
-        mid, last = l - r + 1, l - 2 * r + 2
-        if (l in sources and mid in sources
-                and masks[l] & down[mid] & (masks[last] >> (2 * e))):
-            return (f"d o d nonzero at round {r} along rows "
-                    f"{l} -> {mid} -> {last}")
-    return None
+    out = []
+    for coeffs in itertools.product((0, 1), repeat=len(slots)):
+        sources = tuple(itertools.compress(slots, coeffs))
+        reason = violation(set(sources))
+        child = None
+        if reason is None:
+            child_rows = {l: turned(l, set(sources)) for l in rows}
+            child = Page(fiber, page.group, page.rounds[1:],
+                         {l: row for l, row in child_rows.items()
+                          if row.summands})
+        out.append((DifferentialPattern(r, sources), reason, child))
+    return out

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import orbitcohom
 from orbitcohom import cli, engine
 
+from helpers import cyclic_garbage
+
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_LARGE = Path(__file__).with_name("golden_cli_large.json")
 FIBER_U6 = str(Path(__file__).with_name("fiber_truncated_u6.json"))
@@ -614,6 +616,21 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "classify", "--n", "0")[0] == 1
     assert run_cli(capsys, "classify")[0] == 1  # neither --fiber nor --n
     assert run_cli(capsys, "index", "--fiber", "/nonexistent.json")[0] == 1
+
+
+def test_main_leaves_no_reference_cycle():
+    """The parser is built once per process, so a text command leaves
+    nothing for the cyclic collector. JSON output leaves what the standard
+    library's pure-Python indent encoder leaves on a small document: its
+    nested functions refer to each other through their closures."""
+    run_cli_captured(["table", "--n", "2"])  # builds the parser
+    assert cyclic_garbage(lambda: run_cli_captured(["table", "--n", "2"])) == 0
+    assert cyclic_garbage(
+        lambda: run_cli_captured(["classify", "--n", "2"])) == 0
+    encoder = cyclic_garbage(lambda: "".join(json.JSONEncoder(
+        indent=2, sort_keys=True).iterencode({"a": [1, {"b": None}]})))
+    assert cyclic_garbage(lambda: run_cli_captured(
+        ["classify", "--n", "2", "--format", "json"])) == encoder
 
 
 def test_version_flag(capsys):

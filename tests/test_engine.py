@@ -1,6 +1,5 @@
 """Tests for the page engine: second page, rounds, patterns, page turns."""
 
-import itertools
 import os
 import tracemalloc
 
@@ -11,17 +10,16 @@ from hypothesis import strategies as st
 from orbitcohom.engine import (GroupChoice, admissible_rounds, branches,
                                build_e2, check_pattern, classify,
                                differential_slots, DifferentialPattern,
-                               is_free_admissible, Page, _BREAKS, _sum_hit,
-                               _turn)
+                               is_free_admissible, Page)
 from orbitcohom import engine
 from orbitcohom.errors import (InvalidInputError, InvariantError,
                                OversizedInstanceError, PreconditionError,
                                UnsupportedShapeError)
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
-from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule, runs
+from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule
 
-from helpers import (cyclic_garbage, point_ring, reference_check_pattern,
-                     truncated_polynomial)
+from helpers import (cyclic_garbage, point_ring, reference_branches,
+                     truncated_polynomial, wedge)
 
 
 def test_build_e2_rows_z2():
@@ -218,99 +216,112 @@ def test_turn_page_raises_when_the_unit_dies():
         list(branches(page))
 
 
-def _walk(page, out):
-    """Append (page, its branches) for page and every page below it that
-    still has a round, the patterns checked on the shared page in turn."""
+def _assert_branches_match_the_reference(page):
+    """The contract of the engine's step: branches gives the reference's
+    patterns, in its order, with its reasons and its child pages, and
+    check_pattern gives the reference's reason for every pattern, the zero
+    pattern included. Returns the reference's branches."""
+    expected = reference_branches(page)
+    assert list(branches(page)) == expected, page
+    for pattern, reason, _ in expected:
+        assert check_pattern(page, pattern) == reason, (page, pattern)
+    return expected
+
+
+def _walk(page, steps):
+    """Check the contract on page and on every page below it that still
+    has a round, each a fresh page of the reference, and append their
+    branches to steps."""
     if page.round is None:
         return
-    steps = list(branches(page))
-    out.append((page, steps))
-    for _, _, nxt in steps:
-        if nxt is not None:
-            _walk(nxt, out)
+    for step in _assert_branches_match_the_reference(page):
+        steps.append(step)
+        if step[2] is not None:
+            _walk(step[2], steps)
 
 
-def _sweep():
-    """(page, its branches) for every page with a round, n = 1..24 in both
-    groups and all four (a, b), and the truncated-u6 fiber."""
+def test_branches_match_the_column_reference_on_the_sweep():
+    """Every page of the walks of n = 1..24 in both groups and all four
+    (a, b), and of the truncated-u6 fiber."""
     fibers = [make_type_ab(n, a, b) for n in range(1, 25)
               for a in (0, 1) for b in (0, 1)]
     fibers.append(load_fiber(os.path.join(os.path.dirname(__file__),
                                           "fiber_truncated_u6.json")))
-    walked = []
+    steps = []
     for fiber in fibers:
         for group in GroupChoice:
-            _walk(build_e2(fiber, group), walked)
-    return walked
-
-
-def test_patterns_on_one_page_do_not_interfere():
-    # a page builds its Leibniz tables once and every pattern reads them,
-    # so a pattern's verdict must not depend on the patterns checked before
-    # it, and each must match the four-sumset reference
-    walked = _sweep()
-    assert any(len(steps) > 2 for _, steps in walked)
-    checks = [check for page, _ in walked for check in page._scan.checks]
-    # a d o d chain l -> mid -> last is the check c_l c_mid = 0 on the rows
-    # (l, mid, mid); some patterns are refused for one, and those that also
-    # break a Leibniz pair must be refused for the pair, as the reference is
-    assert any(lb == lc and table == 1 << 7 and reason.startswith("d o d")
-               for _, lb, lc, table, reason in checks)
-    assert any(reason and reason.startswith("d o d")
-               for _, steps in walked for _, reason, _ in steps)
-    for page, steps in walked:
-        for pattern, reason, _ in steps:
-            fresh = Page(fiber=page.fiber, group=page.group,
-                         rounds=page.rounds, rows=page.rows)
-            assert check_pattern(fresh, pattern) == reason, (page, pattern)
-            assert check_pattern(page, pattern) == reason, (page, pattern)
-            assert reference_check_pattern(page, pattern) == reason, (
-                page, pattern)
+            _walk(build_e2(fiber, group), steps)
+    # the sweep refuses for both kinds of constraint and turns under some
+    # nonzero pattern
+    assert any(reason and reason.startswith("d o d") for _, reason, _ in steps)
+    assert any(reason and reason.startswith("Leibniz")
+               for _, reason, _ in steps)
+    assert any(p.sources and nxt is not None for p, _, nxt in steps)
 
 
 def test_a_table_joins_what_its_parity_vectors_break():
     """The pair u1*u1 at round 2 on this page of F2[u]/(u^3), |u| = 1,
-    breaks every nonzero triple a pattern can give it: c_u = c_v, and
-    each parity vector breaks two of the three, so its table joins two.
-    No pair of the sweep's walks needs more than one vector."""
+    breaks every nonzero pattern: each parity vector of the pair breaks
+    two of the three, so a pair that kept one vector would let one pass."""
     page = Page(fiber=truncated_polynomial(1, 3), group=GroupChoice.Z2,
                 rounds=(2,), rows={0: IntervalModule(((0, 3),)),
                                    1: FREE_ROW, 2: FREE_ROW})
-    tables = {check[:3]: check[3] for check in page._scan.checks}
-    # c = 4 c_w + 2 c_u + c_v is 0, 3, 4 or 7; all but 0 break
-    assert tables[2, 1, 1] & 0x99 == 0x98
-    slots = differential_slots(page)
-    for coeffs in itertools.product((0, 1), repeat=len(slots)):
-        pattern = DifferentialPattern(
-            2, tuple(itertools.compress(slots, coeffs)))
-        assert check_pattern(page, pattern) == reference_check_pattern(
-            page, pattern), pattern
+    reason = "Leibniz violation at round 2 on the product u1*u1"
+    assert [(p.sources, why) for p, why, _ in branches(page)] == [
+        ((), None), ((2,), reason), ((1,), reason), ((1, 2), reason)]
+    _assert_branches_match_the_reference(page)
+
+
+@pytest.mark.parametrize("group, rows, reasons", [
+    # d o d along rows 2 -> 1 -> 0 sends column 0 of row 2 to column
+    # 2e = 4 of row 0, the last live one
+    (GroupChoice.Z2, {0: ((0, 5),), 1: ((0, 3),), 2: ((0, 1),)},
+     [None, None, "d o d nonzero at round 2 along rows 2 -> 1 -> 0"]),
+    # e = 1: the pattern breaks x1*x1 only at k = 1, j = 2, whose target
+    # column 4 is the last live one
+    (GroupChoice.CIRCLE, {0: ((0, 3),), 1: ((0, 3), (4, 1))},
+     ["Leibniz violation at round 2 on the product x1*x1"]),
+    # consistent, unless a sum of runs reads one column long or late
+    (GroupChoice.CIRCLE, {0: ((0, 1),), 1: ((0, INFINITE),), 2: ((0, 2),)},
+     [None])], ids=("dod-chain", "sum-run-end", "sum-run-start"))
+def test_pages_of_a_wedge_match_the_column_reference(group, rows, reasons):
+    """Pages of the wedge of classes in degrees 1 and 2 at round 2, each
+    with the reasons of its nonzero patterns: each needs a d o d chain or
+    a sum of two runs of columns read to the exact column."""
+    page = Page(fiber=wedge((1, 2)), group=group, rounds=(2,),
+                rows={l: IntervalModule(runs) for l, runs in rows.items()})
+    steps = _assert_branches_match_the_reference(page)
+    assert [reason for _, reason, _ in steps] == [None] + reasons
 
 
 _PAGE_FIBERS = ([make_type_ab(n, a, b) for n in (1, 2, 3) for a in (0, 1)
                  for b in (0, 1)]
                 + [truncated_polynomial(degree, k) for degree in (1, 2)
-                   for k in (3, 4, 5, 6)])
+                   for k in (3, 4, 5, 6)]
+                + [wedge(degrees) for degrees in ((1, 2), (1, 2, 3), (1, 3),
+                                                  (2, 3, 5), (1, 2, 4))])
 
 
 @st.composite
 def _random_pages(draw):
-    """A page of a small fiber at one of its rounds, each row a random run
-    list or absent. Most rows start at column 0, so that generators live
-    and the round has slots."""
+    """A page of a small fiber at one of its rounds. As on every page of a
+    walk, the unit lives and each other row is a random nonempty run list
+    or absent. Most rows start at column 0, so that generators live and
+    the round has slots."""
     fiber = draw(st.sampled_from(_PAGE_FIBERS))
     group = draw(st.sampled_from(
         [g for g in GroupChoice if admissible_rounds(fiber, g)]))
     r = draw(st.sampled_from(admissible_rounds(fiber, group)))
     rows = {}
     for l in sorted(fiber.names):
-        if draw(st.integers(0, 5)) == 0:
+        if l and draw(st.integers(0, 5)) == 0:
             continue
-        summands, start = [], draw(st.sampled_from((0, 0, 0, 1, 3)))
+        summands = []
+        start = 0 if l == 0 else draw(st.sampled_from((0, 0, 0, 1, 3)))
         for length in draw(st.lists(st.integers(1, 2 * r), max_size=3)):
             summands.append((start, length))
             start += length + draw(st.integers(1, r))
-        if draw(st.booleans()):
+        if draw(st.booleans()) or not summands:
             summands.append((start, INFINITE))
         rows[l] = IntervalModule(tuple(summands))
     return Page(fiber=fiber, group=group, rounds=(r,), rows=rows)
@@ -318,67 +329,8 @@ def _random_pages(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_random_pages())
-def test_every_pattern_of_a_random_page_matches_the_sumset_reference(page):
-    slots = differential_slots(page)
-    for coeffs in itertools.product((0, 1), repeat=len(slots)):
-        pattern = DifferentialPattern(
-            page.round, tuple(itertools.compress(slots, coeffs)))
-        assert check_pattern(page, pattern) == reference_check_pattern(
-            page, pattern), pattern
-
-
-def _turn_reference(page, pattern):
-    """The next page's rows, column by column from the old page: a source
-    row l loses column k when column k + e lives in row l - r + 1, a target
-    row when column k - e lives in its source row. Every support is
-    constant from the largest finite endpoint + 2e on, so the columns up to
-    there and the last one's value for the tail give each row whole."""
-    r, rows, sources = pattern.round, page.rows, pattern.sources
-    e = r // page.step
-    endpoint = max((start + (length or 0) for row in rows.values()
-                    for start, length in row.summands), default=0)
-    bound = endpoint + 2 * e + 3
-    out = {}
-    for l, row in rows.items():
-        summands = []
-        for k in range(bound):
-            if (row.has_column(k)
-                    and not (l in sources and rows[l - r + 1].has_column(k + e))
-                    and not (l + r - 1 in sources
-                             and rows[l + r - 1].has_column(k - e))):
-                if summands and sum(summands[-1]) == k:
-                    summands[-1][1] += 1
-                else:
-                    summands.append([k, 1])
-        if summands and sum(summands[-1]) == bound:
-            summands[-1][1] = INFINITE
-        if summands:
-            out[l] = IntervalModule(tuple(map(tuple, summands)))
-    return out
-
-
-def test_every_turn_of_the_sweep_matches_a_column_reference():
-    walked = _sweep()
-    turned = [(page, pattern, nxt) for page, steps in walked
-              for pattern, _, nxt in steps if nxt is not None]
-    assert any(pattern.sources for _, pattern, _ in turned)
-    for page, pattern, nxt in turned:
-        assert nxt.rows == _turn_reference(page, pattern), (page, pattern)
-
-
-def test_the_zero_pattern_needs_no_check_and_no_turn():
-    """branches hands the zero pattern its page without check_pattern or
-    _turn. On every page of the sweep that must be what they give: the
-    pattern reads bit 0 of every table, which no _BREAKS entry sets (the
-    d o d table is 1 << 7), and it turns no row."""
-    assert not any(table & 1 for table in _BREAKS)
-    for page, steps in _sweep():
-        zero = DifferentialPattern(page.round, ())
-        assert check_pattern(page, zero) is None, page
-        pattern, reason, child = steps[0]
-        assert (pattern, reason) == (zero, None)
-        turned = _turn(page, zero)
-        assert (child.rows, child.rounds) == (turned.rows, turned.rounds)
+def test_branches_match_the_column_reference_on_random_pages(page):
+    _assert_branches_match_the_reference(page)
 
 
 def test_slotless_page_builds_no_masks(monkeypatch):
@@ -403,36 +355,6 @@ def test_slotless_page_builds_no_masks(monkeypatch):
     # round 7 has the slot 6, whose page does read its rows as masks
     assert differential_slots(nxt) == (6,)
     assert len(calls) == len(rows)
-
-
-def _sum_hit_per_bit(left: int, right: int, sums: int) -> bool:
-    """Reference: True when some k in left and j in right have k + j in sums."""
-    while left:
-        low = left & -left
-        k = low.bit_length() - 1
-        if (sums >> k) & right:
-            return True
-        left ^= low
-    return False
-
-
-def _run_masks(width):
-    """Masks made of a few runs, so both outcomes of the sumset test occur."""
-    def mask(rs):
-        out = 0
-        for start, length in rs:
-            out |= ((1 << length) - 1) << start
-        return out & ((1 << width) - 1)
-
-    run = st.tuples(st.integers(0, width - 1), st.integers(1, width // 4))
-    return st.lists(run, max_size=4).map(mask)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_run_masks(48), _run_masks(48), _run_masks(96))
-def test_run_sumset_matches_per_bit_scan(left, right, sums):
-    assert _sum_hit(runs(left), runs(right), sums) == _sum_hit_per_bit(
-        left, right, sums)
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (0, 1), (1, 0), (1, 1)])

@@ -3,7 +3,7 @@
 import pytest
 
 from orbitcohom.engine import (DifferentialPattern, GroupChoice, Page,
-                               build_e2, classify)
+                               build_e2, classify, differential_slots)
 from orbitcohom.errors import InvalidInputError
 from orbitcohom.fiber import FiberRing, make_type_ab
 from orbitcohom.intervals import IntervalModule
@@ -85,10 +85,16 @@ def test_differential_pattern_equality_hash_and_repr():
     assert dict.fromkeys(p.sources, 1) == {2: 1, 4: 1}
 
 
-def test_page_equality_ignores_its_scan_cache():
+def test_page_equality_ignores_its_scan_cache(monkeypatch):
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
     fresh = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    assert page._scan is page._scan  # built once per page
+    slots = differential_slots(page)
+    # the page scans its rows once: asked again, it reads none of them
+    reads = []
+    has_column = IntervalModule.has_column
+    monkeypatch.setattr(IntervalModule, "has_column",
+                        lambda row, k: reads.append(k) or has_column(row, k))
+    assert differential_slots(page) == slots and reads == []
     assert page == fresh
     assert "_scan" not in repr(page)
 
