@@ -216,47 +216,77 @@ def test_turn_page_raises_when_the_unit_dies():
         list(branches(page))
 
 
-def _assert_branches_match_the_reference(page):
+def _assert_branches_match_the_reference(page, expected=None):
     """The contract of the engine's step: branches gives the reference's
     patterns, in its order, with its reasons and its child pages, and
     check_pattern gives the reference's reason for every pattern, the zero
     pattern included. Returns the reference's branches."""
-    expected = reference_branches(page)
+    if expected is None:
+        expected = reference_branches(page)
     assert list(branches(page)) == expected, page
     for pattern, reason, _ in expected:
         assert check_pattern(page, pattern) == reason, (page, pattern)
     return expected
 
 
-def _walk(page, steps):
-    """Check the contract on page and on every page below it that still
-    has a round, each a fresh page of the reference, and append their
-    branches to steps."""
-    if page.round is None:
-        return
-    for step in _assert_branches_match_the_reference(page):
-        steps.append(step)
-        if step[2] is not None:
-            _walk(step[2], steps)
-
-
-def test_branches_match_the_column_reference_on_the_sweep():
-    """Every page of the walks of n = 1..24 in both groups and all four
-    (a, b), and of the truncated-u6 fiber."""
+def _sweep():
+    """(page, its reference branches) for every page with a round of the
+    walks of n = 1..24 in both groups and all four (a, b), and of the
+    truncated-u6 fiber, walked through the reference's own children, so no
+    engine call has touched a page before the test reads it."""
     fibers = [make_type_ab(n, a, b) for n in range(1, 25)
               for a in (0, 1) for b in (0, 1)]
     fibers.append(load_fiber(os.path.join(os.path.dirname(__file__),
                                           "fiber_truncated_u6.json")))
-    steps = []
-    for fiber in fibers:
-        for group in GroupChoice:
-            _walk(build_e2(fiber, group), steps)
-    # the sweep refuses for both kinds of constraint and turns under some
-    # nonzero pattern
-    assert any(reason and reason.startswith("d o d") for _, reason, _ in steps)
-    assert any(reason and reason.startswith("Leibniz")
-               for _, reason, _ in steps)
-    assert any(p.sources and nxt is not None for p, _, nxt in steps)
+    todo = [build_e2(fiber, group) for fiber in fibers for group in GroupChoice]
+    walked = []
+    while todo:
+        page = todo.pop()
+        if page.round is not None:
+            walked.append((page, reference_branches(page)))
+            todo.extend(nxt for _, _, nxt in walked[-1][1] if nxt is not None)
+    return walked
+
+
+def test_patterns_on_one_page_do_not_interfere():
+    # a page builds its Leibniz tables once and every pattern reads them, so
+    # a pattern's verdict must not depend on the patterns checked before it:
+    # after branches checked them in binary order, checking them in reverse,
+    # on the page and on a fresh copy, gives the reference's reasons
+    walked = _sweep()
+    reasons = [reason for _, steps in walked for _, reason, _ in steps]
+    assert any(reason and reason.startswith("d o d") for reason in reasons)
+    assert any(reason and reason.startswith("Leibniz") for reason in reasons)
+    for page, steps in walked:
+        assert [reason for _, reason, _ in branches(page)] == [
+            reason for _, reason, _ in steps], page
+        fresh = Page(fiber=page.fiber, group=page.group, rounds=page.rounds,
+                     rows=page.rows)
+        for pattern, reason, _ in reversed(steps):
+            assert check_pattern(fresh, pattern) == reason, (page, pattern)
+            assert check_pattern(page, pattern) == reason, (page, pattern)
+
+
+def test_every_turn_of_the_sweep_matches_a_column_reference():
+    """The contract on every page of the sweep: patterns, reasons and child
+    pages, rows and rounds, are the reference's."""
+    walked = _sweep()
+    assert any(p.sources and nxt is not None
+               for _, steps in walked for p, _, nxt in steps)
+    for page, steps in walked:
+        _assert_branches_match_the_reference(page, steps)
+
+
+def test_the_zero_pattern_needs_no_check_and_no_turn():
+    """branches hands the zero pattern its page without check_pattern or a
+    turn. On every page of the sweep that must be what they give: no
+    constraint refuses it, and its child keeps every row."""
+    for page, steps in _sweep():
+        zero = DifferentialPattern(page.round, ())
+        assert check_pattern(page, zero) is None, page
+        assert steps[0][:2] == (zero, None)
+        assert steps[0][2].rows == page.rows, page
+        assert next(branches(page)) == steps[0], page
 
 
 def test_a_table_joins_what_its_parity_vectors_break():
