@@ -48,5 +48,8 @@ _LAZY = {**dict.fromkeys(("OracleReport", "brute_force_classify",
 def __getattr__(name):
     if name in _LAZY:
         from importlib import import_module
-        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        # Kept in the module's globals, so later lookups never come here.
+        value = globals()[name] = getattr(
+            import_module(f".{_LAZY[name]}", __name__), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -209,6 +209,13 @@ def _scan_page(page: Page) -> _Scan:
             f"rows {sorted(stray)} are not degrees of the page's fiber")
     e = r // step
     gens = tuple((l, names[l]) for l in sorted(rows) if rows[l].has_column(0))
+    # The page turn drops a row with no column left, so a page holds none.
+    # An empty row has no column 0, so only a page with a dead generator
+    # can hold one.
+    if len(gens) < len(rows):
+        empty = sorted(l for l, row in rows.items() if not row.summands)
+        if empty:
+            raise PreconditionError(f"rows {empty} are empty")
     live = {l for l, _ in gens}
     slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
                   and rows[l - r + 1].has_column(e))

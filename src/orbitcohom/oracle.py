@@ -19,11 +19,19 @@ turned and walked into once, and stands for every joint assignment that
 agrees with it there: two for each dead slot of this and earlier rounds,
 times every choice of the later rounds when the subset is rejected. Each
 outcome's key (its nonzero sources per round) is therefore reached once.
-The choices of one round share its live cells and its length, so d on a
-row is fixed by whether the row holds a source: d maps each source row l
-to the mask of its live columns k whose target (k + r, l - r + 1) is
-live, and a page turn clears, row by row, the columns that hit and those
-that are hit.
+The choices of one walk node share its live cells and its round r, so d
+on a row is all or nothing: d maps each source row l to the mask of its
+live columns k whose target (k + r, l - r + 1) is live, and a page turn
+clears, row by row, the columns that hit and those that are hit. So the
+walk does a node's fixed work once, not once per choice: the live
+columns shifted down by r, and the row pairs l1 <= l2 with a usable slot
+among l1, l2 and the rows of their fiber product; no choice gives d on
+the cells of any other pair. The verdict of a row pair is fixed by which
+of those rows hold a source, so a node keeps a table of verdicts under
+that key, dropped with the node, and checks a pair cell by cell only on
+a miss. A leaf is rejected when a row holds a live column in the window
+above the top degree where survival is faithful; only an outcome's
+columns are listed, for its dimensions.
 
 The Leibniz rule for cells (k1, l1), (k2, l2) is fixed by K = k1 + k2 and
 whether d is nonzero on each cell. So for a row pair and each flag pair,
@@ -48,7 +56,7 @@ from .errors import (InvalidInputError, OversizedInstanceError,
                      UnsupportedShapeError)
 from .fiber import FiberRing
 
-MAX_CELLS = 2316
+MAX_CELLS = 23052
 
 Rows = Dict[int, int]  # fiber degree l -> mask of columns k, bit k
 HistoryKey = Tuple[Tuple[int, Tuple[int, ...]], ...]
@@ -103,56 +111,51 @@ def _columns(mask: int) -> List[int]:
     return [k for k, digit in enumerate(reversed(bin(mask))) if digit == "1"]
 
 
-def _leibniz_ok(tc: TruncatedComplex, live: Rows, d: Rows, r: int) -> bool:
+def _leibniz_ok(products: Dict[Tuple[int, int], FrozenSet[int]],
+                live: Rows, above: Rows, d: Rows, r: int, l1: int,
+                l2: int) -> bool:
     """Cell-level Leibniz rule d(c1*c2) = d(c1)*c2 + c1*d(c2) over all pairs
-    of live cells, for the differential d of round r on live: d[l] masks
-    the columns k of source row l on which d is nonzero, and each hits
-    (k + r, l - r + 1).
+    of live cells of rows l1 <= l2, for the differential d of round r on
+    live: d[l] masks the columns k of source row l on which d is nonzero,
+    and each hits (k + r, l - r + 1). above[m] is live[m] >> r.
 
-    A pair of rows l1 <= l2 is skipped when neither row nor any row of the
-    fiber product l1*l2 (``hot``) holds a source of d: d vanishes on every
-    cell involved. For cells (k1, l1), (k2, l2) and K = k1 + k2, both sides
-    lie in column K + r, as sets of rows m there. The left holds m when
-    K is in d[m + r - 1], m + r - 1 in hot; the right, when K + r is live
-    in row m, once for each side whose cell d is nonzero on and whose
-    product (l1 - r + 1)*l2 or l1*(l2 - r + 1) holds m. So each row m
-    gives a mask of the K where the sides differ, and for each flag pair
-    the rule holds when the sumset of the two rows' columns with those
-    flags misses all of them. The sumset is symmetric, so it is formed by
-    shifting the denser class by each column of the sparser one.
+    Within one walk node d on a row is all or nothing, so the verdict is
+    fixed by whether l1, l2 and each row of the fiber product l1*l2 hold a
+    source (the product's source rows are ``hot``). The walk keeps it in
+    the node's table under that key and calls this only on a miss, for a
+    pair with a source among those rows. For cells (k1, l1), (k2, l2)
+    and K = k1 + k2, both sides lie in column K + r, as sets of rows m
+    there. The left holds m when K is in d[m + r - 1], m + r - 1 in hot;
+    the right, when K + r is live in row m, once for each side whose cell
+    d is nonzero on and whose product (l1 - r + 1)*l2 or l1*(l2 - r + 1)
+    holds m. So each row m gives a mask of the K where the sides differ,
+    and for each flag pair the rule holds when the sumset of the two rows'
+    columns with those flags misses all of them. The sumset is symmetric,
+    so it is formed by shifting the denser class by each column of the
+    sparser one.
     """
-    products = tc.products
-    above = {m: columns >> r for m, columns in live.items()}  # bit K: K + r
-    rows = sorted(l for l, columns in live.items() if columns)
-    for i, l1 in enumerate(rows):
-        for l2 in rows[i:]:
-            hot = d.keys() & products[l1, l2]
-            d1, d2 = d.get(l1, 0), d.get(l2, 0)
-            if not (hot or d1 or d2):
-                continue
-            lhs = {l - r + 1: d[l] for l in hot}
-            # each flag's columns of the row, and the product rows that
-            # the right side holds when d is nonzero on the row's cell
-            ones = ((live[l1] & ~d1, ()),
-                    (d1, products.get((l1 - r + 1, l2), ())))
-            twos = ((live[l2] & ~d2, ()),
-                    (d2, products.get((l1, l2 - r + 1), ())))
-            for (left, targets1), (right, targets2) in itertools.product(
-                    ones, twos):
-                if not (left and right):
-                    continue
-                differ = dict(lhs)
-                for m in itertools.chain(targets1, targets2):
-                    differ[m] = differ.get(m, 0) ^ above[m]
-                if not any(differ.values()):
-                    continue
-                if left.bit_count() > right.bit_count():
-                    left, right = right, left
-                sums = 0
-                for k in _columns(left):
-                    sums |= right << k
-                if any(sums & columns for columns in differ.values()):
-                    return False
+    d1, d2 = d.get(l1, 0), d.get(l2, 0)
+    hot = d.keys() & products[l1, l2]
+    lhs = {l - r + 1: d[l] for l in hot}
+    # each flag's columns of the row, and the product rows that the right
+    # side holds when d is nonzero on the row's cell
+    ones = ((live[l1] & ~d1, ()), (d1, products.get((l1 - r + 1, l2), ())))
+    twos = ((live[l2] & ~d2, ()), (d2, products.get((l1, l2 - r + 1), ())))
+    for (left, targets1), (right, targets2) in itertools.product(ones, twos):
+        if not (left and right):
+            continue
+        differ = dict(lhs)
+        for m in itertools.chain(targets1, targets2):
+            differ[m] = differ.get(m, 0) ^ above[m]
+        if not any(differ.values()):
+            continue
+        if left.bit_count() > right.bit_count():
+            left, right = right, left
+        sums = 0
+        for k in _columns(left):
+            sums |= right << k
+        if any(sums & columns for columns in differ.values()):
+            return False
     return True
 
 
@@ -216,8 +219,15 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     later = [2 ** sum(len(slots[r]) for r in rounds[i + 1:])
              for i in range(len(rounds))]
     # Survival is faithful below cap - (number of rounds): truncation
-    # errors start at the cap edge and descend one degree per round.
-    survival_top = cap - len(rounds)
+    # errors start at the cap edge and descend one degree per round. So a
+    # leaf is rejected when a row holds a column in its window, the k with
+    # top degree < k + l <= cap - (number of rounds).
+    width = max(cap - len(rounds) - fiber.top_degree, 0)
+    windows = {l: ((1 << width) - 1) << (fiber.top_degree - l + 1)
+               for l in names}
+    # an outcome's dims are read from each row's columns up to the
+    # reliable degree
+    reliable = {l: (1 << (tc.reliable_degree - l + 1)) - 1 for l in names}
     outcomes: List[OracleOutcome] = []
     rejected = 0
     # Walks still to take, on an explicit stack: a nested function calling
@@ -226,15 +236,13 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     while stack:
         i, live, weight, key = stack.pop()
         if i == len(rounds):
-            degrees = [k + l for l, columns in live.items()
-                       for k in _columns(columns)]
-            if any(fiber.top_degree < t <= survival_top for t in degrees):
+            if any(live[l] & window for l, window in windows.items()):
                 rejected += weight
                 continue
             dims: Dict[int, int] = {}
-            for t in degrees:
-                if t <= tc.reliable_degree:
-                    dims[t] = dims.get(t, 0) + 1
+            for l, columns in live.items():
+                for k in _columns(columns & reliable[l]):
+                    dims[k + l] = dims.get(k + l, 0) + 1
             outcomes.append(OracleOutcome(key, dict(sorted(dims.items()))))
             continue
         r = rounds[i]
@@ -242,20 +250,48 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
         usable = [l for l in slots[r]
                   if live[l] & 1 and live[l - r + 1] & ends == ends]
         weight <<= len(slots[r]) - len(usable)
-        # each usable row's columns whose target is live
-        hits = {l: live[l] & live[l - r + 1] >> r for l in usable}
         # The empty choice passes the Leibniz rule and turns no cell.
         stack.append((i + 1, live, weight, key + ((r, ()),)))
-        for choice in itertools.islice(
-                itertools.product((0, 1), repeat=len(usable)), 1, None):
-            sources = tuple(itertools.compress(usable, choice))
+        if not usable:
+            continue
+        # Fixed for the node: each usable row's columns whose target is
+        # live, a bit per usable row, and the row pairs with a usable row
+        # among l1, l2 and the rows of their product, each with the mask of
+        # those rows' bits. No choice gives d on the other pairs' cells.
+        hits = {l: live[l] & live[l - r + 1] >> r for l in usable}
+        bits = {l: 1 << j for j, l in enumerate(usable)}
+        occupied = sorted(l for l, columns in live.items() if columns)
+        pairs = []
+        for j, l1 in enumerate(occupied):
+            for l2 in occupied[j:]:
+                near = sum(bits.get(m, 0)
+                           for m in products[l1, l2] | {l1, l2})
+                if near:
+                    pairs.append((l1, l2, near))
+        above = {m: columns >> r for m, columns in live.items()}  # bit K: K + r
+        # (l1, l2, the bits of the rows among l1, l2 and their product that
+        # hold a source) -> the pair's verdict, which that key fixes
+        verdicts: Dict[Tuple[int, int, int], bool] = {}
+        for choice in range(1, 1 << len(usable)):
+            sources = tuple(l for l in usable if choice & bits[l])
             d = {l: hits[l] for l in sources}
-            ok = _leibniz_ok(tc, live, d, r)
-            turned = _turn(live, d, r) if ok else None
-            if turned is None:
-                rejected += weight * later[i]
-                continue
-            stack.append((i + 1, turned, weight, key + ((r, sources),)))
+            for l1, l2, near in pairs:
+                touched = choice & near
+                if not touched:
+                    continue  # d vanishes on every cell involved
+                ok = verdicts.get((l1, l2, touched))
+                if ok is None:
+                    ok = verdicts[l1, l2, touched] = _leibniz_ok(
+                        products, live, above, d, r, l1, l2)
+                if not ok:
+                    break
+            else:
+                turned = _turn(live, d, r)
+                if turned is not None:
+                    stack.append((i + 1, turned, weight,
+                                   key + ((r, sources),)))
+                    continue
+            rejected += weight * later[i]
 
     return OracleReport(complex=tc, rounds=rounds,
                         outcomes=tuple(sorted(outcomes, key=lambda o: o.key)),

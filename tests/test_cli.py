@@ -171,12 +171,12 @@ def test_cap_is_not_an_option(capsys, argv):
                                   ["oracle-check"]],
                          ids=["classify", "oracle-check"])
 def test_oracle_above_its_cell_limit_exits_one(capsys, argv):
-    # n = 129 under Z/2 is the smallest n with more than MAX_CELLS cells.
-    code, out, err = run_cli(capsys, *argv, "--n", "129")
+    # n = 1281 under Z/2 is the smallest n with more than MAX_CELLS cells.
+    code, out, err = run_cli(capsys, *argv, "--n", "1281")
     assert code == 1
     assert out == ""
     assert err.splitlines() == [
-        "error: 2334 cells exceeds the oracle limit of 2316"]
+        "error: 23070 cells exceeds the oracle limit of 23052"]
 
 
 def test_classify_refuses_a_tree_of_more_than_max_branches(capsys,
@@ -596,19 +596,22 @@ def test_large_n_json_output_peak_rss_stays_bounded():
 def test_cli_import_leaves_out_dataclasses_and_the_oracle():
     """``import orbitcohom.cli`` loads neither ``dataclasses`` and its
     ``inspect`` chain nor the oracle or the self-check, which the package
-    imports on first use of one of their names."""
+    imports on first use of one of their names. The first use keeps the
+    name in the package's globals, so later uses resolve it directly."""
     script = ("import json, sys\n"
               "import orbitcohom, orbitcohom.cli\n"
               "loaded = sorted({'dataclasses', 'inspect', 'orbitcohom.oracle',\n"
               "                 'orbitcohom.selfcheck'} & set(sys.modules))\n"
+              "kept = ['brute_force_classify' in vars(orbitcohom)]\n"
               "lazy = orbitcohom.brute_force_classify\n"
+              "kept.append(vars(orbitcohom).get('brute_force_classify') is lazy)\n"
               "oracle = sys.modules.get('orbitcohom.oracle')\n"
-              "print(json.dumps([loaded, oracle is not None\n"
+              "print(json.dumps([loaded, kept, oracle is not None\n"
               "                  and lazy is oracle.brute_force_classify]))\n")
     proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], True]
+    assert json.loads(proc.stdout) == [[], [False, True], True]
 
 
 def test_usage_errors_exit_one(capsys):

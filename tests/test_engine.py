@@ -124,6 +124,21 @@ def test_rows_off_the_fiber_degrees_are_refused():
         check_pattern(page, DifferentialPattern(3, ()))
 
 
+def test_empty_rows_are_refused():
+    # F2[u]/(u^3) under Z/2 at round 2, rows 0 and 1 free and row 2 empty:
+    # the page turn drops an empty row, so the step refuses such a page
+    # rather than hand its zero child a row that every turned child lacks
+    page = Page(fiber=truncated_polynomial(1, 3), group=GroupChoice.Z2,
+                rounds=(2,), rows={0: FREE_ROW, 1: FREE_ROW,
+                                   2: IntervalModule(())})
+    with pytest.raises(PreconditionError, match=r"rows \[2\] are empty"):
+        differential_slots(page)
+    with pytest.raises(PreconditionError, match="are empty"):
+        check_pattern(page, DifferentialPattern(2, (1,)))
+    with pytest.raises(PreconditionError, match="are empty"):
+        next(branches(page))
+
+
 def test_finished_page_has_no_round():
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
     page = report.outcomes[0].e_inf

@@ -79,8 +79,11 @@ def test_cap_too_small_rejected():
 
 
 def test_oversized_instance_rejected():
-    fiber = make_type_ab(200, 0, 0)
-    with pytest.raises(OversizedInstanceError):
+    # Z/2 n = 1281 has 18 n + 12 = 23070 cells, the first count above
+    # MAX_CELLS, which is the 23052 cells of n = 1280
+    fiber = make_type_ab(1281, 0, 0)
+    with pytest.raises(OversizedInstanceError,
+                       match="23070 cells exceeds the oracle limit of 23052"):
         brute_force_classify(fiber, GroupChoice.Z2,
                              min_cap(fiber, GroupChoice.Z2))
 
@@ -151,19 +154,23 @@ def test_cap_stability():
 
 def test_all_small_cases_agree():
     """Engine and oracle at the smallest cap, both groups, all four (a, b):
-    every n up to 32 under Z/2 and 66 under the circle, then every 8th n,
-    and the last n before the first one the oracle refuses, 128 and 256.
-    Above 32 / 66 the sweep is sampled, to keep the suite fast."""
-    for group, every, largest in ((GroupChoice.Z2, 32, 128),
-                                  (GroupChoice.CIRCLE, 66, 256)):
-        ns = [*range(1, every + 1), *range(every + 8, largest, 8), largest]
-        for n, a, b in itertools.product(ns, (0, 1), (0, 1)):
+    every n up to 32 under Z/2 and 66 under the circle, then every 8th n up
+    to 128 and 256, under Z/2 every 16th n of the benchmark's z2-wide range
+    48..320, and the largest n the oracle accepts, 1280 and 2559. The next
+    n with a round, 1281 and 2561, is refused (the circle has none at even
+    n). Above 32 / 66 the sweep is sampled, to keep the suite fast."""
+    for group, ns, refused in (
+            (GroupChoice.Z2, {*range(1, 33), *range(40, 129, 8),
+                              *range(48, 321, 16), 1280}, 1281),
+            (GroupChoice.CIRCLE, {*range(1, 67), *range(74, 256, 8), 256,
+                                  2559}, 2561)):
+        for n, a, b in itertools.product(sorted(ns), (0, 1), (0, 1)):
             fiber = make_type_ab(n, a, b)
             oracle_report = brute_force_classify(fiber, group,
                                                  min_cap(fiber, group))
             assert compare_reports(classify(fiber, group),
                                    oracle_report) == [], (group, n, a, b)
-        fiber = make_type_ab(largest + 1, 0, 0)
+        fiber = make_type_ab(refused, 0, 0)
         with pytest.raises(OversizedInstanceError):
             brute_force_classify(fiber, group, min_cap(fiber, group))
 

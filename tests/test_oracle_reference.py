@@ -289,3 +289,33 @@ def test_a_key_fixes_the_verdict_of_a_cell_pair(inputs):
                 ok = reference_pair_ok(fiber, cap, live, d, c1, c2)
                 key = (c1[0] + c2[0], c1 in d, c2 in d)
                 assert verdicts.setdefault(key, ok) == ok, (c1, c2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(thinned_complexes(), st.data())
+def test_a_node_key_fixes_the_verdict_of_a_row_pair(inputs, data):
+    """Two coefficient maps that agree on rows l1, l2 and the rows of their
+    fiber product give every cell pair of rows l1, l2 the same verdict from
+    the reference. Within a walk node d on a row is all or nothing, so the
+    oracle may decide a row pair once per key (l1, l2, whether each of them
+    holds a source, the product rows that hold one) and reuse the verdict
+    for every choice of that node with the same key."""
+    fiber, cap, live, r, coeff = inputs
+    rows = sorted(fiber.names)
+    l1 = data.draw(st.sampled_from(rows))
+    l2 = data.draw(st.sampled_from([l for l in rows if l >= l1]))
+    fixed = {l1, l2} | {fiber.degrees[name] for name in
+                        fiber.mult(fiber.names[l1], fiber.names[l2])}
+    other = {l: coeff[l] if l in fixed else data.draw(st.integers(0, 1))
+             for l in rows}
+
+    def differential(coeffs):
+        return {(k, l): (k + r, l - r + 1) for k, l in live
+                if coeffs[l] and (k + r, l - r + 1) in live}
+
+    d, d_other = differential(coeff), differential(other)
+    for c1, c2 in itertools.product([c for c in live if c[1] == l1],
+                                    [c for c in live if c[1] == l2]):
+        assert (reference_pair_ok(fiber, cap, live, d, c1, c2)
+                == reference_pair_ok(fiber, cap, live, d_other, c1, c2)), (
+                    l1, l2, c1, c2, coeff, other)
