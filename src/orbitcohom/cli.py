@@ -221,6 +221,18 @@ def _cmd_oracle_check(args) -> int:
     return 2 if problems else 0
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, unlinked from its sections once it has formatted
+    them: they refer to it and to each other, so a usage error, --version or
+    --help would otherwise leave a cycle to collect."""
+
+    def format_help(self) -> str:
+        text = super().format_help()
+        self._root_section.items.clear()
+        self._root_section = self._current_section = None
+        return text
+
+
 def _add_common(sub):
     sub.add_argument("--group", choices=("z2", "s1"), default="z2",
                      help="transformation group: z2 (order two) or s1 (circle)")
@@ -240,13 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: its actions and subparsers
     refer to each other, so each build would leave a cycle to collect."""
     parser = argparse.ArgumentParser(
-        prog="orbitcohom", description="orbit-space cohomology classification "
-                                       "for free Z/2 and circle actions")
+        prog="orbitcohom", formatter_class=_Formatter,
+        description="orbit-space cohomology classification "
+                    "for free Z/2 and circle actions")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("classify", parents=[], help="enumerate orbit-space rings")
+    p = subs.add_parser("classify", help="enumerate orbit-space rings",
+                        formatter_class=_Formatter)
     _add_common(p)
     p.add_argument("--show-rejected", action="store_true",
                    help="also list every rejected differential branch")
@@ -255,17 +269,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "and the brute-force oracle (exit 2 on disagreement)")
     p.set_defaults(func=_cmd_classify)
 
-    p = subs.add_parser("table", help="summary over all parity pairs")
+    p = subs.add_parser("table", help="summary over all parity pairs",
+                        formatter_class=_Formatter)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_table)
 
-    p = subs.add_parser("index", help="Conner-Floyd mod-2 index (z2 only)")
+    p = subs.add_parser("index", help="Conner-Floyd mod-2 index (z2 only)",
+                        formatter_class=_Formatter)
     _add_common(p)
     p.set_defaults(func=_cmd_index)
 
     p = subs.add_parser("oracle-check",
-                        help="compare engine and brute-force oracle")
+                        help="compare engine and brute-force oracle",
+                        formatter_class=_Formatter)
     _add_common(p)
     p.set_defaults(func=_cmd_oracle_check)
     return parser
@@ -275,6 +292,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
+        # Python 3.10's argparse keeps a usage error in a local of a frame
+        # it exits through, which makes a cycle; the frames are done with.
+        tb = exc.__traceback__.tb_next
+        while tb:
+            tb.tb_frame.clear()
+            tb = tb.tb_next
         # argparse exits 2 on a usage error; usage errors exit 1 here
         code = int(exc.code or 0)
         return 1 if code == 2 else code

@@ -22,22 +22,24 @@ A page carries only its remaining rounds, the current one first.
 
 The Leibniz and d o d checks hold across all columns exactly. Each row
 is a union of runs of columns that is constant beyond its last run
-endpoint, so finitely many columns represent every regime. A page that
-has a slot builds, once, one list of checks (``Page._scan``). A check is
+endpoint, so finitely many columns represent every regime. A check is
 three rows, the 8-bit table of the coefficient triples on them that break
 it, and its reason: a Leibniz pair's rows are those of u*v, u and v, and a
 d o d chain l -> mid -> last is c_l c_mid = 0. A pattern is refused for the
-first check its sources break. A Leibniz table entry asks whether
+first check its sources break, the Leibniz pairs in order, then the
+chains. A page builds each check once, in that order, when a pattern first
+reads past those built (``Page._scan``). A Leibniz table entry asks whether
 some pair of columns k, j with given term parities sums into a set of live
 target columns; the sumset of the runs (a, m) and (c, n), as (start,
 length), is the single run (a + c, m + n - 1), so each costs O(runs^2)
 big-int operations: as many whatever n is, but each as wide as the masks,
-which grow with the degrees. A row's own runs are its summands; masks are
-built only where two rows meet: the sides of a source row split by its
-live targets, the target columns of a product, and a d o d chain. A pair
-with no slot among its rows is skipped: its only parity triple, 0, breaks
-no pattern. A page without a slot builds no masks at all, and the zero
-pattern costs no check and no turn. A page turn reads no mask: with
+which grow with the degrees. A row's own runs are its summands, and a sum
+with an infinite run is read as every target column from its start up.
+Masks are built only where two rows meet: the sides of a source row split
+by its live targets, the target columns of a product, and a d o d chain. A
+pair with no slot among its rows is skipped: its only parity triple, 0,
+breaks no pattern. A page without a slot builds no masks at all, and the
+zero pattern costs no check and no turn. A page turn reads no mask: with
 e = r / step, a source row l loses each column k whose column k + e lives
 in row l - r + 1, a target row each column k whose column k - e lives in
 its source row, and every other row is kept as it is.
@@ -47,13 +49,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from . import presentation
 from .errors import (InvariantError, OversizedInstanceError,
                      PreconditionError, UnsupportedShapeError)
 from .fiber import FiberRing
-from .intervals import FREE_ROW, INFINITE, IntervalModule, runs
+from .intervals import FREE_ROW, INFINITE, IntervalModule, Run, runs
 from .record import Record
 
 # The most branches classify walks before it refuses the fiber. The tree
@@ -174,14 +177,15 @@ def differential_slots(page: Page) -> Tuple[int, ...]:
 
 
 class _Scan(NamedTuple):
-    """Data of a page for its current round that no pattern changes, shared
-    by all its patterns. A page without slots has only the zero pattern,
-    which needs none of it, so its scan holds the slots alone."""
+    """A page's data for its current round, shared by all its patterns; its
+    checks are built in order, each when a pattern first reads past those
+    built. A page without slots has only the zero pattern, and no check."""
     slots: Tuple[int, ...]  # source rows of the round's slots
     slot_set: FrozenSet[int]  # the same rows, for membership and subset tests
     # (la, lb, lc, table, reason): sources S break the check when bit
     # 4 [la in S] + 2 [lb in S] + [lc in S] of table is set
-    checks: Tuple[Tuple[int, int, int, int, str], ...]
+    checks: List[Tuple[int, int, int, int, str]]
+    more: Iterator[Tuple[int, int, int, int, str]]  # appends each to checks
 
 
 # _BREAKS[tau]: the 8-bit set of the c = 4 c_w + 2 c_u + c_v with tau . c odd
@@ -190,46 +194,44 @@ _BREAKS = tuple(sum(1 << c for c in range(8) if bin(tau & c).count("1") % 2)
 
 
 def _scan_page(page: Page) -> _Scan:
-    """Slots, and for a page with slots its Leibniz, then d o d, checks
-    covering every support regime, read off its rows' runs, and off column
-    masks where two rows meet. A product pair none of whose rows u, v, u*v
-    is a slot is skipped: no pattern has a nonzero coefficient there.
-
-    Beyond the largest run endpoint shifted by the differential every
-    row's support is constant, so scanning representatives up to that bound
-    is exact even though the modules are infinite.
-    """
+    """Slots, and on a page with slots its rows' column masks and the
+    generator of its checks; a stray or empty row is refused before either.
+    Every row is constant beyond the largest run endpoint shifted by the
+    differential, so a scan up to there is exact though rows are infinite."""
     r, step, rows = page.round, page.step, page.rows
     if r is None:
         raise PreconditionError("the page has no differential rounds left")
-    names = page.fiber.names
-    stray = set(rows).difference(names)
-    if stray:
-        raise PreconditionError(
-            f"rows {sorted(stray)} are not degrees of the page's fiber")
-    e = r // step
-    gens = tuple((l, names[l]) for l in sorted(rows) if rows[l].has_column(0))
-    # The page turn drops a row with no column left, so a page holds none.
-    # An empty row has no column 0, so only a page with a dead generator
-    # can hold one.
-    if len(gens) < len(rows):
-        empty = sorted(l for l, row in rows.items() if not row.summands)
-        if empty:
+    names, mult = page.fiber.names, page.fiber.mult
+    if not rows.keys() <= names.keys():
+        raise PreconditionError(f"rows {sorted(set(rows).difference(names))} "
+                                "are not degrees of the page's fiber")
+    # One pass up the rows: a slot's target row, below it, is already
+    # known. A page turn drops empty rows; an empty row has no column 0.
+    e, fits = r // step, r % step == 0
+    gens, slots = {}, []
+    for l in sorted(rows):
+        if rows[l].has_column(0):
+            gens[l] = names[l]
+            if fits and l - r + 1 in gens and rows[l - r + 1].has_column(e):
+                slots.append(l)
+        elif not rows[l].summands:
+            empty = sorted(k for k, row in rows.items() if not row.summands)
             raise PreconditionError(f"rows {empty} are empty")
-    live = {l for l, _ in gens}
-    slots = tuple(l for l, _ in gens if r % step == 0 and l - r + 1 in live
-                  and rows[l - r + 1].has_column(e))
-    slot_set = frozenset(slots)
+    slots, slot_set, checks = tuple(slots), frozenset(slots), []
     if not slots:
-        return _Scan(slots, slot_set, ())
+        return _Scan(slots, slot_set, checks, iter(()))
+    rep = max(row.max_finite_endpoint() for row in rows.values()) + 2 * e + 4
+    masks = {l: row.column_mask(2 * (rep + e + 2)) for l, row in rows.items()}
+    return _Scan(slots, slot_set, checks, _checks(
+        checks, r, e, rows, gens, slots, mult, masks, rep))
 
-    endpoint = max(row.max_finite_endpoint() for row in rows.values())
-    rep = endpoint + 2 * e + 4
-    nbits = 2 * rep + 2 * e + 4
-    masks = {l: row.column_mask(nbits) for l, row in rows.items()}
-    rep_mask = (1 << rep) - 1
-    down = {l: mask >> e for l, mask in masks.items()}  # bit s: column s + e
 
+def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
+            gens: Dict[int, str], slots: Tuple[int, ...], mult: Callable,
+            masks: Dict[int, int], rep: int) -> Iterator[tuple]:
+    """Append to checks, and yield, the page's Leibniz checks, then its d o d
+    checks. It holds the page's rows, not the page, whose scan holds it."""
+    slot_set, rep_mask = frozenset(slots), (1 << rep) - 1
     # Leibniz closure, columnwise: for generators u, v and all columns k, j,
     #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
     # with page products of dead classes equal to zero. Both sides lie in
@@ -240,36 +242,30 @@ def _scan_page(page: Page) -> _Scan:
     # pair exactly when some parity vector tau = (W, DU, DV) that occurs
     # has an odd dot product with c, and the pair keeps the 8-bit table of
     # those c. A side is on when its row is a slot and its fiber product is
-    # nonzero; an off side reads 0 for every c, so only the tau that are 0
-    # on off sides are tested, and none that adds no new c a pattern can
-    # give: no pattern gives c_w != c_v when u is the unit, or c_u != c_v
-    # when u = v. A pair none of whose rows is a slot has only tau = 0,
-    # whose _BREAKS entry is empty, so it is skipped.
-    mult = page.fiber.mult
-    whole, split = {}, {}  # (tau bit, runs of columns k): all, or by d(t^k g)
-    for l in live:
-        # every finite run ends below rep, so only the infinite one is cut
-        whole[l] = ((0, [(start, rep - start if length is INFINITE else length)
-                         for start, length in rows[l].summands]),)
-        if l in slot_set:
-            cols, hit = masks[l] & rep_mask, down[l - r + 1]  # d(t^k g) lives
-            split[l] = ((0, runs(cols & ~hit)), (1, runs(cols & hit)))
-
-    checks = []
-    for i, (lu, gu) in enumerate(gens):
-        for lv, gv in gens[i:]:
+    # nonzero; an off side reads its row's own runs and 0 for every c, so
+    # only the tau that are 0 on off sides are tested, and none that adds
+    # no new c a pattern can give: no pattern gives c_w != c_v when u is the
+    # unit, or c_u != c_v when u = v. A pair none of whose rows is a slot
+    # has only tau = 0, whose _BREAKS entry is empty, so it is skipped.
+    split = {}  # (tau bit, runs of columns k) by whether d(t^k g) lives
+    for l in slots:
+        cols, hit = masks[l] & rep_mask, masks[l - r + 1] >> e
+        split[l] = ((0, runs(cols & ~hit)), (1, runs(cols & hit)))
+    pairs = tuple(gens.items())
+    for i, (lu, gu) in enumerate(pairs):
+        for lv, gv in pairs[i:]:
             lw = lu + lv
             if lu not in slot_set and lv not in slot_set and lw not in slot_set:
                 continue
-            alive = down.get(lw - r + 1)  # bit s: t^s of the target lives
+            alive = masks.get(lw - r + 1, 0) >> e  # bit s: its column s + e
             if not alive:
                 continue
             ws = (((0, alive & ~masks[lw]), (1, alive & masks[lw]))
                   if lw in slot_set and mult(gu, gv) else ((0, alive),))
-            us = (split[lu] if lu in slot_set
-                  and mult(names[lu - r + 1], gv) else whole[lu])
-            vs = (split[lv] if lv in slot_set
-                  and mult(gu, names[lv - r + 1]) else whole[lv])
+            us = (split[lu] if lu in slot_set and mult(gens[lu - r + 1], gv)
+                  else ((0, rows[lu].summands),))
+            vs = (split[lv] if lv in slot_set and mult(gu, gens[lv - r + 1])
+                  else ((0, rows[lv].summands),))
             reach = (0xA5 if lu == 0 else 0xFF) & (0x99 if lu == lv else 0xFF)
             table = 0
             for (tw, sums), (tu, left), (tv, right) in itertools.product(
@@ -280,34 +276,38 @@ def _scan_page(page: Page) -> _Scan:
             if table:
                 checks.append((lw, lu, lv, table, "Leibniz violation at round "
                                f"{r} on the product {gu}*{gv}"))
+                yield checks[-1]
 
     # d o d = 0 along row chains l -> l-r+1 -> l-2r+2, whose last row lives
     # whenever the middle one is a slot: c_l c_mid = 0, which only bit 7
     # breaks. A pattern that breaks a pair and a chain is refused for the pair.
     for l in slots:
         mid, last = l - r + 1, l - 2 * r + 2
-        if mid in slot_set and masks[l] & down[mid] & (masks[last] >> (2 * e)):
+        if mid in slot_set and (masks[l] & (masks[mid] >> e)
+                                & (masks[last] >> (2 * e))):
             checks.append((l, mid, mid, 1 << 7, "d o d nonzero at round "
                            f"{r} along rows {l} -> {mid} -> {last}"))
-    return _Scan(slots, slot_set, tuple(checks))
+            yield checks[-1]
 
 
-def _sum_hit(left: List[Tuple[int, int]], right: List[Tuple[int, int]],
-             sums: int) -> bool:
+def _sum_hit(left: Tuple[Run, ...], right: Tuple[Run, ...], sums: int) -> bool:
     """True when some k in the runs left and j in the runs right have k + j in sums.
 
     The sumset of the runs (a, m) and (c, n), as (start, length), is the
-    single run (a + c, m + n - 1): one big-int operation per pair.
-    """
+    single run (a + c, m + n - 1), read in place as every bit of sums from
+    a + c up when either run is infinite: one big-int operation per pair."""
     for a, m in left:
         for c, n in right:
-            if (sums >> (a + c)) & ((1 << (m + n - 1)) - 1):
+            hit = sums >> (a + c)
+            if hit and (m is INFINITE or n is INFINITE
+                        or hit & ((1 << (m + n - 1)) - 1)):
                 return True
     return False
 
 
 def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
-    """First violated constraint of the assignment, or None when consistent."""
+    """First violated constraint of the assignment, or None when consistent:
+    the page's checks built so far are read first, then more are built."""
     r = pattern.round
     if page.round != r:
         raise PreconditionError("pattern round does not match page round")
@@ -316,7 +316,7 @@ def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     if not sources <= scan.slot_set:
         raise PreconditionError(f"rows {sorted(sources - scan.slot_set)} "
                                 f"are not differential slots of round {r}")
-    for la, lb, lc, table, reason in scan.checks:
+    for la, lb, lc, table, reason in itertools.chain(scan.checks, scan.more):
         if table >> (4 * (la in sources) + 2 * (lb in sources)
                      + (lc in sources)) & 1:
             return reason

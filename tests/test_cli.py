@@ -623,13 +623,15 @@ def test_usage_errors_exit_one(capsys):
 
 def test_main_leaves_no_reference_cycle():
     """The parser is built once per process, so a text command leaves
-    nothing for the cyclic collector. JSON output leaves what the standard
-    library's pure-Python indent encoder leaves on a small document: its
-    nested functions refer to each other through their closures."""
+    nothing for the cyclic collector, nor do a usage error and --version,
+    which leave argparse through SystemExit after formatting a message.
+    JSON output leaves what the standard library's pure-Python indent
+    encoder leaves on a small document: its nested functions refer to each
+    other through their closures."""
     run_cli_captured(["table", "--n", "2"])  # builds the parser
-    assert cyclic_garbage(lambda: run_cli_captured(["table", "--n", "2"])) == 0
-    assert cyclic_garbage(
-        lambda: run_cli_captured(["classify", "--n", "2"])) == 0
+    for argv in (["table", "--n", "2"], ["classify", "--n", "2"],
+                 ["classify", "--group", "bogus"], ["--version"]):
+        assert cyclic_garbage(lambda: run_cli_captured(argv)) == 0, argv
     encoder = cyclic_garbage(lambda: "".join(json.JSONEncoder(
         indent=2, sort_keys=True).iterencode({"a": [1, {"b": None}]})))
     assert cyclic_garbage(lambda: run_cli_captured(
