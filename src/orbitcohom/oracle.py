@@ -25,20 +25,22 @@ live columns k whose target (k + r, l - r + 1) is live, and a page turn
 clears, row by row, the columns that hit and those that are hit. So the
 walk does a node's fixed work once, not once per choice: the live
 columns shifted down by r, and the row pairs l1 <= l2 with a usable slot
-among l1, l2 and the rows of their fiber product; no choice gives d on
+among l1, l2 and the row of their fiber product; no choice gives d on
 the cells of any other pair. The verdict of a row pair is fixed by which
 of those rows hold a source, so a node keeps a table of verdicts under
-that key, dropped with the node, and checks a pair cell by cell only on
-a miss. A leaf is rejected when a row holds a live column in the window
-above the top degree where survival is faithful; only an outcome's
-columns are listed, for its dimensions.
+that key, dropped with the node, and decides a pair only on a miss. A
+leaf is rejected when a row holds a live column in the window above the
+top degree where survival is faithful; only an outcome's columns are
+listed, for its dimensions.
 
-The Leibniz rule for cells (k1, l1), (k2, l2) is fixed by K = k1 + k2 and
-whether d is nonzero on each cell. So for a row pair and each flag pair,
-the column sums K are the sumset of the two rows' columns with those
-flags, one shift per column of the sparser one, and the rule is one AND per
-target row of that sumset against the columns K where the two sides
-differ. No cap cut is needed: both sides lie in total degree
+The oracle refuses a fiber with two classes in one degree, and products
+add degrees, so the product of rows l1 and l2 is empty or the row
+l1 + l2. Both sides of the Leibniz rule for cells (k1, l1), (k2, l2) in
+round r then lie in the one cell (K + r, l1 + l2 - r + 1), K = k1 + k2,
+so for a row pair and each pair of flags "d is nonzero on the cell" the
+columns K where the sides differ are one mask. The rule breaks at the
+first column of the sparser row whose shift of the denser row meets that
+mask. No cap cut is needed: both sides lie in total degree
 K + l1 + l2 + 1, which holds no cell above the cap.
 
 Truncation is handled by a safety margin: cells within one round-length
@@ -91,12 +93,15 @@ class OracleReport(NamedTuple):
 
 def _slots(fiber: FiberRing, group: GroupChoice) -> Dict[int, List[int]]:
     """Each round r >= 2 with a slot, mapped to its slots: the rows l whose
-    generator cell (0, l) has a cell (r, l - r + 1) to hit. Cells lie only
-    in the columns that are multiples of the step."""
+    generator cell (0, l) has a cell (r, l - r + 1) to hit, read off the
+    row pairs l, l - r + 1; a cell's column r is a multiple of the step."""
     rows = sorted(fiber.names)
-    slots = {r: [l for l in rows if l - r + 1 in fiber.names]
-             for r in range(2, rows[-1] + 2, group.step)}
-    return {r: ls for r, ls in slots.items() if ls}
+    slots: Dict[int, List[int]] = {}
+    for l, target in itertools.product(rows, rows):  # l rising, as slots
+        r = l - target + 1
+        if r >= 2 and r % group.step == 0:
+            slots.setdefault(r, []).append(l)
+    return dict(sorted(slots.items()))
 
 
 def min_cap(fiber: FiberRing, group: GroupChoice) -> int:
@@ -120,42 +125,35 @@ def _leibniz_ok(products: Dict[Tuple[int, int], FrozenSet[int]],
     and each hits (k + r, l - r + 1). above[m] is live[m] >> r.
 
     Within one walk node d on a row is all or nothing, so the verdict is
-    fixed by whether l1, l2 and each row of the fiber product l1*l2 hold a
-    source (the product's source rows are ``hot``). The walk keeps it in
-    the node's table under that key and calls this only on a miss, for a
-    pair with a source among those rows. For cells (k1, l1), (k2, l2)
-    and K = k1 + k2, both sides lie in column K + r, as sets of rows m
-    there. The left holds m when K is in d[m + r - 1], m + r - 1 in hot;
-    the right, when K + r is live in row m, once for each side whose cell
-    d is nonzero on and whose product (l1 - r + 1)*l2 or l1*(l2 - r + 1)
-    holds m. So each row m gives a mask of the K where the sides differ,
-    and for each flag pair the rule holds when the sumset of the two rows'
-    columns with those flags misses all of them. The sumset is symmetric,
-    so it is formed by shifting the denser class by each column of the
-    sparser one.
+    fixed by whether l1, l2 and the row of their product hold a source;
+    the walk keeps it in the node's table under that key and calls this
+    only on a miss. A product of rows is empty or the row of their degree
+    sum, so for cells (k1, l1), (k2, l2) and K = k1 + k2 both sides can
+    only hold the cell (K + r, m), m = l1 + l2 - r + 1. The left holds it
+    when K is in d[l1 + l2]; the right, when it is live, once for each
+    cell that d is nonzero on and whose side's product (l1 - r + 1)*l2 or
+    l1*(l2 - r + 1) is nonzero. So each flag pair has one mask of the K
+    where the sides differ, and the rule breaks at the first column k of
+    the sparser row whose shift of the denser row by k meets it.
     """
+    m = l1 + l2 - r + 1
     d1, d2 = d.get(l1, 0), d.get(l2, 0)
-    hot = d.keys() & products[l1, l2]
-    lhs = {l - r + 1: d[l] for l in hot}
-    # each flag's columns of the row, and the product rows that the right
-    # side holds when d is nonzero on the row's cell
-    ones = ((live[l1] & ~d1, ()), (d1, products.get((l1 - r + 1, l2), ())))
-    twos = ((live[l2] & ~d2, ()), (d2, products.get((l1, l2 - r + 1), ())))
-    for (left, targets1), (right, targets2) in itertools.product(ones, twos):
-        if not (left and right):
-            continue
-        differ = dict(lhs)
-        for m in itertools.chain(targets1, targets2):
-            differ[m] = differ.get(m, 0) ^ above[m]
-        if not any(differ.values()):
-            continue
-        if left.bit_count() > right.bit_count():
-            left, right = right, left
-        sums = 0
-        for k in _columns(left):
-            sums |= right << k
-        if any(sums & columns for columns in differ.values()):
-            return False
+    zero1, zero2 = live[l1] & ~d1, live[l2] & ~d2
+    lhs = d.get(l1 + l2, 0) if products[l1, l2] else 0
+    rhs1 = above[m] if products.get((l1 - r + 1, l2)) else 0
+    rhs2 = above[m] if products.get((l1, l2 - r + 1)) else 0
+    # each flag pair's columns of the two rows, and the K where sides differ
+    for left, right, differ in ((zero1, zero2, lhs), (zero1, d2, lhs ^ rhs2),
+                                (d1, zero2, lhs ^ rhs1),
+                                (d1, d2, lhs ^ rhs1 ^ rhs2)):
+        if left and right and differ:
+            if left.bit_count() > right.bit_count():
+                left, right = right, left
+            while left:  # low is bit k, the sparser row's next column
+                low = left & -left
+                if right << low.bit_length() - 1 & differ:
+                    return False
+                left ^= low
     return True
 
 
@@ -208,9 +206,12 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     # m columns 0, step, ..., (m - 1) step: a geometric sum of 2^step
     rows = {l: ((1 << step * m) - 1) // ((1 << step) - 1)
             for l, m in columns.items()}
-    products = {(l1, l2): frozenset(fiber.degrees[name]
-                                    for name in fiber.mult(u1, u2))
+    degree, mult = fiber.degrees.__getitem__, fiber.mult
+    products = {(l1, l2): frozenset(map(degree, mult(u1, u2)))
                 for l1, u1 in names.items() for l2, u2 in names.items()}
+    # each row pair l1 <= l2 with the rows whose sources give d on its cells
+    pair_rows = [(l1, l2, {l1, l2} | products[l1, l2])
+                 for l1, l2 in products if l1 <= l2]
     tc = TruncatedComplex(fiber=fiber, group=group, cap=cap,
                           margin=lowest - fiber.top_degree, rows=rows,
                           products=products)
@@ -225,8 +226,7 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
     width = max(cap - len(rounds) - fiber.top_degree, 0)
     windows = {l: ((1 << width) - 1) << (fiber.top_degree - l + 1)
                for l in names}
-    # an outcome's dims are read from each row's columns up to the
-    # reliable degree
+    # an outcome's dims: each row's columns up to the reliable degree
     reliable = {l: (1 << (tc.reliable_degree - l + 1)) - 1 for l in names}
     outcomes: List[OracleOutcome] = []
     rejected = 0
@@ -255,17 +255,17 @@ def brute_force_classify(fiber: FiberRing, group: GroupChoice,
         if not usable:
             continue
         # Fixed for the node: each usable row's columns whose target is
-        # live, a bit per usable row, and the row pairs with a usable row
-        # among l1, l2 and the rows of their product, each with the mask of
-        # those rows' bits. No choice gives d on the other pairs' cells.
+        # live, a bit per usable row, and the live row pairs with a usable
+        # row among l1, l2 and the row of their product, each with the mask
+        # of those rows' bits. No choice gives d on the other pairs' cells.
         hits = {l: live[l] & live[l - r + 1] >> r for l in usable}
         bits = {l: 1 << j for j, l in enumerate(usable)}
-        occupied = sorted(l for l, columns in live.items() if columns)
         pairs = []
-        for j, l1 in enumerate(occupied):
-            for l2 in occupied[j:]:
-                near = sum(bits.get(m, 0)
-                           for m in products[l1, l2] | {l1, l2})
+        for l1, l2, rows_near in pair_rows:
+            if live[l1] and live[l2]:
+                near = 0
+                for m in rows_near:
+                    near |= bits.get(m, 0)
                 if near:
                     pairs.append((l1, l2, near))
         above = {m: columns >> r for m, columns in live.items()}  # bit K: K + r

@@ -8,7 +8,8 @@ import pytest
 
 from orbitcohom import oracle
 from orbitcohom.engine import GroupChoice, classify
-from orbitcohom.errors import InvalidInputError, OversizedInstanceError
+from orbitcohom.errors import (InvalidInputError, OversizedInstanceError,
+                              UnsupportedShapeError)
 from orbitcohom.fiber import load_fiber, make_type_ab
 from orbitcohom.oracle import brute_force_classify, compare_reports, min_cap
 
@@ -86,6 +87,19 @@ def test_oversized_instance_rejected():
                        match="23070 cells exceeds the oracle limit of 23052"):
         brute_force_classify(fiber, GroupChoice.Z2,
                              min_cap(fiber, GroupChoice.Z2))
+
+
+@pytest.mark.parametrize("group", list(GroupChoice))
+def test_two_classes_in_one_degree_rejected(group):
+    """The oracle refuses such a fiber itself, not only through the engine,
+    which refuses it before any CLI command reaches the oracle. Its Leibniz
+    check needs the refusal: with one class per degree, a product of two
+    rows is empty or the one row of their degree sum."""
+    fiber = load_fiber(str(Path(__file__).with_name("fiber_rank_two.json")))
+    with pytest.raises(UnsupportedShapeError,
+                       match="oracle needs at most one basis element per "
+                             "degree"):
+        brute_force_classify(fiber, group, min_cap(fiber, group))
 
 
 def test_no_outcome_has_a_nonzero_composite():

@@ -19,17 +19,21 @@ oracle may be rewritten freely while whole reports are compared: with
 the golden entries the reference can afford, and with
 ``brute_force_classify`` on drawn small fibers. The claim that lets the
 oracle check one key per column sum is tested on the reference, cell pair
-by cell pair. The rounds the oracle reads off its cells are the engine's.
+by cell pair. The oracle's private row-pair check, ``_leibniz_ok``, is
+held to the reference's verdict on complexes thinned at random, whose
+gaps the walk's pages never have. The rounds the oracle reads off its
+cells are the engine's.
 """
 
 import itertools
 import json
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitcohom.engine import GroupChoice, admissible_rounds
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
+from orbitcohom import oracle
 from orbitcohom.oracle import _slots, brute_force_classify, min_cap
 
 from helpers import sphere_product, truncated_polynomial, wedge
@@ -239,6 +243,9 @@ def small_fibers(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_fibers(), st.sampled_from(list(GroupChoice)),
        st.integers(0, 2))
+# Fails whenever the oracle's Leibniz check skips the last column of the
+# sparser row, which drawn examples do not reach on every seed.
+@example(sphere_product(3, 4), GroupChoice.CIRCLE, 0)
 def test_reference_oracle_matches_the_oracle(fiber, group, extra):
     cap = min_cap(fiber, group) + extra
     assert (reference_oracle(fiber, group, cap)
@@ -319,3 +326,34 @@ def test_a_node_key_fixes_the_verdict_of_a_row_pair(inputs, data):
         assert (reference_pair_ok(fiber, cap, live, d, c1, c2)
                 == reference_pair_ok(fiber, cap, live, d_other, c1, c2)), (
                     l1, l2, c1, c2, coeff, other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_complexes())
+def test_the_oracle_decides_a_row_pair_as_the_reference(inputs):
+    """The oracle's mask check of a row pair gives the verdict the reference
+    gives all the pair's live cell pairs. Thinned at random, a row's live
+    columns need not be a run, and d may vanish on some cells of a source
+    row; whole reports alone miss a check that skips some columns or a
+    flag pair, since the walk's pages have no such gaps."""
+    fiber, cap, live, r, coeff = inputs
+    rows = sorted(fiber.names)
+    masks = {l: sum(1 << k for k, m in live if m == l) for l in rows}
+    d = {(k, l): (k + r, l - r + 1) for k, l in live
+         if coeff[l] and (k + r, l - r + 1) in live}
+    sources = {l: sum(1 << k for k, m in d if m == l) for l in rows
+               if coeff[l]}
+    products = {(l1, l2): frozenset(fiber.degrees[name] for name in
+                                    fiber.mult(fiber.names[l1],
+                                               fiber.names[l2]))
+                for l1 in rows for l2 in rows}
+    above = {m: columns >> r for m, columns in masks.items()}
+    for i, l1 in enumerate(rows):
+        for l2 in rows[i:]:
+            expected = all(
+                reference_pair_ok(fiber, cap, live, d, c1, c2)
+                for c1, c2 in itertools.product(
+                    [c for c in live if c[1] == l1],
+                    [c for c in live if c[1] == l2]))
+            assert oracle._leibniz_ok(products, masks, above, sources, r,
+                                      l1, l2) == expected, (l1, l2)
