@@ -57,7 +57,7 @@ from .errors import (InvariantError, OversizedInstanceError,
                      PreconditionError, UnsupportedShapeError)
 from .fiber import FiberRing
 from .intervals import FREE_ROW, INFINITE, IntervalModule, Run, runs
-from .record import Record
+from .record import Record, set_field
 
 # The most branches classify walks before it refuses the fiber. The tree
 # grows about x3.5-4 per fiber class, and the report keeps every branch: the
@@ -69,9 +69,8 @@ class GroupChoice(enum.Enum):
     Z2 = "z2"
     CIRCLE = "s1"
 
-    @property
-    def step(self) -> int:
-        return 1 if self is GroupChoice.Z2 else 2
+    def __init__(self, value: str):
+        self.step = 1 if value == "z2" else 2  # |t|; read per page
 
 
 class Page(Record):
@@ -82,11 +81,11 @@ class Page(Record):
 
     def __init__(self, fiber: FiberRing, group: GroupChoice,
                  rounds: Tuple[int, ...], rows: Dict[int, IntervalModule]):
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "rounds", rounds)  # remaining, current first
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_scan_cache", None)
+        set_field(self, "fiber", fiber)
+        set_field(self, "group", group)
+        set_field(self, "rounds", rounds)  # remaining, current first
+        set_field(self, "rows", rows)
+        set_field(self, "_scan_cache", None)
 
     @property
     def step(self) -> int:
@@ -102,7 +101,7 @@ class Page(Record):
         """Column data for the current round, built once and shared by every
         pattern checked or turned on this page."""
         if self._scan_cache is None:
-            object.__setattr__(self, "_scan_cache", _scan_page(self))
+            set_field(self, "_scan_cache", _scan_page(self))
         return self._scan_cache
 
 
@@ -110,9 +109,9 @@ class DifferentialPattern(Record):
     __slots__ = ("round", "sources")
 
     def __init__(self, round: int, sources: Tuple[int, ...]):
-        object.__setattr__(self, "round", round)
+        set_field(self, "round", round)
         # ascending rows whose generator maps nonzero
-        object.__setattr__(self, "sources", sources)
+        set_field(self, "sources", sources)
 
 
 class Outcome(NamedTuple):
@@ -160,10 +159,9 @@ def admissible_rounds(fiber: FiberRing, group: GroupChoice) -> Tuple[int, ...]:
     """Every round r >= 2 that can connect two nonzero rows: a gap between
     two basis degrees plus one, kept when the group's step divides it (of
     n+1, 2n+1 and 3n+1 for a fiber of type (a,b))."""
-    degrees = sorted({d for _, d in fiber.basis})
-    rounds = sorted({hi - lo + 1 for hi in degrees for lo in degrees
-                     if hi > lo and (hi - lo + 1) % group.step == 0})
-    return tuple(r for r in rounds if r >= 2)
+    step, degrees = group.step, fiber.names
+    return tuple(sorted({hi - lo + 1 for hi in degrees for lo in degrees
+                         if hi > lo and (hi - lo + 1) % step == 0}))
 
 
 def differential_slots(page: Page) -> Tuple[int, ...]:
@@ -308,13 +306,12 @@ def _sum_hit(left: Tuple[Run, ...], right: Tuple[Run, ...], sums: int) -> bool:
 def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
     """First violated constraint of the assignment, or None when consistent:
     the page's checks built so far are read first, then more are built."""
-    r = pattern.round
+    r, sources = pattern.round, pattern.sources
     if page.round != r:
         raise PreconditionError("pattern round does not match page round")
     scan = page._scan
-    sources = set(pattern.sources)
-    if not sources <= scan.slot_set:
-        raise PreconditionError(f"rows {sorted(sources - scan.slot_set)} "
+    if not scan.slot_set.issuperset(sources):
+        raise PreconditionError(f"rows {sorted(set(sources) - scan.slot_set)} "
                                 f"are not differential slots of round {r}")
     for la, lb, lc, table, reason in itertools.chain(scan.checks, scan.more):
         if table >> (4 * (la in sources) + 2 * (lb in sources)
@@ -396,8 +393,7 @@ def _walk(page: Page, history: Tuple[DifferentialPattern, ...],
           outcomes: List[Outcome], rejected: List[RejectedBranch]) -> None:
     """Append every maximal branch below page, reached by history, to
     outcomes or rejected, in depth-first order."""
-    r = page.round
-    if r is None:
+    if not page.rounds:
         if is_free_admissible(page):
             pres, flags = presentation.extract_presentation(page)
             # x^m != 0 exactly when t^m survives on the base row (the
@@ -421,7 +417,7 @@ def _walk(page: Page, history: Tuple[DifferentialPattern, ...],
     for pattern, reason, next_page in branches(page):
         branch = history + (pattern,)
         if reason is not None:
-            rejected.append(RejectedBranch(branch, r, reason))
+            rejected.append(RejectedBranch(branch, pattern.round, reason))
         else:
             _walk(next_page, branch, outcomes, rejected)
         if len(outcomes) + len(rejected) > MAX_BRANCHES:

@@ -9,10 +9,12 @@ what the freeness filter needs. A row knows columns only: the degree of
 column k is k times the degree of t, which the page's group gives.
 
 A page turn is a difference of rows, ``minus``: one merge over two run
-lists, so it costs O(runs) whatever the columns. Where the engine's checks
-meet two rows they read them as bitmasks of columns (bit k for column k),
-in which a run is one block of set bits; ``runs`` lists the blocks of a
-mask in summand form, (start, length).
+lists, so it costs O(runs) whatever the columns. Cutting a canonical row
+leaves a canonical one, so ``minus`` builds its result without the
+constructor, whose sort and checks are for rows given from outside. Where
+the engine's checks meet two rows they read them as bitmasks of columns
+(bit k for column k), in which a run is one block of set bits; ``runs``
+lists the blocks of a mask in summand form, (start, length).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .errors import InvalidInputError
-from .record import Record
+from .record import Record, set_field
 
 INFINITE = None
 _END = float("inf")  # end of an infinite run, so that ends compare as numbers
@@ -47,7 +49,7 @@ class IntervalModule(Record):
                 raise InvalidInputError(f"run ({start}, {length}) overlaps "
                                         "or touches the run before it")
             free = INFINITE if length is INFINITE else start + length + 1
-        object.__setattr__(self, "summands", summands)
+        set_field(self, "summands", summands)
 
     def has_column(self, k: int) -> bool:
         for start, length in self.summands:
@@ -85,20 +87,30 @@ class IntervalModule(Record):
     def minus(self, other: "IntervalModule", offset: int) -> "IntervalModule":
         """The columns k of this row for which column k + offset is not in
         other: other's runs, moved down by offset, cut this row's runs in
-        one merge over the two sorted lists."""
-        cuts = ((s - offset, s - offset + (_END if n is INFINITE else n))
-                for s, n in other.summands)
-        out, lo, hi = [], -_END, -_END
+        one merge over the two sorted lists. The pieces come out sorted,
+        apart, none empty and only the last infinite, so the result is
+        built without the constructor's sort and checks."""
+        cuts, out, i = other.summands, [], 0
+        lo = hi = -_END  # the current cut [lo, hi), moved down by offset
         for start, length in self.summands:
-            end = start + (_END if length is INFINITE else length)
+            end = _END if length is INFINITE else start + length
             while start < end:
-                while hi <= start:  # the cut [lo, hi) ends below: take the next
-                    lo, hi = next(cuts, (_END, _END))
+                while hi <= start:  # the cut ends below: take the next
+                    if i < len(cuts):
+                        lo, n = cuts[i]
+                        lo -= offset
+                        hi = _END if n is INFINITE else lo + n
+                        i += 1
+                    else:
+                        lo = hi = _END
                 if lo > start:
-                    out.append((start, min(lo, end) - start))
+                    stop = lo if lo < end else end
+                    out.append((start, INFINITE if stop == _END
+                                else stop - start))
                 start = hi
-        return IntervalModule(tuple((start, INFINITE if length == _END
-                                     else length) for start, length in out))
+        row = object.__new__(IntervalModule)
+        set_field(row, "summands", tuple(out))
+        return row
 
 
 # The second page's row: free of rank one, every column supported.

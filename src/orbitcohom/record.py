@@ -3,13 +3,24 @@ the ``inspect`` chain it loads and the methods it execs per class, it cost
 each CLI run about 28 ms of start-up. Records built per branch that must
 equal only records of their own type, or that hold a private cache,
 subclass ``Record``; the others, the per-page ``engine._Scan`` among them,
-are ``typing.NamedTuple``, which builds faster."""
+are ``typing.NamedTuple``, which builds faster.
+
+The records built per branch, ``engine.Page``, ``engine.DifferentialPattern``
+and ``intervals.IntervalModule``, set each field through ``set_field``,
+which is ``object.__setattr__`` bound once here: looking it up anew cost
+about 0.1 us a field (``FiberRing``, built once per input, still does).
+Code that already holds a valid value may build a record without its
+``__init__``, as ``object.__new__`` and one ``set_field`` per field:
+``IntervalModule.minus`` does, since cutting a canonical row leaves a
+canonical one."""
+
+set_field = object.__setattr__
 
 
 class Record:
     """Fields are the ``__slots__`` without a leading underscore (which marks
     a private cache), compared, hashed and shown in order. ``__init__`` sets
-    them with ``object.__setattr__``; setting or deleting one later raises
+    them with ``set_field``; setting or deleting one later raises
     AttributeError."""
 
     __slots__ = ()

@@ -206,12 +206,17 @@ def test_turn_page_rejects_inconsistent_pattern():
     assert next_page is None
 
 
-@pytest.mark.parametrize("source", [0, 99])
-def test_pattern_naming_a_non_slot_source_is_refused(source):
-    # row 0 has no target at round 3; row 99 is not a row at all
+@pytest.mark.parametrize("sources, listed", [
+    ((0,), "0"), ((99,), "99"), ((0, 2, 99), "0, 99"), ((99, 2, 0), "0, 99"),
+    ((2, 4, 99), "99"),
+], ids=["0", "99", "mixed", "mixed-unsorted", "slots-first"])
+def test_pattern_naming_a_non_slot_source_is_refused(sources, listed):
+    # row 0 has no target at round 3; row 99 is not a row at all; rows 2
+    # and 4 are slots, which the message leaves out; it lists the others
+    # sorted, wherever they stand in the pattern
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
-    pattern = DifferentialPattern(3, (source,))
-    message = rf"^rows \[{source}\] are not differential slots of round 3$"
+    pattern = DifferentialPattern(3, sources)
+    message = rf"^rows \[{listed}\] are not differential slots of round 3$"
     with pytest.raises(PreconditionError, match=message):
         check_pattern(page, pattern)
 
@@ -232,6 +237,17 @@ def test_turn_page_raises_when_the_unit_dies():
         list(branches(page))
 
 
+def _assert_rows_canonical(page):
+    """Every row is as the validating constructor builds it, nonempty, with
+    int starts and lengths and None for an infinite one: minus builds the
+    rows of a turned page without that constructor."""
+    for l, row in page.rows.items():
+        assert row.summands and IntervalModule(row.summands) == row, (page, l)
+        assert all(type(start) is int and (length is INFINITE
+                                           or type(length) is int)
+                   for start, length in row.summands), (page, l)
+
+
 def _assert_branches_match_the_reference(page, expected=None):
     """The contract of the engine's step: branches gives the reference's
     patterns, in its order, with its reasons and its child pages, and
@@ -245,16 +261,23 @@ def _assert_branches_match_the_reference(page, expected=None):
     return expected
 
 
-def _sweep():
-    """(page, its reference branches) for every page with a round of the
-    walks of n = 1..24 in both groups and all four (a, b), and of the
-    truncated-u6 fiber, walked through the reference's own children, so no
-    engine call has touched a page before the test reads it."""
+def _sweep_fibers():
+    """Type (a, b) at n = 1..24 with all four (a, b), and the truncated-u6
+    fiber."""
     fibers = [make_type_ab(n, a, b) for n in range(1, 25)
               for a in (0, 1) for b in (0, 1)]
     fibers.append(load_fiber(os.path.join(os.path.dirname(__file__),
                                           "fiber_truncated_u6.json")))
-    todo = [build_e2(fiber, group) for fiber in fibers for group in GroupChoice]
+    return fibers
+
+
+def _sweep():
+    """(page, its reference branches) for every page with a round of the
+    walks of the sweep's fibers in both groups, walked through the
+    reference's own children, so no engine call has touched a page before
+    the test reads it."""
+    todo = [build_e2(fiber, group) for fiber in _sweep_fibers()
+            for group in GroupChoice]
     walked = []
     while todo:
         page = todo.pop()
@@ -442,6 +465,32 @@ def _random_pages(draw):
 @given(_random_pages())
 def test_branches_match_the_column_reference_on_random_pages(page):
     _assert_branches_match_the_reference(page)
+    for _, _, child in branches(page):
+        if child is not None:
+            _assert_rows_canonical(child)
+
+
+def test_every_page_of_a_walk_holds_canonical_rows():
+    """The pages classify reaches, walked through the engine's own
+    children: the sweep of n = 1..24 in both groups and all four (a, b),
+    the truncated-u6 fiber and wedges of at most 8 classes. A row that
+    minus builds on these walks is one finite run from column 0; the
+    random pages give cut rows of several runs and infinite ones."""
+    fibers = _sweep_fibers() + [wedge(range(1, k)) for k in range(2, 9)]
+    fibers += [wedge(degrees) for degrees in ((1, 3), (2, 3, 5), (1, 2, 4),
+                                              (2, 3, 4, 5), (1, 3, 4, 6, 9))]
+    todo = [build_e2(fiber, group) for fiber in fibers for group in GroupChoice]
+    cut = 0  # rows that minus built
+    while todo:
+        page = todo.pop()
+        _assert_rows_canonical(page)
+        if page.round is not None:
+            for pattern, _, child in branches(page):
+                if child is not None:
+                    cut += sum(l in child.rows for s in pattern.sources
+                               for l in (s, s - pattern.round + 1))
+                    todo.append(child)
+    assert cut > 1000
 
 
 def test_slotless_page_builds_no_masks(monkeypatch):
