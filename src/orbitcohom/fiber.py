@@ -14,7 +14,7 @@ import json
 from typing import Dict, FrozenSet, List, Tuple, Union
 
 from .errors import InvalidInputError
-from .record import Record
+from .record import Record, set_field
 
 Parity = Union[int, str]
 
@@ -78,16 +78,16 @@ class FiberRing(Record):
             if unknown:
                 raise InvalidInputError(
                     f"product {u}*{v} names unknown basis elements {unknown}")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "top_degree", top_degree)
-        object.__setattr__(self, "warnings", warnings)
+        set_field(self, "basis", basis)
+        set_field(self, "unit", unit)
+        set_field(self, "products", products)
+        set_field(self, "top_degree", top_degree)
+        set_field(self, "warnings", warnings)
         table = {(v, u): value for (u, v), value in products}
         table.update(products)  # a given order wins over the mirrored one
-        object.__setattr__(self, "_tbl", table)
-        object.__setattr__(self, "_deg", dict(basis))
-        object.__setattr__(self, "_names", {deg: name for name, deg in basis})
+        set_field(self, "_tbl", table)
+        set_field(self, "_deg", dict(basis))
+        set_field(self, "_names", {deg: name for name, deg in basis})
         problems = validate(self)
         if problems:
             raise InvalidInputError("invalid fiber ring: " + "; ".join(problems))

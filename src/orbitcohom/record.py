@@ -5,10 +5,10 @@ equal only records of their own type, or that hold a private cache,
 subclass ``Record``; the others, the per-page ``engine._Scan`` among them,
 are ``typing.NamedTuple``, which builds faster.
 
-The records built per branch, ``engine.Page``, ``engine.DifferentialPattern``
-and ``intervals.IntervalModule``, set each field through ``set_field``,
-which is ``object.__setattr__`` bound once here: looking it up anew cost
-about 0.1 us a field (``FiberRing``, built once per input, still does).
+Every ``Record`` sets its fields through ``set_field``, which is
+``object.__setattr__`` bound once here: looking it up anew cost about
+0.1 us a field on the records built per branch, ``engine.Page``,
+``engine.DifferentialPattern`` and ``intervals.IntervalModule``.
 Code that already holds a valid value may build a record without its
 ``__init__``, as ``object.__new__`` and one ``set_field`` per field:
 ``IntervalModule.minus`` does, since cutting a canonical row leaves a

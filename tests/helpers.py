@@ -1,14 +1,16 @@
 """Helpers that only the tests use: the one-class ring, truncated
-polynomial rings, wedges and products of two spheres, a comparison of
-presentations up to renaming, the oracle's cap-stability check, a
-column-by-column reference for the engine's step, and a count of the objects
-that only the cyclic garbage collector frees."""
+polynomial rings, wedges and products of two spheres, a census of every
+small ring with one class per degree, a comparison of presentations up to
+renaming, the oracle's cap-stability check, a column-by-column reference
+for the engine's step, and a count of the objects that only the cyclic
+garbage collector frees."""
 
 import gc
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from orbitcohom.engine import DifferentialPattern, GroupChoice, Page
+from orbitcohom.errors import InvalidInputError
 from orbitcohom.fiber import FiberRing
 from orbitcohom.intervals import INFINITE, IntervalModule
 from orbitcohom.oracle import brute_force_classify
@@ -61,6 +63,30 @@ def sphere_product(p: int, q: int) -> FiberRing:
     return FiberRing(basis=basis, unit="1",
                      products=units + ((("x", "y"), frozenset({"xy"})),),
                      top_degree=p + q)
+
+
+def census(top: int) -> Iterator[FiberRing]:
+    """Every ring with one class e{d} in each degree d of a set S of
+    0..top that holds 0, where each product of two classes is 0 or the
+    class of the sum degree: the tables that ``FiberRing`` accepts, by
+    rising S, the one-class ring first."""
+    for size in range(top + 1):
+        for positive in itertools.combinations(range(1, top + 1), size):
+            degrees = (0,) + positive
+            basis = tuple((f"e{d}", d) for d in degrees)
+            units = tuple((("e0", name), frozenset({name})) for name, _ in basis)
+            pairs = [(i, j) for i in positive for j in positive
+                     if i <= j and i + j in degrees]
+            for nonzero in itertools.product((False, True), repeat=len(pairs)):
+                products = units + tuple(
+                    ((f"e{i}", f"e{j}"),
+                     frozenset({f"e{i + j}"}) if on else frozenset())
+                    for (i, j), on in zip(pairs, nonzero))
+                try:
+                    yield FiberRing(basis=basis, unit="e0", products=products,
+                                    top_degree=degrees[-1])
+                except InvalidInputError:
+                    pass  # not associative
 
 
 def same_presentation(p1: RingPresentation, p2: RingPresentation) -> bool:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitcohom import selfcheck
 from orbitcohom.engine import GroupChoice, Page, classify
-from orbitcohom.errors import UnsupportedShapeError
+from orbitcohom.errors import OversizedInstanceError, UnsupportedShapeError
 from orbitcohom.fiber import load_fiber, make_type_ab
 from orbitcohom.intervals import IntervalModule
 from orbitcohom.presentation import (ExtensionFlag, PoincareSeries, _flags,
@@ -95,15 +96,11 @@ def test_different_degrees_not_same():
 
 def test_tot_poincare_matches_monomial_basis():
     """The monomial walk agrees with the page's Poincare series and index on
-    every outcome."""
+    every outcome of the reference fibers, two-term relations included."""
     for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
-        for n in range(1, 9):
-            for a in (0, 1):
-                for b in (0, 1):
-                    report = classify(make_type_ab(n, a, b), group)
-                    for out in report.outcomes:
-                        assert basis_problems(out) == [], (
-                            group, n, a, b)
+        for fiber in _reference_fibers():
+            for out in classify(fiber, group).outcomes:
+                assert basis_problems(out) == [], (group, fiber.basis)
 
 
 def test_basis_problems_reports_injected_mismatches():
@@ -338,12 +335,13 @@ def test_extraction_is_stable():
     assert tuple(flags) == out.extension_flags
 
 
-def test_monomial_basis_rejects_two_term_relations():
+def test_monomial_basis_reduces_two_term_relations():
+    # F2[u(1),v(2)]/(u^2 + v) is F2[u]: one class in each degree
     pres = make_presentation(
         [("u", 1), ("v", 2)],
         [((("u", 2),), (("v", 1),))])
-    with pytest.raises(UnsupportedShapeError):
-        monomial_basis_elements(pres, 4)
+    elements = monomial_basis_elements(pres, 4)
+    assert [degree for degree, _ in elements] == [0, 1, 2, 3, 4]
 
 
 def test_presentation_str_and_relation_str():
@@ -360,8 +358,8 @@ def test_canonical_relation_order():
 
 
 def test_the_self_check_leaves_no_reference_cycle(capsys):
-    # the basis walk and the oracle are freed by reference counting; the
-    # truncated-u6 outcomes with a two-term relation print a note instead
+    # the basis walk and the oracle are freed by reference counting, on
+    # the truncated-u6 outcomes with a two-term relation too
     reports = [classify(make_type_ab(n, a, b), group) for n in range(1, 5)
                for a in (0, 1) for b in (0, 1) for group in GroupChoice]
     reports += [classify(load_fiber(os.path.join(
@@ -371,9 +369,21 @@ def test_the_self_check_leaves_no_reference_cycle(capsys):
     def calls():
         for report in reports:
             for outcome in report.outcomes:
-                if all(len(r) == 1 for r in outcome.presentation.relations):
-                    basis_problems(outcome)
+                basis_problems(outcome)
             self_check(report)
 
     assert cyclic_garbage(calls) == 0
-    assert "two-term relation" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+
+
+def test_the_self_check_refuses_an_oversized_input_before_any_basis_walk(
+        monkeypatch):
+    # Z/2 n = 1281 is the smallest input above the oracle's cell limit
+    report = classify(make_type_ab(1281, 0, 0), GroupChoice.Z2)
+
+    def walked(outcome):
+        raise AssertionError("a basis was walked")
+
+    monkeypatch.setattr(selfcheck, "basis_problems", walked)
+    with pytest.raises(OversizedInstanceError):
+        self_check(report)

@@ -3,7 +3,8 @@ two-term relation z1^2 + z2.
 
 With |u| = 1 and |u| = 2 these are the fibers of free involutions on RP^5
 and CP^5. The Z/2 index is read off the limit page's base row, so the
-two-term relation needs no special handling.
+two-term relation needs no special handling. The self-check walks these
+outcomes' monomial bases like any other's.
 """
 
 import json
@@ -16,6 +17,7 @@ from orbitcohom.engine import GroupChoice, classify
 from orbitcohom.fiber import load_fiber
 from orbitcohom.oracle import brute_force_classify, compare_reports, min_cap
 from orbitcohom.presentation import presentation_str
+from orbitcohom.selfcheck import basis_problems
 
 FIXTURE = Path(__file__).with_name("fiber_truncated_u6.json")
 
@@ -63,14 +65,28 @@ def test_cli_exits_zero(capsys, command):
 
 
 @pytest.mark.parametrize("group", ["z2", "s1"])
-def test_self_check_skips_the_basis_walk_and_runs_the_oracle(capsys, group):
+def test_self_check_walks_the_basis_and_runs_the_oracle(capsys, group):
     code = cli.main(["classify", "--self-check", "--fiber", str(FIXTURE),
                      "--group", group])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    (note,) = captured.err.splitlines()
-    assert note.startswith("note: monomial-basis check skipped for F2[")
-    assert note.endswith(": two-term relation z1^2 + z2")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("group,degrees", [(GroupChoice.Z2, [4, 5]),
+                                           (GroupChoice.CIRCLE, [4])],
+                         ids=["z2", "s1"])
+def test_basis_walk_catches_a_dropped_two_term_relation(group, degrees):
+    # Reading z1^2 + z2 as z1^2 keeps every dimension, so no count can
+    # catch it; dropping the relation leaves z1^2 and z2 independent.
+    (outcome,) = classify(load_fiber(str(FIXTURE)), group).outcomes
+    pres = outcome.presentation
+    dropped = pres._replace(relations=tuple(
+        rel for rel in pres.relations if len(rel) == 1))
+    problems = basis_problems(outcome._replace(presentation=dropped))
+    assert [p.split(": ")[1] for p in problems] == [
+        f"degree {d} has 2 basis monomials but Poincare dimension 1"
+        for d in degrees]
 
 
 @pytest.mark.parametrize("group", ["z2", "s1"])
