@@ -35,14 +35,19 @@ length), is the single run (a + c, m + n - 1), so each costs O(runs^2)
 big-int operations: as many whatever n is, but each as wide as the masks,
 which grow with the degrees. A row's own runs are its summands, and a sum
 with an infinite run is read as every target column from its start up.
-Masks are built only where two rows meet: the sides of a source row split
-by its live targets, the target columns of a product, and a d o d chain. A
-pair with no slot among its rows is skipped: its only parity triple, 0,
-breaks no pattern. A page without a slot builds no masks at all, and the
-zero pattern costs no check and no turn. A page turn reads no mask: with
-e = r / step, a source row l loses each column k whose column k + e lives
-in row l - r + 1, a target row each column k whose column k - e lives in
-its source row, and every other row is kept as it is.
+With e = r / step, a slot row's sides are cut from the rows by ``minus``:
+the dead side, the columns k whose d(t^k g) dies, is the row less its
+target row moved down by e, and the live side is the row less the dead
+one. A d o d chain l -> mid -> last is nonzero when cutting the live side
+of l by that of mid, moved down by e, changes it. Only a Leibniz pair's
+target columns are read as masks, and a page masks its rows when its
+first nonzero pattern is checked, after the zero pattern's subtree is
+walked: a page without a slot never does. A pair with no slot among its
+rows is skipped: its only parity triple, 0, breaks no pattern. The zero
+pattern costs no check and no turn. A page turn reads no mask: a source
+row l loses each column k whose column k + e lives in row l - r + 1, a
+target row each column k whose column k - e lives in its source row, and
+every other row is kept as it is.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from . import presentation
 from .errors import (InvariantError, OversizedInstanceError,
                      PreconditionError, UnsupportedShapeError)
 from .fiber import FiberRing
-from .intervals import FREE_ROW, INFINITE, IntervalModule, Run, runs
+from .intervals import FREE_ROW, INFINITE, IntervalModule, Run
 from .record import Record, set_field
 
 # The most branches classify walks before it refuses the fiber. The tree
@@ -192,10 +197,9 @@ _BREAKS = tuple(sum(1 << c for c in range(8) if bin(tau & c).count("1") % 2)
 
 
 def _scan_page(page: Page) -> _Scan:
-    """Slots, and on a page with slots its rows' column masks and the
-    generator of its checks; a stray or empty row is refused before either.
-    Every row is constant beyond the largest run endpoint shifted by the
-    differential, so a scan up to there is exact though rows are infinite."""
+    """Slots, and on a page with slots the generator of its checks, which
+    reads no row until a pattern first asks for a check; a stray or empty
+    row is refused before either."""
     r, step, rows = page.round, page.step, page.rows
     if r is None:
         raise PreconditionError("the page has no differential rounds left")
@@ -218,18 +222,20 @@ def _scan_page(page: Page) -> _Scan:
     slots, slot_set, checks = tuple(slots), frozenset(slots), []
     if not slots:
         return _Scan(slots, slot_set, checks, iter(()))
-    rep = max(row.max_finite_endpoint() for row in rows.values()) + 2 * e + 4
-    masks = {l: row.column_mask(2 * (rep + e + 2)) for l, row in rows.items()}
     return _Scan(slots, slot_set, checks, _checks(
-        checks, r, e, rows, gens, slots, mult, masks, rep))
+        checks, r, e, rows, gens, slots, slot_set, mult))
 
 
 def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
-            gens: Dict[int, str], slots: Tuple[int, ...], mult: Callable,
-            masks: Dict[int, int], rep: int) -> Iterator[tuple]:
+            gens: Dict[int, str], slots: Tuple[int, ...],
+            slot_set: FrozenSet[int], mult: Callable) -> Iterator[tuple]:
     """Append to checks, and yield, the page's Leibniz checks, then its d o d
-    checks. It holds the page's rows, not the page, whose scan holds it."""
-    slot_set, rep_mask = frozenset(slots), (1 << rep) - 1
+    checks. It holds the page's rows, not the page, whose scan holds it,
+    and masks them at its first resume. Every row is constant beyond the
+    largest run endpoint shifted by the differential, so masks up to there
+    are exact though rows are infinite."""
+    rep = max(row.max_finite_endpoint() for row in rows.values()) + 2 * e + 4
+    masks = {l: row.column_mask(2 * (rep + e + 2)) for l, row in rows.items()}
     # Leibniz closure, columnwise: for generators u, v and all columns k, j,
     #   d((t^k u)(t^j v)) = d(t^k u)(t^j v) + (t^k u) d(t^j v)
     # with page products of dead classes equal to zero. Both sides lie in
@@ -245,10 +251,13 @@ def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
     # no new c a pattern can give: no pattern gives c_w != c_v when u is the
     # unit, or c_u != c_v when u = v. A pair none of whose rows is a slot
     # has only tau = 0, whose _BREAKS entry is empty, so it is skipped.
-    split = {}  # (tau bit, runs of columns k) by whether d(t^k g) lives
+    # A slot row's sides, (tau bit, runs of columns k), by whether d(t^k g)
+    # lives: it dies where column k + e of the target row is gone.
+    live, split = {}, {}
     for l in slots:
-        cols, hit = masks[l] & rep_mask, masks[l - r + 1] >> e
-        split[l] = ((0, runs(cols & ~hit)), (1, runs(cols & hit)))
+        dead = rows[l].minus(rows[l - r + 1], e)
+        live[l] = rows[l].minus(dead, 0)
+        split[l] = ((0, dead.summands), (1, live[l].summands))
     pairs = tuple(gens.items())
     for i, (lu, gu) in enumerate(pairs):
         for lv, gv in pairs[i:]:
@@ -278,11 +287,12 @@ def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
 
     # d o d = 0 along row chains l -> l-r+1 -> l-2r+2, whose last row lives
     # whenever the middle one is a slot: c_l c_mid = 0, which only bit 7
-    # breaks. A pattern that breaks a pair and a chain is refused for the pair.
+    # breaks, and it breaks when some live column k of l has k + e live in
+    # mid. A pattern that breaks a pair and a chain is refused for the pair.
     for l in slots:
         mid, last = l - r + 1, l - 2 * r + 2
-        if mid in slot_set and (masks[l] & (masks[mid] >> e)
-                                & (masks[last] >> (2 * e))):
+        if mid in slot_set and (live[l].minus(live[mid], e).summands
+                                != live[l].summands):
             checks.append((l, mid, mid, 1 << 7, "d o d nonzero at round "
                            f"{r} along rows {l} -> {mid} -> {last}"))
             yield checks[-1]

@@ -12,15 +12,14 @@ A page turn is a difference of rows, ``minus``: one merge over two run
 lists, so it costs O(runs) whatever the columns. Cutting a canonical row
 leaves a canonical one, so ``minus`` builds its result without the
 constructor, whose sort and checks are for rows given from outside. Where
-the engine's checks meet two rows they read them as bitmasks of columns
-(bit k for column k), in which a run is one block of set bits; ``runs``
-lists the blocks of a mask in summand form, (start, length).
+the engine's checks read a row's target columns they read them as a bitmask
+of columns (bit k for column k), in which a run is one block of set bits.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import InvalidInputError
 from .record import Record, set_field
@@ -115,21 +114,3 @@ class IntervalModule(Record):
 
 # The second page's row: free of rank one, every column supported.
 FREE_ROW = IntervalModule(((0, INFINITE),))
-
-
-def runs(mask: int) -> List[Tuple[int, int]]:
-    """Maximal runs of set bits of a nonnegative mask, as (start, length)
-    pairs, the form of ``IntervalModule.summands``.
-
-    Adding the lowest set bit carries through the lowest run and lands on
-    the first clear bit above it, so each run costs a few big-int operations.
-    """
-    out = []
-    while mask:
-        low = mask & -mask
-        top = mask + low
-        start = low.bit_length() - 1
-        out.append((start, (top & -top).bit_length() - 1 - start))
-        mask &= top
-    return out
-

@@ -493,9 +493,13 @@ def test_every_page_of_a_walk_holds_canonical_rows():
     assert cut > 1000
 
 
-def test_slotless_page_builds_no_masks(monkeypatch):
-    # the page after d3 on row 4 (test_turn_page_known_intervals): round 5
-    # has no slot, so its one pattern is zero and keeps every row
+def test_a_page_masks_its_rows_only_at_its_first_nonzero_pattern(monkeypatch):
+    """Only a Leibniz pair's target columns are read as masks, and a page
+    masks its rows when its first nonzero pattern is checked. The page
+    after d3 on row 4 (test_turn_page_known_intervals) has no slot at
+    round 5, so its one pattern is zero, keeps every row and masks none.
+    Its child has the slot 6 at round 7: the scan and the zero pattern
+    mask no row, and the nonzero pattern masks each row once."""
     fiber = make_type_ab(2, 0, 0)
     rows = {0: FREE_ROW, 2: IntervalModule(((0, 3),)), 6: FREE_ROW}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(5, 7), rows=rows)
@@ -512,8 +516,11 @@ def test_slotless_page_builds_no_masks(monkeypatch):
     assert calls == []
     assert (pattern, reason) == (DifferentialPattern(5, ()), None)
     assert nxt.rows == page.rows and nxt.rounds == (7,)
-    # round 7 has the slot 6, whose page does read its rows as masks
     assert differential_slots(nxt) == (6,)
+    steps = branches(nxt)
+    assert next(steps)[:2] == (DifferentialPattern(7, ()), None)
+    assert calls == []
+    assert next(steps)[0] == DifferentialPattern(7, (6,))
     assert len(calls) == len(rows)
 
 
@@ -542,6 +549,23 @@ def test_large_n_memory_stays_bounded(a, b):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, peak
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_large_n_traced_peak_stays_under_2_8_mib(a, b):
+    """A page masks its rows only once a nonzero pattern is checked, after
+    the zero pattern's subtree is walked, so the pages on the walk stack
+    do not all hold masks at once. The traced peak of the second of two
+    calls at n = 100000, as README measures it, is at most 2.8 MiB."""
+    fiber = make_type_ab(100000, a, b)
+    classify(fiber, GroupChoice.Z2)
+    tracemalloc.start()
+    try:
+        classify(fiber, GroupChoice.Z2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 2**20, peak
 
 
 def test_dimensions_never_increase():

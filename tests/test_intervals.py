@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from orbitcohom.engine import GroupChoice, Page
 from orbitcohom.errors import InvalidInputError
-from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule, runs
+from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule
 from orbitcohom.presentation import tot_poincare
 
 from helpers import point_ring
@@ -140,9 +140,53 @@ def test_minus_matches_has_column(mine, theirs, offset):
         for k in range(-2, bound)]
     assert (diff.last_column() is None) == (row.last_column() is None
                                             and other.last_column() is not None)
-    assert IntervalModule(diff.summands) == diff
+    _assert_canonical(diff)
+
+
+def _assert_canonical(row):
+    assert IntervalModule(row.summands) == row
     assert all(start + length < after for (start, length), (after, _)
-               in zip(diff.summands, diff.summands[1:]))
+               in zip(row.summands, row.summands[1:]))
+
+
+def _sides(row, other, offset):
+    """The engine's sides of a slot row: dead, the columns k of the row
+    with k + offset not in the target row other, and live, the rest."""
+    dead = row.minus(other, offset)
+    return dead, row.minus(dead, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_lists(), run_lists(), st.integers(-30, 30))
+def test_minus_sides_partition_the_row_by_has_column(mine, theirs, offset):
+    """Two cuts split a row: live holds exactly the columns k of the row
+    with k + offset in the other row, dead the rest, both canonical."""
+    row, other = IntervalModule(tuple(mine)), IntervalModule(tuple(theirs))
+    dead, live = _sides(row, other, offset)
+    bound = 100 + abs(offset)
+    for k in range(-2, bound):
+        assert live.has_column(k) == (row.has_column(k)
+                                      and other.has_column(k + offset)), k
+        assert dead.has_column(k) == (row.has_column(k)
+                                      and not live.has_column(k)), k
+    _assert_canonical(dead)
+    _assert_canonical(live)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_lists(), run_lists(), run_lists(), st.integers(-30, 30))
+def test_minus_chain_matches_has_column(first, mid, last, offset):
+    """The engine's d o d test: cutting the live side of the first row by
+    the live side of mid changes it exactly when some column k lies in
+    the first row, with k + offset in mid and k + 2 offset in last."""
+    first, mid, last = (IntervalModule(tuple(summands))
+                        for summands in (first, mid, last))
+    live_first = _sides(first, mid, offset)[1]
+    live_mid = _sides(mid, last, offset)[1]
+    bound = 100 + 2 * abs(offset)
+    assert (live_first.minus(live_mid, offset) != live_first) == any(
+        first.has_column(k) and mid.has_column(k + offset)
+        and last.has_column(k + 2 * offset) for k in range(-2, bound))
 
 
 def _column_mask_reference(m, nbits):
@@ -156,33 +200,3 @@ def test_column_mask_matches_has_column(summands, nbits):
     at or below a start and infinite runs."""
     m = IntervalModule(tuple(summands))
     assert m.column_mask(nbits) == _column_mask_reference(m, nbits)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 1 << 200))
-def test_runs_match_bit_scan(mask):
-    expected = []
-    i = 0
-    while i < mask.bit_length():
-        if (mask >> i) & 1:
-            j = i
-            while (mask >> j) & 1:
-                j += 1
-            expected.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    assert runs(mask) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(run_lists(), st.integers(1, 30))
-def test_a_rows_mask_reads_back_as_its_summands(summands, above):
-    """Above the last endpoint, the runs of a row's mask are its summands
-    with the infinite last run cut at the mask's width: the page scan reads
-    a row's own runs straight from its summands on this identity."""
-    m = IntervalModule(tuple(summands))
-    nbits = m.max_finite_endpoint() + above
-    assert runs(m.column_mask(nbits)) == [
-        (start, nbits - start if length is INFINITE else length)
-        for start, length in m.summands]
