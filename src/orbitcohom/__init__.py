@@ -19,8 +19,7 @@ from .errors import (InvalidInputError, InvariantError, OrbitCohomError,
 from .fiber import FiberRing, load_fiber, make_type_ab
 from .intervals import FREE_ROW, INFINITE, IntervalModule
 from .presentation import (ExtensionFlag, RingPresentation,
-                           extract_presentation, presentation_str,
-                           tot_poincare)
+                           extract_presentation, presentation_str)
 
 __all__ = [
     "__version__",
@@ -34,7 +33,7 @@ __all__ = [
     "FREE_ROW", "INFINITE", "IntervalModule",
     "OracleReport", "brute_force_classify", "compare_reports", "min_cap",
     "ExtensionFlag", "RingPresentation", "extract_presentation",
-    "presentation_str", "tot_poincare",
+    "presentation_str",
     "basis_problems",
 ]
 

@@ -122,7 +122,7 @@ class DifferentialPattern(Record):
 class Outcome(NamedTuple):
     history: Tuple[DifferentialPattern, ...]
     e_inf: Page
-    # Dimension per total degree, held as one progression per row run
+    # Dimension per total degree, held as one progression per row
     # (presentation.PoincareSeries), so its size does not grow with n.
     poincare: presentation.PoincareSeries
     presentation: presentation.RingPresentation
@@ -405,7 +405,7 @@ def _walk(page: Page, history: Tuple[DifferentialPattern, ...],
     outcomes or rejected, in depth-first order."""
     if not page.rounds:
         if is_free_admissible(page):
-            pres, flags = presentation.extract_presentation(page)
+            pres, flags, poincare = presentation.extract_presentation(page)
             # x^m != 0 exactly when t^m survives on the base row (the
             # edge map), so the index is the row's last live column,
             # which is its degree under Z/2, where t has degree 1.
@@ -414,7 +414,7 @@ def _walk(page: Page, history: Tuple[DifferentialPattern, ...],
             outcomes.append(Outcome(
                 history=history,
                 e_inf=page,
-                poincare=presentation.tot_poincare(page),
+                poincare=poincare,
                 presentation=pres,
                 extension_flags=tuple(flags),
                 index=index,

@@ -3,10 +3,11 @@
 The canonical answer is the total graded ring of the limit page: one
 generator x for the surviving base column (the image of t), one generator
 per surviving fiber row, and monomial relations read off the interval
-endpoints and the induced product table. Extraction notes each product it
-finds vanishing, with its total degree and filtration; those whose degree
-holds a surviving class of higher filtration are reported as extension
-flags, never silently resolved.
+endpoints and the induced product table; its Poincare series is read off
+the same endpoints. Extraction notes each product it finds vanishing,
+with its total degree and filtration; those whose degree holds a
+surviving class of higher filtration are reported as extension flags,
+never silently resolved.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def presentation_str(pres: RingPresentation) -> str:
 class PoincareSeries(NamedTuple):
     """Poincare series of a finite limit page, kept as its progressions.
 
-    ``terms`` holds one (first degree, step, count) per row run, sorted:
+    ``terms`` holds one (first degree, step, count) per row, sorted:
     the rational form sum t^first (1 - t^(step*count)) / (1 - t^step).
     ``dense`` and ``items`` expand the series in one pass over the terms,
     and only when asked.
@@ -98,25 +99,10 @@ class PoincareSeries(NamedTuple):
         return [(degree, dim) for degree, dim in enumerate(self.dense(top)) if dim]
 
 
-def tot_poincare(e_inf: "Page") -> PoincareSeries:
-    """Poincare series of the total graded ring; requires a finite page.
-
-    Each run (start, length) of row l adds one class in each total degree
-    (start + i)*step + l, i < length: the progression
-    (start*step + l, step, length).
-    """
-    step = e_inf.step
-    terms = []
-    for l, row in e_inf.rows.items():
-        if row.last_column() is None:
-            raise UnsupportedShapeError("page has an infinite row; no finite Poincare data")
-        terms += [(start * step + l, step, length)
-                  for start, length in row.summands]
-    return PoincareSeries(tuple(sorted(terms)))
-
-
-def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[ExtensionFlag]]:
-    """Presentation and extension flags of an admissible limit page's ring.
+def extract_presentation(e_inf: "Page") -> Tuple[
+        RingPresentation, List[ExtensionFlag], PoincareSeries]:
+    """Presentation, extension flags and Poincare series of an admissible
+    limit page's ring.
 
     One pass over the rows by rising degree reads each row as its length
     and checks the shapes the classification produces; any other page is
@@ -166,21 +152,22 @@ def extract_presentation(e_inf: "Page") -> Tuple[RingPresentation, List[Extensio
 
     relations += [(mono,) for mono, _, _ in vanishing]
     pres = make_presentation(generators, relations, base_generator=x_name)
-    return pres, _flags(e_inf, vanishing, z_names, x_name)
+    # row l adds one class in each degree l, l + step, ..., by rising l
+    poincare = PoincareSeries(tuple((l, step, n) for l, n in length.items()))
+    return pres, _flags(length, step, vanishing, z_names, x_name), poincare
 
 
-def _flags(e_inf: "Page", vanishing, z_names, x_name) -> List[ExtensionFlag]:
+def _flags(length, step, vanishing, z_names, x_name) -> List[ExtensionFlag]:
     """The vanishing products (monomial, total degree D, filtration F) whose
     degree holds a surviving class of higher filtration. A class of degree D
     in row l sits k = D - l degrees above the row's generator, in column
     k / step; the candidates are the rows alive there with k > F, by rising k."""
-    step, rows = e_inf.step, e_inf.rows
     flags: List[ExtensionFlag] = []
     for mono, degree, filtration in vanishing:
         candidates = []
-        for l in sorted(rows, reverse=True):
+        for l in reversed(length):
             k = degree - l
-            if k > filtration and k % step == 0 and rows[l].has_column(k // step):
+            if k > filtration and k % step == 0 and k // step < length[l]:
                 factors = ((x_name, k // step), (z_names.get(l), 1))
                 candidates.append(monomial_str(tuple(f for f in factors if f[0])))
         if candidates:

@@ -10,7 +10,6 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from orbitcohom.engine import DifferentialPattern, GroupChoice, Page
-from orbitcohom.errors import InvalidInputError
 from orbitcohom.fiber import FiberRing
 from orbitcohom.intervals import INFINITE, IntervalModule
 from orbitcohom.oracle import brute_force_classify
@@ -68,8 +67,12 @@ def sphere_product(p: int, q: int) -> FiberRing:
 def census(top: int) -> Iterator[FiberRing]:
     """Every ring with one class e{d} in each degree d of a set S of
     0..top that holds 0, where each product of two classes is 0 or the
-    class of the sum degree: the tables that ``FiberRing`` accepts, by
-    rising S, the one-class ring first."""
+    class of the sum degree, by rising S, the one-class ring first.
+
+    A table is skipped before its ``FiberRing`` is built when some
+    positive i, j, k break associativity: (e_i e_j) e_k and e_i (e_j e_k)
+    are each 0 or e_(i+j+k), and differ. ``FiberRing`` validates every
+    other table, so one that the filter passes wrongly raises."""
     for size in range(top + 1):
         for positive in itertools.combinations(range(1, top + 1), size):
             degrees = (0,) + positive
@@ -77,16 +80,22 @@ def census(top: int) -> Iterator[FiberRing]:
             units = tuple((("e0", name), frozenset({name})) for name, _ in basis)
             pairs = [(i, j) for i in positive for j in positive
                      if i <= j and i + j in degrees]
+            triples = [(i, j, k) for i in positive for j in positive
+                       for k in positive if i + j + k in degrees]
             for nonzero in itertools.product((False, True), repeat=len(pairs)):
+                # the ordered pairs (i, j) with e_i e_j != 0
+                on = {ij for (i, j), bit in zip(pairs, nonzero) if bit
+                      for ij in ((i, j), (j, i))}
+                if any(((i, j) in on and (i + j, k) in on)
+                       != ((j, k) in on and (i, j + k) in on)
+                       for i, j, k in triples):
+                    continue
                 products = units + tuple(
                     ((f"e{i}", f"e{j}"),
-                     frozenset({f"e{i + j}"}) if on else frozenset())
-                    for (i, j), on in zip(pairs, nonzero))
-                try:
-                    yield FiberRing(basis=basis, unit="e0", products=products,
-                                    top_degree=degrees[-1])
-                except InvalidInputError:
-                    pass  # not associative
+                     frozenset({f"e{i + j}"}) if bit else frozenset())
+                    for (i, j), bit in zip(pairs, nonzero))
+                yield FiberRing(basis=basis, unit="e0", products=products,
+                                top_degree=degrees[-1])
 
 
 def same_presentation(p1: RingPresentation, p2: RingPresentation) -> bool:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from orbitcohom.engine import GroupChoice, Page
 from orbitcohom.errors import InvalidInputError
 from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule
-from orbitcohom.presentation import tot_poincare
+from orbitcohom.presentation import extract_presentation
 
 from helpers import point_ring
 
@@ -33,7 +33,8 @@ def test_step_two_support():
     assert m.last_column() == 2
     page = Page(fiber=point_ring(), group=GroupChoice.CIRCLE, rounds=(),
                 rows={0: m})
-    assert tot_poincare(page).items() == [(0, 1), (2, 1), (4, 1)]
+    _, _, series = extract_presentation(page)
+    assert series.items() == [(0, 1), (2, 1), (4, 1)]
 
 
 def test_zero_module():

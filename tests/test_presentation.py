@@ -11,15 +11,14 @@ from orbitcohom.engine import GroupChoice, Page, classify
 from orbitcohom.errors import OversizedInstanceError, UnsupportedShapeError
 from orbitcohom.fiber import load_fiber, make_type_ab
 from orbitcohom.intervals import IntervalModule
-from orbitcohom.presentation import (ExtensionFlag, PoincareSeries, _flags,
+from orbitcohom.presentation import (ExtensionFlag, PoincareSeries,
                                      extract_presentation, make_presentation,
                                      monomial_str, presentation_str,
-                                     relation_str, tot_poincare)
+                                     relation_str)
 from orbitcohom.selfcheck import (basis_problems, monomial_basis_elements,
                                   self_check)
 
-from helpers import (cyclic_garbage, point_ring, same_presentation,
-                     truncated_polynomial)
+from helpers import cyclic_garbage, same_presentation, truncated_polynomial
 
 
 def _z2_ring(n, power, z_deg, z_len=None):
@@ -94,7 +93,7 @@ def test_different_degrees_not_same():
     assert not same_presentation(p1, p2)
 
 
-def test_tot_poincare_matches_monomial_basis():
+def test_basis_problems_finds_none_on_the_reference_outcomes():
     """The monomial walk agrees with the page's Poincare series and index on
     every outcome of the reference fibers, two-term relations included."""
     for group in (GroupChoice.Z2, GroupChoice.CIRCLE):
@@ -114,10 +113,10 @@ def test_basis_problems_reports_injected_mismatches():
     assert "degree 3" in problem
 
 
-# Per-degree reference versions of tot_poincare and of the extension flags,
-# which walk every column of every row and read each vanishing product back
-# from the presentation's relations.
-def _tot_poincare_per_degree(e_inf):
+# Per-degree reference versions of the Poincare series and of the extension
+# flags, which walk every column of every row and read each vanishing product
+# back from the presentation's relations.
+def _poincare_per_degree(e_inf):
     out = {}
     for l, row in e_inf.rows.items():
         last = row.last_column()
@@ -198,59 +197,12 @@ def test_outcome_data_matches_per_degree_reference():
             for out in classify(fiber, group).outcomes:
                 pres, page = out.presentation, out.e_inf
                 assert (dict(out.poincare.items())
-                        == _tot_poincare_per_degree(page))
+                        == _poincare_per_degree(page))
                 assert list(out.extension_flags) == _extension_flags_sorted(
                     page, pres, _z_names(pres), pres.base_generator), (
                         group, fiber.basis)
                 two_term += any(len(rel) > 1 for rel in pres.relations)
     assert two_term
-
-
-@st.composite
-def _finite_row(draw):
-    """One to four finite runs of columns with gaps between them."""
-    runs, start = [], draw(st.integers(0, 6))
-    for length in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
-        runs.append((start, length))
-        start += length + draw(st.integers(1, 4))
-    return IntervalModule(tuple(runs))
-
-
-@st.composite
-def _finite_pages(draw):
-    """Finite pages with several runs per row and gaps between them, plus a
-    presentation with a few vanishing monomials in x and the row
-    generators, each with a row generator: extraction never records a power
-    of x, which is exact at the base edge."""
-    step = draw(st.integers(1, 2))
-    ls = draw(st.sets(st.integers(1, 9), max_size=3))
-    rows = {l: draw(_finite_row()) for l in {0} | ls}
-    page = Page(fiber=point_ring(), group=GroupChoice(("z2", "s1")[step - 1]),
-                rounds=(), rows=rows)
-    z_names = {l: f"z{l}" for l in ls}
-    gens = [("x", step)] + [(name, l) for l, name in z_names.items()]
-    monos = st.lists(st.tuples(st.sampled_from([g for g, _ in gens]),
-                               st.integers(1, 3)),
-                     min_size=1, max_size=3, unique_by=lambda p: p[0]).filter(
-        lambda m: any(g != "x" for g, _ in m))
-    relations = [(tuple(m),)
-                 for m in draw(st.lists(monos, max_size=4 if ls else 0))]
-    return page, make_presentation(gens, relations, base_generator="x"), z_names
-
-
-@settings(max_examples=200, deadline=None)
-@given(_finite_pages())
-def test_outcome_data_matches_reference_on_hand_built_pages(built):
-    page, pres, z_names = built
-    series, reference = tot_poincare(page), _tot_poincare_per_degree(page)
-    assert series.items() == list(reference.items())
-    top = max(reference, default=0)
-    assert series.dense(top + 3) == [reference.get(d, 0) for d in range(top + 4)]
-    assert series.dense(top // 2) == [reference.get(d, 0) for d in range(top // 2 + 1)]
-    vanishing = [(mono, *_degree_and_filtration(pres, mono, "x"))
-                 for (mono,) in pres.relations]
-    assert (_flags(page, vanishing, z_names, "x")
-            == _extension_flags_sorted(page, pres, z_names, "x"))
 
 
 @st.composite
@@ -272,9 +224,14 @@ def _single_run_pages(draw):
 @settings(max_examples=300, deadline=None)
 @given(_single_run_pages())
 def test_extracted_flags_match_reference_on_hand_built_pages(page):
-    pres, flags = extract_presentation(page)
+    pres, flags, series = extract_presentation(page)
     assert flags == _extension_flags_sorted(page, pres, _z_names(pres),
                                             pres.base_generator)
+    reference = _poincare_per_degree(page)
+    assert series.items() == list(reference.items())
+    top = max(reference)
+    assert series.dense(top + 3) == [reference.get(d, 0) for d in range(top + 4)]
+    assert series.dense(top // 2) == [reference.get(d, 0) for d in range(top // 2 + 1)]
 
 
 # Pages that break a shape rule of extraction, each with a row above the
@@ -311,13 +268,6 @@ def test_extraction_refuses_each_unsupported_shape_naming_its_row(rows, message)
     assert str(refused.value) == message
 
 
-def test_tot_poincare_rejects_infinite_rows():
-    page = Page(fiber=point_ring(), group=GroupChoice.Z2, rounds=(),
-                rows={0: IntervalModule(((0, 2), (4, None)))})
-    with pytest.raises(UnsupportedShapeError):
-        tot_poincare(page)
-
-
 def test_extension_flags_even_even():
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
     flags = {f.product: set(f.candidates) for f in
@@ -330,9 +280,10 @@ def test_extension_flags_even_even():
 def test_extraction_is_stable():
     report = classify(make_type_ab(3, 0, 0), GroupChoice.Z2)
     out = report.outcomes[0]
-    again, flags = extract_presentation(out.e_inf)
+    again, flags, series = extract_presentation(out.e_inf)
     assert again == out.presentation
     assert tuple(flags) == out.extension_flags
+    assert series == out.poincare
 
 
 def test_monomial_basis_reduces_two_term_relations():
