@@ -8,10 +8,10 @@ keeps exactly the branches whose limit page is compatible with a free
 action (finite, and supported in total degree at most the fiber dimension).
 
 Row l of a page is the F2[t]-module of the fiber's degree l. Its generator
-g is the fiber's one basis element of that degree, and it survives while
-column 0 does; a fiber with two basis elements in one degree is refused.
-A row is held as the set of columns k whose class t^k g survives, in runs
-(``intervals.IntervalModule``); column k of row l lies in total degree
+g is the fiber's one basis element of that degree; a fiber with two basis
+elements in one degree is refused. A row is held as its length L
+(``intervals.IntervalModule``): the classes t^k g with k < L survive, and
+a page drops a row that dies. Column k of row l lies in total degree
 l + k*step, where step = |t| is the group's.
 Differentials are recorded only on row generators: every starting row is a
 free module over the base ring H*(B_G) = F2[t] and the differentials are
@@ -20,34 +20,38 @@ round's assignment is therefore the pattern (round, sources): the rows
 whose generator maps nonzero, the same pair that keys a branch's history.
 A page carries only its remaining rounds, the current one first.
 
-The Leibniz and d o d checks hold across all columns exactly. Each row
-is a union of runs of columns that is constant beyond its last run
-endpoint, so finitely many columns represent every regime. A check is
+The step's domain, with e = r / step: every finite row has length at most
+e, and no row is infinite while the base row 0 has length 1.
+``_scan_page`` refuses any other page, naming its rows, and a page without
+the base row, whose unit class always survives, is an invariant error.
+The second page lies in the domain, and every page the step turns to lies
+in that of its next round. On the domain:
+- a slot's target row holds column e, so it is infinite, and d(t^k g)
+  lives for every column k of a slot row;
+- a d o d chain l -> mid -> last breaks exactly when mid is a slot;
+- the Leibniz pair (1, g_l) refuses a finite source row l whenever the
+  base row holds column 1: t^L g_l is 0, but t * d(t^(L-1) g_l) is
+  t^(L+e) of the infinite target row;
+- so an accepted pattern's sources are infinite rows, none the target of
+  another, and its turn drops each source row and cuts its target row to
+  length e. The base row is never a source, so it stays.
+
+The Leibniz and d o d checks hold across all columns exactly. A check is
 three rows, the 8-bit table of the coefficient triples on them that break
 it, and its reason: a Leibniz pair's rows are those of u*v, u and v, and a
 d o d chain l -> mid -> last is c_l c_mid = 0. A pattern is refused for the
 first check its sources break, the Leibniz pairs in order, then the
 chains. A page builds each check once, in that order, when a pattern first
 reads past those built (``Page._scan``). A Leibniz table entry asks whether
-some pair of columns k, j with given term parities sums into a set of live
-target columns; the sumset of the runs (a, m) and (c, n), as (start,
-length), is the single run (a + c, m + n - 1), so each costs O(runs^2)
-big-int operations: as many whatever n is, but each as wide as the masks,
-which grow with the degrees. A row's own runs are its summands, and a sum
-with an infinite run is read as every target column from its start up.
-With e = r / step, a slot row's sides are cut from the rows by ``minus``:
-the dead side, the columns k whose d(t^k g) dies, is the row less its
-target row moved down by e, and the live side is the row less the dead
-one. A d o d chain l -> mid -> last is nonzero when cutting the live side
-of l by that of mid, moved down by e, changes it. Only a Leibniz pair's
+some pair of columns k < L_u, j < L_v sums into a set of live target
+columns: the sums are the columns 0 .. L_u + L_v - 2, every column from 0
+up when either row is infinite, so each entry costs one big-int operation,
+as wide as the masks, which grow with the degrees. Only a Leibniz pair's
 target columns are read as masks, and a page masks its rows when its
 first nonzero pattern is checked, after the zero pattern's subtree is
 walked: a page without a slot never does. A pair with no slot among its
 rows is skipped: its only parity triple, 0, breaks no pattern. The zero
-pattern costs no check and no turn. A page turn reads no mask: a source
-row l loses each column k whose column k + e lives in row l - r + 1, a
-target row each column k whose column k - e lives in its source row, and
-every other row is kept as it is.
+pattern costs no check and no turn, and a page turn reads no mask.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from . import presentation
 from .errors import (InvariantError, OversizedInstanceError,
                      PreconditionError, UnsupportedShapeError)
 from .fiber import FiberRing
-from .intervals import FREE_ROW, INFINITE, IntervalModule, Run
+from .intervals import FREE_ROW, INFINITE, IntervalModule
 from .record import Record, set_field
 
 # The most branches classify walks before it refuses the fiber. The tree
@@ -80,8 +84,8 @@ class GroupChoice(enum.Enum):
 
 class Page(Record):
     """A page of the spectral sequence. Its rows are degrees of its fiber:
-    row l holds the columns left of the free row on 1 (x) fiber.names[l],
-    whose generator lives while column 0 does."""
+    row l is what is left of the free row on 1 (x) fiber.names[l], and it
+    is dropped when its generator dies."""
     __slots__ = ("fiber", "group", "rounds", "rows", "_scan_cache")
 
     def __init__(self, fiber: FiberRing, group: GroupChoice,
@@ -198,8 +202,8 @@ _BREAKS = tuple(sum(1 << c for c in range(8) if bin(tau & c).count("1") % 2)
 
 def _scan_page(page: Page) -> _Scan:
     """Slots, and on a page with slots the generator of its checks, which
-    reads no row until a pattern first asks for a check; a stray or empty
-    row is refused before either."""
+    reads no row until a pattern first asks for a check; a stray row, or a
+    page outside the step's domain, is refused before either."""
     r, step, rows = page.round, page.step, page.rows
     if r is None:
         raise PreconditionError("the page has no differential rounds left")
@@ -207,33 +211,37 @@ def _scan_page(page: Page) -> _Scan:
     if not rows.keys() <= names.keys():
         raise PreconditionError(f"rows {sorted(set(rows).difference(names))} "
                                 "are not degrees of the page's fiber")
-    # One pass up the rows: a slot's target row, below it, is already
-    # known. A page turn drops empty rows; an empty row has no column 0.
+    if 0 not in rows:
+        raise InvariantError(f"the unit class did not survive to round {r}")
     e, fits = r // step, r % step == 0
-    gens, slots = {}, []
-    for l in sorted(rows):
-        if rows[l].has_column(0):
-            gens[l] = names[l]
-            if fits and l - r + 1 in gens and rows[l - r + 1].has_column(e):
-                slots.append(l)
-        elif not rows[l].summands:
-            empty = sorted(k for k, row in rows.items() if not row.summands)
-            raise PreconditionError(f"rows {empty} are empty")
-    slots, slot_set, checks = tuple(slots), frozenset(slots), []
+    infinite = [l for l, row in rows.items() if row.length is INFINITE]
+    long = [l for l, row in rows.items()
+            if row.length is not INFINITE and row.length > e]
+    if long:
+        raise PreconditionError(f"rows {sorted(long)} are finite and longer "
+                                f"than e = {e} columns at round {r}")
+    if infinite and rows[0].length == 1:
+        raise PreconditionError(f"rows {sorted(infinite)} are infinite while "
+                                "the base row has length 1")
+    # A slot's target row, below it, holds column e: on the domain it is
+    # infinite.
+    slots = tuple(l for l in sorted(rows) if fits and l - r + 1 in rows
+                  and rows[l - r + 1].has_column(e))
+    slot_set, checks = frozenset(slots), []
     if not slots:
         return _Scan(slots, slot_set, checks, iter(()))
     return _Scan(slots, slot_set, checks, _checks(
-        checks, r, e, rows, gens, slots, slot_set, mult))
+        checks, r, e, rows, names, slots, slot_set, mult))
 
 
 def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
-            gens: Dict[int, str], slots: Tuple[int, ...],
+            names: Dict[int, str], slots: Tuple[int, ...],
             slot_set: FrozenSet[int], mult: Callable) -> Iterator[tuple]:
     """Append to checks, and yield, the page's Leibniz checks, then its d o d
     checks. It holds the page's rows, not the page, whose scan holds it,
-    and masks them at its first resume. Every row is constant beyond the
-    largest run endpoint shifted by the differential, so masks up to there
-    are exact though rows are infinite."""
+    and masks them at its first resume. Every row is constant beyond its
+    length, so masks up to the longest finite one shifted by the
+    differential are exact though rows are infinite."""
     rep = max(row.max_finite_endpoint() for row in rows.values()) + 2 * e + 4
     masks = {l: row.column_mask(2 * (rep + e + 2)) for l, row in rows.items()}
     # Leibniz closure, columnwise: for generators u, v and all columns k, j,
@@ -246,19 +254,13 @@ def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
     # pair exactly when some parity vector tau = (W, DU, DV) that occurs
     # has an odd dot product with c, and the pair keeps the 8-bit table of
     # those c. A side is on when its row is a slot and its fiber product is
-    # nonzero; an off side reads its row's own runs and 0 for every c, so
-    # only the tau that are 0 on off sides are tested, and none that adds
-    # no new c a pattern can give: no pattern gives c_w != c_v when u is the
-    # unit, or c_u != c_v when u = v. A pair none of whose rows is a slot
-    # has only tau = 0, whose _BREAKS entry is empty, so it is skipped.
-    # A slot row's sides, (tau bit, runs of columns k), by whether d(t^k g)
-    # lives: it dies where column k + e of the target row is gone.
-    live, split = {}, {}
-    for l in slots:
-        dead = rows[l].minus(rows[l - r + 1], e)
-        live[l] = rows[l].minus(dead, 0)
-        split[l] = ((0, dead.summands), (1, live[l].summands))
-    pairs = tuple(gens.items())
+    # nonzero, and d(t^k g) lives at every column k of a slot row, so an on
+    # side of u or v is 1 at all its columns and an off one 0. Only the tau
+    # that are 0 on off sides are tested, and none that adds no new c a
+    # pattern can give: no pattern gives c_w != c_v when u is the unit, or
+    # c_u != c_v when u = v. A pair none of whose rows is a slot has only
+    # tau = 0, whose _BREAKS entry is empty, so it is skipped.
+    pairs = tuple((l, names[l]) for l in sorted(rows))
     for i, (lu, gu) in enumerate(pairs):
         for lv, gv in pairs[i:]:
             lw = lu + lv
@@ -269,16 +271,14 @@ def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
                 continue
             ws = (((0, alive & ~masks[lw]), (1, alive & masks[lw]))
                   if lw in slot_set and mult(gu, gv) else ((0, alive),))
-            us = (split[lu] if lu in slot_set and mult(gens[lu - r + 1], gv)
-                  else ((0, rows[lu].summands),))
-            vs = (split[lv] if lv in slot_set and mult(gu, gens[lv - r + 1])
-                  else ((0, rows[lv].summands),))
+            tuv = (2 * (lu in slot_set and bool(mult(names[lu - r + 1], gv)))
+                   + (lv in slot_set and bool(mult(gu, names[lv - r + 1]))))
             reach = (0xA5 if lu == 0 else 0xFF) & (0x99 if lu == lv else 0xFF)
             table = 0
-            for (tw, sums), (tu, left), (tv, right) in itertools.product(
-                    ws, us, vs):
-                breaks = _BREAKS[4 * tw + 2 * tu + tv]
-                if breaks & reach & ~table and _sum_hit(left, right, sums):
+            for tw, sums in ws:
+                breaks = _BREAKS[4 * tw + tuv]
+                if breaks & reach & ~table and _sum_hit(
+                        rows[lu].length, rows[lv].length, sums):
                     table |= breaks
             if table:
                 checks.append((lw, lu, lv, table, "Leibniz violation at round "
@@ -287,30 +287,24 @@ def _checks(checks: list, r: int, e: int, rows: Dict[int, IntervalModule],
 
     # d o d = 0 along row chains l -> l-r+1 -> l-2r+2, whose last row lives
     # whenever the middle one is a slot: c_l c_mid = 0, which only bit 7
-    # breaks, and it breaks when some live column k of l has k + e live in
-    # mid. A pattern that breaks a pair and a chain is refused for the pair.
+    # breaks. Column 0 of l maps to column e of mid, which a slot's target
+    # row holds, and on to the infinite row last, so every chain through a
+    # slot breaks. A pattern that breaks a pair and a chain is refused for
+    # the pair.
     for l in slots:
         mid, last = l - r + 1, l - 2 * r + 2
-        if mid in slot_set and (live[l].minus(live[mid], e).summands
-                                != live[l].summands):
+        if mid in slot_set:
             checks.append((l, mid, mid, 1 << 7, "d o d nonzero at round "
                            f"{r} along rows {l} -> {mid} -> {last}"))
             yield checks[-1]
 
 
-def _sum_hit(left: Tuple[Run, ...], right: Tuple[Run, ...], sums: int) -> bool:
-    """True when some k in the runs left and j in the runs right have k + j in sums.
-
-    The sumset of the runs (a, m) and (c, n), as (start, length), is the
-    single run (a + c, m + n - 1), read in place as every bit of sums from
-    a + c up when either run is infinite: one big-int operation per pair."""
-    for a, m in left:
-        for c, n in right:
-            hit = sums >> (a + c)
-            if hit and (m is INFINITE or n is INFINITE
-                        or hit & ((1 << (m + n - 1)) - 1)):
-                return True
-    return False
+def _sum_hit(m: Optional[int], n: Optional[int], sums: int) -> bool:
+    """True when some columns k < m and j < n have k + j in sums. The sums
+    are the columns 0 .. m + n - 2, every column when either row is
+    infinite: one big-int operation."""
+    return bool(sums) and (m is INFINITE or n is INFINITE
+                           or sums & ((1 << (m + n - 1)) - 1) != 0)
 
 
 def check_pattern(page: Page, pattern: DifferentialPattern) -> Optional[str]:
@@ -348,25 +342,21 @@ def branches(page: Page) -> Iterator[Tuple[DifferentialPattern, Optional[str],
 
 
 def _turn(page: Page, pattern: DifferentialPattern) -> Page:
-    """Homology of the page under a pattern that passed check_pattern: each
-    row the pattern sources or targets is a difference of the old page's
-    rows, and every other row is kept as it is, in its place."""
-    r, rows = pattern.round, page.rows
-    e = r // page.step
-    new_rows = dict(rows)
+    """Homology of the page under a pattern that passed check_pattern. On
+    the step's domain each source row is infinite, and so is its target
+    row, which is no source: t^k g maps onto t^(k+e) of the target for
+    every k, so the source row dies and the target keeps its columns
+    below e. Every other row is kept as it is, in its place."""
+    r, rows = pattern.round, dict(page.rows)
+    target = IntervalModule(r // page.step)
     for l in pattern.sources:
-        mid = l - r + 1  # t^k g hits t^(k+e) of row mid while both live
-        new_rows[l] = new_rows[l].minus(rows[mid], e)
-        new_rows[mid] = new_rows[mid].minus(rows[l], -e)
-    return _child(page, {l: row for l, row in new_rows.items()
-                         if row.summands})
+        del rows[l]
+        rows[l - r + 1] = target
+    return _child(page, rows)
 
 
 def _child(page: Page, rows: Dict[int, IntervalModule]) -> Page:
-    """The next round's page with these rows, in which the unit must live."""
-    if 0 not in rows or not rows[0].has_column(0):
-        raise InvariantError(
-            f"the unit class did not survive round {page.round}")
+    """The next round's page with these rows."""
     return Page(page.fiber, page.group, page.rounds[1:], rows)
 
 
@@ -376,7 +366,7 @@ def is_free_admissible(page: Page) -> bool:
     top_degree, step = page.fiber.top_degree, page.step
     for l, row in page.rows.items():
         last = row.last_column()
-        if last is None or (last >= 0 and l + last * step > top_degree):
+        if last is None or l + last * step > top_degree:
             return False
     return True
 

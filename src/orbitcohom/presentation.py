@@ -2,12 +2,12 @@
 
 The canonical answer is the total graded ring of the limit page: one
 generator x for the surviving base column (the image of t), one generator
-per surviving fiber row, and monomial relations read off the interval
-endpoints and the induced product table; its Poincare series is read off
-the same endpoints. Extraction notes each product it finds vanishing,
-with its total degree and filtration; those whose degree holds a
-surviving class of higher filtration are reported as extension flags,
-never silently resolved.
+per surviving fiber row, and monomial relations read off the row lengths
+and the induced product table; its Poincare series is read off the same
+lengths. Extraction notes each product it finds vanishing, with its total
+degree and filtration; those whose degree holds a surviving class of
+higher filtration are reported as extension flags, never silently
+resolved.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import itertools
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import UnsupportedShapeError
+from .intervals import INFINITE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Page
@@ -50,9 +51,11 @@ def make_presentation(generators, relations, base_generator=None) -> RingPresent
 
     canon_relations = []
     for rel in relations:
-        monos = tuple(sorted({canon_monomial(m) for m in rel}))
-        if monos:
-            canon_relations.append(monos)
+        odd = set()  # the monomials that occur an odd number of times
+        for m in rel:
+            odd ^= {canon_monomial(m)}
+        if odd:
+            canon_relations.append(tuple(sorted(odd)))
     canon_relations.sort(key=lambda rel: (mono_degree(rel[0]), rel))
     return RingPresentation(gens, tuple(canon_relations), base_generator)
 
@@ -108,7 +111,7 @@ def extract_presentation(e_inf: "Page") -> Tuple[
     and checks the shapes the classification produces; any other page is
     an unsupported-shape error naming the row at fault. The rules:
     - the page has the unit row 0;
-    - each row is one finite run of columns starting at column 0;
+    - each row is finite;
     - no fiber row is longer than the base row 0.
     """
     step, rows = e_inf.step, e_inf.rows
@@ -116,10 +119,9 @@ def extract_presentation(e_inf: "Page") -> Tuple[
         raise UnsupportedShapeError("unit row is missing from the page")
     length: Dict[int, int] = {}  # row l is alive in columns 0..length[l] - 1
     for l in sorted(rows):
-        summands = rows[l].summands
-        if len(summands) != 1 or summands[0][0] != 0 or summands[0][1] is None:
-            raise UnsupportedShapeError(f"row {l} is not one finite run from column 0")
-        length[l] = summands[0][1]
+        length[l] = rows[l].length
+        if length[l] is INFINITE:
+            raise UnsupportedShapeError(f"row {l} is infinite")
         if length[l] > length[0]:
             raise UnsupportedShapeError(
                 f"row {l} outlives the base row; not generated by x and z")

@@ -8,11 +8,7 @@ are ``typing.NamedTuple``, which builds faster.
 Every ``Record`` sets its fields through ``set_field``, which is
 ``object.__setattr__`` bound once here: looking it up anew cost about
 0.1 us a field on the records built per branch, ``engine.Page``,
-``engine.DifferentialPattern`` and ``intervals.IntervalModule``.
-Code that already holds a valid value may build a record without its
-``__init__``, as ``object.__new__`` and one ``set_field`` per field:
-``IntervalModule.minus`` does, since cutting a canonical row leaves a
-canonical one."""
+``engine.DifferentialPattern`` and ``intervals.IntervalModule``."""
 
 set_field = object.__setattr__
 

@@ -154,22 +154,22 @@ def reference_branches(page: Page) -> List[Tuple[DifferentialPattern,
     """The engine's step, column by column: each pattern of the page's
     round, in binary order over its slots, with its first violated
     constraint (None when consistent) and the page it turns to (None when
-    refused). It reads the rows through ``has_column`` and ``summands`` and
+    refused). It reads the rows through ``has_column`` and ``length`` and
     the fiber through its names and products, and nothing else of the
     engine.
 
     With e = r / step, a source l maps t^k g_l to t^(k+e) g_(l-r+1) while
     both live. The constraints, in order: the Leibniz rule on each pair of
     generators u <= v, then d o d = 0 along each chain of two sources.
-    Every row is all live or all dead from the largest run endpoint on, so
-    a witness column past it can move down to it, and the columns up to
+    Every row is all live or all dead from the largest finite length on,
+    so a witness column past it can move down to it, and the columns up to
     there decide each constraint; a turned row is constant from that
-    endpoint + e on, so that column gives its tail."""
+    length + e on, so that column gives its tail. A turned row that is not
+    one run of columns from column 0 raises AssertionError."""
     r, step, rows, fiber = page.round, page.step, page.rows, page.fiber
     names, mult = fiber.names, fiber.mult
     e = r // step
-    end = max((start + (length or 0) for row in rows.values()
-               for start, length in row.summands), default=0)
+    end = max((row.length or 0 for row in rows.values()), default=0)
 
     def live(l, shift=0, top=end):
         """The columns k <= top with column k + shift live in row l."""
@@ -222,15 +222,12 @@ def reference_branches(page: Page) -> List[Tuple[DifferentialPattern,
                                    else set())
                 - (live(l + r - 1, -e, top) if l + r - 1 in sources
                    else set()))
-        summands = []
-        for k in sorted(cols):
-            if summands and sum(summands[-1]) == k:
-                summands[-1][1] += 1
-            else:
-                summands.append([k, 1])
-        if top in cols:
-            summands[-1][1] = INFINITE
-        return IntervalModule(tuple(map(tuple, summands)))
+        if cols != set(range(len(cols))):
+            raise AssertionError(f"row {l} turns to the columns {sorted(cols)}, "
+                                 "not one run from column 0")
+        if not cols:
+            return None
+        return IntervalModule(INFINITE if top in cols else len(cols))
 
     out = []
     for coeffs in itertools.product((0, 1), repeat=len(slots)):
@@ -241,6 +238,6 @@ def reference_branches(page: Page) -> List[Tuple[DifferentialPattern,
             child_rows = {l: turned(l, set(sources)) for l in rows}
             child = Page(fiber, page.group, page.rounds[1:],
                          {l: row for l, row in child_rows.items()
-                          if row.summands})
+                          if row is not None})
         out.append((DifferentialPattern(r, sources), reason, child))
     return out

@@ -19,7 +19,7 @@ from orbitcohom.errors import (InvalidInputError, InvariantError,
 from orbitcohom.fiber import FiberRing, load_fiber, make_type_ab
 from orbitcohom.intervals import FREE_ROW, INFINITE, IntervalModule
 
-from helpers import (cyclic_garbage, point_ring, reference_branches,
+from helpers import (census, cyclic_garbage, point_ring, reference_branches,
                      truncated_polynomial, wedge)
 
 
@@ -28,7 +28,7 @@ def test_build_e2_rows_z2():
     assert sorted(page.rows) == [0, 2, 4, 6]
     assert page.step == 1
     for row in page.rows.values():
-        assert row is FREE_ROW and row.summands == ((0, INFINITE),)
+        assert row is FREE_ROW and row.length is INFINITE
 
 
 def test_build_e2_rows_circle():
@@ -96,17 +96,17 @@ def test_slots_on_e2():
 def test_slots_need_a_live_target_class():
     # row 0 dies at column 3 and beyond, so d3 on row 2 has no target
     fiber = make_type_ab(2, 0, 0)
-    rows = {0: IntervalModule(((0, 3),)), 2: FREE_ROW}
+    rows = {0: IntervalModule(3), 2: FREE_ROW}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
     assert differential_slots(page) == ()
 
 
 def test_slots_need_a_live_source_generator():
-    # row 2 has lost column 0, so its generator v1 is dead although the
-    # fiber still names it, and d3 on row 2 has no source
+    # row 2 has died, so its generator v1 is dead although the fiber still
+    # names it, and d3 on row 2 has no source
     fiber = make_type_ab(2, 0, 0)
     assert fiber.names[2] == "v1"
-    rows = {0: FREE_ROW, 2: IntervalModule(((1, INFINITE),))}
+    rows = {0: FREE_ROW}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
     assert differential_slots(page) == ()
     live = {0: FREE_ROW, 2: FREE_ROW}
@@ -125,19 +125,31 @@ def test_rows_off_the_fiber_degrees_are_refused():
         check_pattern(page, DifferentialPattern(3, ()))
 
 
-def test_empty_rows_are_refused():
-    # F2[u]/(u^3) under Z/2 at round 2, rows 0 and 1 free and row 2 empty:
-    # the page turn drops an empty row, so the step refuses such a page
-    # rather than hand its zero child a row that every turned child lacks
-    page = Page(fiber=truncated_polynomial(1, 3), group=GroupChoice.Z2,
-                rounds=(2,), rows={0: FREE_ROW, 1: FREE_ROW,
-                                   2: IntervalModule(())})
-    with pytest.raises(PreconditionError, match=r"rows \[2\] are empty"):
-        differential_slots(page)
-    with pytest.raises(PreconditionError, match="are empty"):
-        check_pattern(page, DifferentialPattern(2, (1,)))
-    with pytest.raises(PreconditionError, match="are empty"):
-        next(branches(page))
+def test_pages_outside_the_domain_are_refused():
+    # at round 3 under Z/2, e = 3: a finite row holds at most 3 columns, and
+    # no row is infinite while the base row holds column 0 alone
+    fiber = make_type_ab(2, 0, 0)
+    for rows, message in [
+            ({0: FREE_ROW, 2: IntervalModule(4), 4: IntervalModule(5)},
+             r"^rows \[2, 4\] are finite and longer than e = 3 columns at "
+             r"round 3$"),
+            ({0: IntervalModule(1), 2: IntervalModule(3), 4: FREE_ROW,
+              6: FREE_ROW},
+             r"^rows \[4, 6\] are infinite while the base row has length 1$")]:
+        page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
+        with pytest.raises(PreconditionError, match=message):
+            differential_slots(page)
+        with pytest.raises(PreconditionError, match=message):
+            check_pattern(page, DifferentialPattern(3, ()))
+        with pytest.raises(PreconditionError, match=message):
+            next(branches(page))
+    # the bound is e itself, and a base row of length 1 is in the domain
+    # beside finite rows
+    for rows, slots in [
+            ({0: FREE_ROW, 2: IntervalModule(3), 4: IntervalModule(3)}, (2,)),
+            ({0: IntervalModule(1), 2: IntervalModule(3)}, ())]:
+        page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
+        assert differential_slots(page) == slots
 
 
 def test_finished_page_has_no_round():
@@ -174,10 +186,10 @@ def _next_page(page, pattern):
 def test_turn_page_known_intervals():
     page = build_e2(make_type_ab(2, 0, 0), GroupChoice.Z2)
     nxt = _next_page(page, DifferentialPattern(3, (4,)))
-    assert nxt.rows[0].summands == ((0, INFINITE),)
-    assert nxt.rows[2].summands == ((0, 3),)
+    assert nxt.rows[0].length is INFINITE
+    assert nxt.rows[2].length == 3
     assert 4 not in nxt.rows
-    assert nxt.rows[6].summands == ((0, INFINITE),)
+    assert nxt.rows[6].length is INFINITE
     assert nxt.rounds == (5, 7) and nxt.round == 5
 
     # round 5 has no slots left; round 7 kills rows 0 and 6 against each other
@@ -185,7 +197,7 @@ def test_turn_page_known_intervals():
     mid = _next_page(nxt, DifferentialPattern(5, ()))
     assert differential_slots(mid) == (6,)
     final = _next_page(mid, DifferentialPattern(7, (6,)))
-    assert final.rows[0].summands == ((0, 7),)
+    assert final.rows[0].length == 7
     assert 6 not in final.rows
     assert final.rounds == () and final.round is None
 
@@ -228,24 +240,24 @@ def test_pattern_round_must_match_page_round():
 
 
 def test_turn_page_raises_when_the_unit_dies():
-    # hand-built page whose unit row has lost column 0: a real error, not an
-    # assert, so the check also holds under python -O
+    # hand-built page whose unit row has died: a real error, not an assert,
+    # so the check also holds under python -O
     fiber = make_type_ab(2, 0, 0)
-    rows = {0: IntervalModule(((1, INFINITE),)), 2: FREE_ROW}
+    rows = {2: FREE_ROW, 4: FREE_ROW}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(3,), rows=rows)
-    with pytest.raises(InvariantError, match="unit"):
+    with pytest.raises(InvariantError,
+                       match="^the unit class did not survive to round 3$"):
         list(branches(page))
 
 
-def _assert_rows_canonical(page):
-    """Every row is as the validating constructor builds it, nonempty, with
-    int starts and lengths and None for an infinite one: minus builds the
-    rows of a turned page without that constructor."""
-    for l, row in page.rows.items():
-        assert row.summands and IntervalModule(row.summands) == row, (page, l)
-        assert all(type(start) is int and (length is INFINITE
-                                           or type(length) is int)
-                   for start, length in row.summands), (page, l)
+def _assert_in_domain(page, e):
+    """The page lies in the step's domain for e = r / step: it has the base
+    row, every finite row has length at most e, and no row is infinite
+    while the base row has length 1."""
+    lengths = {l: row.length for l, row in page.rows.items()}
+    assert 0 in lengths, page
+    assert all(n is INFINITE or n <= e for n in lengths.values()), (page, e)
+    assert lengths[0] != 1 or INFINITE not in lengths.values(), page
 
 
 def _assert_branches_match_the_reference(page, expected=None):
@@ -344,11 +356,11 @@ def test_each_check_is_built_once(monkeypatch):
 
 
 def test_a_page_builds_its_checks_only_as_far_as_its_patterns_read():
-    """Every nonzero pattern of this page of F2[u]/(u^3), |u| = 1, breaks
-    its first check, on u1*u1 (test_a_table_joins_what_its_parity_vectors_
-    break), so its step builds that check alone. The zero pattern breaks
-    no check, so checking it on a fresh copy builds them all."""
-    rows = {0: IntervalModule(((0, 3),)), 1: FREE_ROW, 2: FREE_ROW}
+    """The one nonzero pattern of this page of F2[u]/(u^3), |u| = 1, breaks
+    its first check, on u1*u1, so its step builds that check alone. The
+    zero pattern breaks no check, so checking it on a fresh copy builds
+    them all."""
+    rows = {0: IntervalModule(2), 1: FREE_ROW, 2: FREE_ROW}
     page, fresh = (Page(fiber=truncated_polynomial(1, 3), group=GroupChoice.Z2,
                         rounds=(2,), rows=rows) for _ in range(2))
     assert {reason for _, reason, _ in branches(page)} == {
@@ -370,37 +382,23 @@ def test_the_zero_pattern_needs_no_check_and_no_turn():
         assert next(branches(page)) == steps[0], page
 
 
-def test_a_table_joins_what_its_parity_vectors_break():
-    """The pair u1*u1 at round 2 on this page of F2[u]/(u^3), |u| = 1,
-    breaks every nonzero pattern: each parity vector of the pair breaks
-    two of the three, so a pair that kept one vector would let one pass."""
-    page = Page(fiber=truncated_polynomial(1, 3), group=GroupChoice.Z2,
-                rounds=(2,), rows={0: IntervalModule(((0, 3),)),
-                                   1: FREE_ROW, 2: FREE_ROW})
-    reason = "Leibniz violation at round 2 on the product u1*u1"
-    assert [(p.sources, why) for p, why, _ in branches(page)] == [
-        ((), None), ((2,), reason), ((1,), reason), ((1, 2), reason)]
-    _assert_branches_match_the_reference(page)
-
-
-@pytest.mark.parametrize("group, rows, reasons", [
-    # d o d along rows 2 -> 1 -> 0 sends column 0 of row 2 to column
-    # 2e = 4 of row 0, the last live one
-    (GroupChoice.Z2, {0: ((0, 5),), 1: ((0, 3),), 2: ((0, 1),)},
-     [None, None, "d o d nonzero at round 2 along rows 2 -> 1 -> 0"]),
-    # e = 1: the pattern breaks x1*x1 only at k = 1, j = 2, whose target
-    # column 4 is the last live one
-    (GroupChoice.CIRCLE, {0: ((0, 3),), 1: ((0, 3), (4, 1))},
-     ["Leibniz violation at round 2 on the product x1*x1"]),
-    # consistent, unless a sum of runs reads one column long or late
-    (GroupChoice.CIRCLE, {0: ((0, 1),), 1: ((0, INFINITE),), 2: ((0, 2),)},
-     [None])], ids=("dod-chain", "sum-run-end", "sum-run-start"))
-def test_pages_of_a_wedge_match_the_column_reference(group, rows, reasons):
-    """Pages of the wedge of classes in degrees 1 and 2 at round 2, each
-    with the reasons of its nonzero patterns: each needs a d o d chain or
-    a sum of two runs of columns read to the exact column."""
-    page = Page(fiber=wedge((1, 2)), group=group, rounds=(2,),
-                rows={l: IntervalModule(runs) for l, runs in rows.items()})
+@pytest.mark.parametrize("degrees, rows, reasons", [
+    # row 2 is a slot, so its target row 1 is infinite, and d o d along
+    # rows 3 -> 2 -> 1 sends column 0 of row 3 to column 2e = 4 of row 1
+    ((1, 2, 3), {0: 2, 1: INFINITE, 2: INFINITE, 3: INFINITE},
+     [None, None, "d o d nonzero at round 2 along rows 3 -> 2 -> 1"]),
+    # d(t * x2) = t * d(x2) lives in column 1 + e of row 1, but t * x2,
+    # column 1 of row 2, is the first dead one: the sum of the base row's
+    # last column 1 and row 2's column 0, read one column short, misses it
+    ((1, 2), {0: 2, 1: INFINITE, 2: 1},
+     ["Leibniz violation at round 2 on the product 1*x2"])],
+    ids=("dod-chain", "sum-run-end"))
+def test_pages_of_a_wedge_match_the_column_reference(degrees, rows, reasons):
+    """Pages of a wedge under Z/2 at round 2, each with the reasons of its
+    nonzero patterns: each needs a d o d chain or a sum of two rows of
+    columns read to the exact column."""
+    page = Page(fiber=wedge(degrees), group=GroupChoice.Z2, rounds=(2,),
+                rows={l: IntervalModule(n) for l, n in rows.items()})
     steps = _assert_branches_match_the_reference(page)
     assert [reason for _, reason, _ in steps] == [None] + reasons
 
@@ -417,80 +415,70 @@ _PAGE_FIBERS = ([make_type_ab(n, a, b) for n in (1, 2, 3) for a in (0, 1)
 @st.composite
 def _random_pages(draw):
     """A page of a small fiber at one of its rounds, the first one twice as
-    often. As on every page of a walk, the unit lives. The checks turn
-    where a differential, which moves columns by e = r / step, meets a
-    row's last live column, so two pages in three have rows of one run
-    from column 0, which ends e + 1 or 2e + 1 columns up or one column
-    either side, or 0 to 2 columns after its target row's end less e, or
-    never. The others have run lists, some rows absent, with bounds on
-    the multiples of e or one column off, or near a lower row's bound
-    moved down by 0, e or 2e columns."""
+    often, in the step's domain for e = r / step. As on every page of a
+    walk, the base row lives; one row in eight above it has died and is
+    absent. Two rows in three are infinite, as a slot's target row must
+    be; the others have a length of 1..e, one of 1, 2, e - 1 and e as
+    often as any, since the checks turn where a differential meets a
+    row's end. No row is infinite while the base row has length 1."""
     fiber = draw(st.sampled_from(_PAGE_FIBERS))
     group = draw(st.sampled_from(
         [g for g in GroupChoice if admissible_rounds(fiber, g)]))
     rounds = admissible_rounds(fiber, group)
     r = draw(st.sampled_from(rounds[:1] + rounds))
     e = r // group.step
-    single = draw(st.integers(0, 2)) > 0
-    ends = [e + 1, 2 * e + 1] * 3 + [e, e + 2, 2 * e, 2 * e + 2]
-    marks = {k * e + d for k in range(3) for d in (-1, 0, 1)}
-    rows = {}
-    for l in sorted(fiber.names):
-        if single:
-            bounds, target = [0], rows.get(l - r + 1)
-            if target is not None and draw(st.booleans()):
-                start, length = target.summands[-1]
-                if length is not INFINITE:
-                    bounds.append(max(1, start + length - e
-                                      + draw(st.integers(0, 2))))
-            elif draw(st.integers(0, 2)):
-                bounds.append(draw(st.sampled_from(ends)))
-        elif l and draw(st.integers(0, 7)) == 0:
-            continue
-        else:
-            start = 0 if l == 0 else draw(st.sampled_from((0,) * 6 + (1, 3)))
-            bounds = [start] + sorted(c for c in draw(st.sets(
-                st.sampled_from(sorted(marks)), max_size=6)) if c > start)
-        summands = [(bounds[i], bounds[i + 1] - bounds[i])
-                    for i in range(0, len(bounds) - 1, 2)]
-        if len(bounds) % 2 and (single or not summands or draw(st.booleans())):
-            summands.append((bounds[-1], INFINITE))
-        rows[l] = IntervalModule(tuple(summands))
-        marks |= {c - k * e + d for c in bounds for k in (0, 1, 2)
-                  for d in (-2, -1, 0, 1)}
+    finite = st.one_of(st.sampled_from(sorted({1, 2, e - 1, e} & set(
+        range(1, e + 1)))), st.integers(1, e))
+    length = st.one_of(finite, st.just(INFINITE), st.just(INFINITE))
+    base = draw(length)
+    rows = {0: IntervalModule(base)}
+    for l in sorted(fiber.names)[1:]:
+        if draw(st.integers(0, 7)):
+            rows[l] = IntervalModule(draw(finite if base == 1 else length))
     return Page(fiber=fiber, group=group, rounds=(r,), rows=rows)
 
 
 @settings(max_examples=600, deadline=None)
 @given(_random_pages())
 def test_branches_match_the_column_reference_on_random_pages(page):
+    """The contract on a random page of the domain, whose every turned row
+    the reference finds to be one run from column 0; each accepted child
+    lies in the domain of every later round, whose e is larger."""
+    _assert_in_domain(page, page.round // page.step)
     _assert_branches_match_the_reference(page)
     for _, _, child in branches(page):
         if child is not None:
-            _assert_rows_canonical(child)
+            _assert_in_domain(child, page.round // page.step)
 
 
 def test_every_page_of_a_walk_holds_canonical_rows():
     """The pages classify reaches, walked through the engine's own
     children: the sweep of n = 1..24 in both groups and all four (a, b),
-    the truncated-u6 fiber and wedges of at most 8 classes. A row that
-    minus builds on these walks is one finite run from column 0; the
-    random pages give cut rows of several runs and infinite ones."""
+    the truncated-u6 fiber, wedges of at most 8 classes and the census of
+    top degree 6. Each page with a round lies in the step's domain, and
+    each source row of an accepted pattern and its target row are
+    infinite, so the turn leaves every row one run from column 0."""
     fibers = _sweep_fibers() + [wedge(range(1, k)) for k in range(2, 9)]
     fibers += [wedge(degrees) for degrees in ((1, 3), (2, 3, 5), (1, 2, 4),
                                               (2, 3, 4, 5), (1, 3, 4, 6, 9))]
+    fibers += census(6)
     todo = [build_e2(fiber, group) for fiber in fibers for group in GroupChoice]
-    cut = 0  # rows that minus built
+    turned = 0  # accepted nonzero patterns
     while todo:
         page = todo.pop()
-        _assert_rows_canonical(page)
-        if page.round is not None:
-            for pattern, _, child in branches(page):
-                if child is not None:
-                    cut += sum(l in child.rows for s in pattern.sources
-                               for l in (s, s - pattern.round + 1))
-                    todo.append(child)
-    assert cut > 1000
+        if page.round is None:
+            continue
+        _assert_in_domain(page, page.round // page.step)
+        for pattern, _, child in branches(page):
+            if child is None:
+                continue
+            for l in pattern.sources:
+                assert page.rows[l].length is INFINITE, (page, pattern)
+                assert page.rows[l - page.round + 1].length is INFINITE, (
+                    page, pattern)
+            turned += bool(pattern.sources)
+            todo.append(child)
+    assert turned > 1000
 
 
 def test_a_page_masks_its_rows_only_at_its_first_nonzero_pattern(monkeypatch):
@@ -501,7 +489,7 @@ def test_a_page_masks_its_rows_only_at_its_first_nonzero_pattern(monkeypatch):
     Its child has the slot 6 at round 7: the scan and the zero pattern
     mask no row, and the nonzero pattern masks each row once."""
     fiber = make_type_ab(2, 0, 0)
-    rows = {0: FREE_ROW, 2: IntervalModule(((0, 3),)), 6: FREE_ROW}
+    rows = {0: FREE_ROW, 2: IntervalModule(3), 6: FREE_ROW}
     page = Page(fiber=fiber, group=GroupChoice.Z2, rounds=(5, 7), rows=rows)
     calls = []
     column_mask = IntervalModule.column_mask
@@ -590,12 +578,13 @@ def test_is_free_admissible_checks_the_top_degree():
     fiber = make_type_ab(1, 0, 0)  # top degree 3
 
     def page(base, top_row):
-        rows = {0: IntervalModule((base,)), 3: IntervalModule((top_row,))}
+        rows = {0: IntervalModule(base), 3: IntervalModule(top_row)}
         return Page(fiber=fiber, group=GroupChoice.Z2, rounds=(), rows=rows)
 
-    assert not is_free_admissible(page((0, 2), (0, 2)))
-    assert is_free_admissible(page((0, 4), (0, 1)))
-    assert not is_free_admissible(page((0, 5), (0, 1)))
+    assert not is_free_admissible(page(2, 2))
+    assert is_free_admissible(page(4, 1))
+    assert not is_free_admissible(page(5, 1))
+    assert not is_free_admissible(page(INFINITE, 1))
 
 
 def test_classify_even_even_single_branch():

@@ -247,6 +247,19 @@ def test_classify_and_oracle_do_not_check_a_built_ring_again(monkeypatch):
         assert len(oracle.outcomes) == len(report.outcomes)
 
 
+@pytest.mark.parametrize("values", [(frozenset({"b"}), frozenset()),
+                                    (frozenset(), frozenset({"b"}))],
+                         ids=["b-then-zero", "zero-then-b"])
+def test_repeated_product_rejected(values):
+    # with the last value kept, a*a = 0 or b by the order of the entries
+    basis = (("1", 0), ("a", 1), ("b", 2))
+    units = tuple((("1", name), frozenset({name})) for name, _ in basis)
+    with pytest.raises(InvalidInputError,
+                       match=r"^product a\*a is listed twice$"):
+        FiberRing(basis=basis, unit="1", top_degree=2, products=units + tuple(
+            (("a", "a"), value) for value in values))
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(InvalidInputError):
         FiberRing(basis=(("1", 0), ("1", 1)), unit="1", products=(),

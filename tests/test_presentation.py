@@ -10,7 +10,7 @@ from orbitcohom import selfcheck
 from orbitcohom.engine import GroupChoice, Page, classify
 from orbitcohom.errors import OversizedInstanceError, UnsupportedShapeError
 from orbitcohom.fiber import load_fiber, make_type_ab
-from orbitcohom.intervals import IntervalModule
+from orbitcohom.intervals import INFINITE, IntervalModule
 from orbitcohom.presentation import (ExtensionFlag, PoincareSeries,
                                      extract_presentation, make_presentation,
                                      monomial_str, presentation_str,
@@ -208,15 +208,15 @@ def test_outcome_data_matches_per_degree_reference():
 @st.composite
 def _single_run_pages(draw):
     """Pages of the shape extraction supports, over a truncated polynomial
-    fiber: each row one run from column 0, none longer than the base row."""
+    fiber: each row finite, none longer than the base row."""
     step, degree = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     k = draw(st.integers(2, 5))
     fiber = truncated_polynomial(degree, k)
     base = draw(st.integers(1, 6))
-    rows = {0: IntervalModule(((0, base),))}
+    rows = {0: IntervalModule(base)}
     for i in range(1, k):
         if draw(st.booleans()):
-            rows[i * degree] = IntervalModule(((0, draw(st.integers(1, base))),))
+            rows[i * degree] = IntervalModule(draw(st.integers(1, base)))
     return Page(fiber=fiber, group=GroupChoice(("z2", "s1")[step - 1]),
                 rounds=(), rows=rows)
 
@@ -236,24 +236,15 @@ def test_extracted_flags_match_reference_on_hand_built_pages(page):
 
 # Pages that break a shape rule of extraction, each with a row above the
 # lowest faulty one, and the message, which names that lowest faulty row.
-_NOT_ONE_RUN = "row {} is not one finite run from column 0"
+_INFINITE = "row {} is infinite"
 _OUTLIVES = "row {} outlives the base row; not generated by x and z"
 _UNSUPPORTED_PAGES = {
-    "no-unit-row": ({1: ((0, 2),)}, "unit row is missing from the page"),
-    "base-two-runs": ({0: ((0, 1), (2, 1)), 2: ((0, 1),)}, _NOT_ONE_RUN.format(0)),
-    "base-infinite": ({0: ((0, None),), 2: ((0, 1),)}, _NOT_ONE_RUN.format(0)),
-    "base-past-column-0": ({0: ((1, 2),), 2: ((0, 1),)}, _NOT_ONE_RUN.format(0)),
-    "fiber-two-runs": ({0: ((0, 3),), 2: ((0, 1), (2, 1)), 3: ((0, 1),)},
-                       _NOT_ONE_RUN.format(2)),
-    "fiber-infinite": ({0: ((0, 3),), 2: ((0, None),), 3: ((0, 1),)},
-                       _NOT_ONE_RUN.format(2)),
-    "fiber-past-column-0": ({0: ((0, 3),), 2: ((1, 2),), 3: ((0, 1),)},
-                            _NOT_ONE_RUN.format(2)),
-    "outlives-base": ({0: ((0, 3),), 1: ((0, 3),), 3: ((0, 4),), 4: ((0, 4),)},
-                      _OUTLIVES.format(3)),
+    "no-unit-row": ({1: 2}, "unit row is missing from the page"),
+    "base-infinite": ({0: INFINITE, 2: 1}, _INFINITE.format(0)),
+    "fiber-infinite": ({0: 3, 2: INFINITE, 3: 1}, _INFINITE.format(2)),
+    "outlives-base": ({0: 3, 1: 3, 3: 4, 4: 4}, _OUTLIVES.format(3)),
     # x is elided on a base row of column 0 alone
-    "outlives-base-x-elided": ({0: ((0, 1),), 1: ((0, 1),), 3: ((0, 2),),
-                                4: ((0, 2),)}, _OUTLIVES.format(3)),
+    "outlives-base-x-elided": ({0: 1, 1: 1, 3: 2, 4: 2}, _OUTLIVES.format(3)),
 }
 
 
@@ -261,8 +252,8 @@ _UNSUPPORTED_PAGES = {
                          ids=_UNSUPPORTED_PAGES.keys())
 def test_extraction_refuses_each_unsupported_shape_naming_its_row(rows, message):
     page = Page(fiber=truncated_polynomial(1, 5), group=GroupChoice.Z2,
-                rounds=(), rows={l: IntervalModule(runs)
-                                 for l, runs in rows.items()})
+                rounds=(), rows={l: IntervalModule(n)
+                                 for l, n in rows.items()})
     with pytest.raises(UnsupportedShapeError) as refused:
         extract_presentation(page)
     assert str(refused.value) == message
@@ -300,6 +291,21 @@ def test_presentation_str_and_relation_str():
     text = presentation_str(pres)
     assert text == "F2[x(1),z(2)]/(z^2, x^3*z, x^7)"
     assert relation_str(((("x", 1),), (("z", 1),))) == "x + z"
+
+
+def test_repeated_monomials_cancel_mod_2():
+    # x*z + z*x is 2 x*z = 0, and x + x + z is z
+    pres = make_presentation(
+        [("x", 1), ("z", 1)],
+        [((("x", 1), ("z", 1)), (("z", 1), ("x", 1))),
+         ((("x", 1),), (("x", 1),), (("z", 1),))])
+    assert pres.relations == (((("z", 1),),),)
+    # a relation that cancels to nothing is dropped
+    assert make_presentation([("x", 1)], [((("x", 2),), (("x", 2),))]
+                             ).relations == ()
+    # three copies leave one
+    assert make_presentation([("x", 1)], [((("x", 2),),) * 3]).relations == (
+        ((("x", 2),),),)
 
 
 def test_canonical_relation_order():

@@ -22,7 +22,7 @@ def _records():
                                   min_cap(fiber, GroupChoice.Z2))
     page = out.e_inf
     return {
-        "IntervalModule": (page.rows[0], "summands"),
+        "IntervalModule": (page.rows[0], "length"),
         "Page": (page, "rows"),
         "DifferentialPattern": (out.history[0], "sources"),
         "FiberRing": (fiber, "top_degree"),
@@ -60,8 +60,8 @@ def test_keyword_and_positional_constructors():
         basis=ring.basis, unit="1", products=ring.products, top_degree=0,
         warnings=())
     assert ring.warnings == () and ring.degrees == {"1": 0}
-    row = IntervalModule(summands=((0, 2),))
-    assert row == IntervalModule(((0, 2),))
+    row = IntervalModule(length=2)
+    assert row == IntervalModule(2)
     page = Page(fiber=ring, group=GroupChoice.Z2, rounds=(), rows={0: row})
     assert page == Page(ring, GroupChoice.Z2, (), {0: row})
     assert page.step == 1 and page.round is None
