@@ -152,6 +152,23 @@ def test_pages_outside_the_domain_are_refused():
         assert differential_slots(page) == slots
 
 
+def test_empty_rows_are_refused():
+    # F2[u]/(u^3) under Z/2 at round 2 with row 2 empty cannot be built: an
+    # empty row is refused when it is made, so the step never sees one
+    for empty in ((), 0):
+        with pytest.raises(InvalidInputError, match="positive int"):
+            Page(fiber=truncated_polynomial(1, 3), group=GroupChoice.Z2,
+                 rounds=(2,), rows={0: FREE_ROW, 1: FREE_ROW,
+                                    2: IntervalModule(empty)})
+    # and a page turn drops the row of a generator that dies rather than
+    # hand its child an empty row: under d2(u) = t^2, row 1 is gone
+    page = Page(fiber=truncated_polynomial(1, 2), group=GroupChoice.Z2,
+                rounds=(2,), rows={0: FREE_ROW, 1: FREE_ROW})
+    children = {pattern.sources: child for pattern, _, child in branches(page)}
+    assert children[()].rows == {0: FREE_ROW, 1: FREE_ROW}
+    assert children[(1,)].rows == {0: IntervalModule(2)}
+
+
 def test_finished_page_has_no_round():
     report = classify(make_type_ab(2, 0, 0), GroupChoice.Z2)
     page = report.outcomes[0].e_inf
